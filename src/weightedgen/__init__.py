@@ -7,10 +7,10 @@ from .grammar import (AmbiguityReport, GrammarError, GrammarSyntaxError,
                       ambiguity_probe, enumerate_words, normalize, parse_grammar)
 from .counting import (ClassCapExceeded, CountTable, EmptyLanguageError,
                        WeightClass, WeightSpectrum, build_counts,
-                       extreme_weights, min_max_weight, moment,
+                       extreme_weights, moment,
                        weight_spectra, weight_spectrum)
 from .sampler import (SamplerState, branch_distribution, sample_word,
-                      sample_words, word_probability, word_weight)
+                      word_probability, word_weight)
 from .urns import (AnalyticsReport, CouponBounds, Expectation, ReportEntry,
                    SimResult, UrnClass, UrnModel, birthday_asymptotic,
                    birthday_exact, coupon_bounds, coupon_uniform_exact,

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from .counting import build_counts, extreme_weights, EmptyLanguageError
+from .counting import build_counts, extreme_weights, moment
 from .numerics import HARMONIC_EXACT_LIMIT, harmonic_exact, harmonic_real, to_mpf
 
 
@@ -303,21 +303,13 @@ def collision_estimates(grammar, weights=None, n: int = 0, *,
 
 
 def collision_envelope(grammar, weights=None, n: int = 0) -> float:
-    """Expected first-collision time at length n: total * sqrt(pi) / sqrt(2 * total_sq).
+    """Expected first-collision time at length n: sqrt(pi / (2 * alpha_2)).
 
-    This is the sqrt(pi/(2*alpha_2)) plug-in evaluated from two exact count
-    tables, without materializing the weight spectrum.
+    alpha_2 = total(w^2) / total(w)^2 is the exact second moment of the
+    length-n distribution, so the weight spectrum is never materialized.
     """
-    if weights is None:
-        weights = grammar.weights
-    weights = {t: Fraction(w) for t, w in weights.items()}
-    total = build_counts(grammar, weights, n).total(n)
-    if total == 0:
-        raise EmptyLanguageError(f"no words of length {n}")
-    squared = {t: w ** 2 for t, w in weights.items()}
-    total_sq = build_counts(grammar, squared, n).total(n)
     with mp.workdps(50):
-        return float(to_mpf(total) * mp.sqrt(mp.pi) / mp.sqrt(2 * to_mpf(total_sq)))
+        return float(mp.sqrt(mp.pi / (2 * to_mpf(moment(grammar, weights, 2, n)))))
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--sep", default=" ", help="separator between terminals")
     p.add_argument("--precision", default="exact",
-                   help="'exact' or 'floatBITS' sampling policy")
+                   help="'exact' or 'floatBITS' count table to draw from")
 
     p = sub.add_parser("analyze", help="collision/collection/coverage report")
     _add_grammar_args(p)
@@ -224,8 +224,7 @@ def cmd_sample(args) -> int:
     g = normalize(_load_grammar(args))
     precision = _parse_precision(args.precision)
     table = counting.build_counts(g, None, args.n, precision)
-    policy = "exact" if precision is None else "float"
-    state = sampler.SamplerState(table, _resolve_seed(args), policy)
+    state = sampler.SamplerState(table, _resolve_seed(args))
     for _ in range(args.k):
         print(args.sep.join(sampler.sample_word(state, args.n)))
     return 0

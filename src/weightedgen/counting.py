@@ -2,19 +2,27 @@
 
 The central object is the count table of the recursive method: for every
 nonterminal A of a binary-form grammar and every length m, the total weight of
-the words A derives at that length.  All arithmetic is exact rational by
-default; a high-precision float backend (mpmath, configurable mantissa) exists
-for long coefficient tails where exactness is pointless.
+the words A derives at that length.  Every table in this module is one
+instance of `grammar.inside` over its own semiring.
+
+Exact cells are plain ints: each letter weight is scaled by D, the lcm of the
+weight denominators, so the cell at length m holds D^m times its value, and
+`value()`, `total()` and `coefficients()` divide the scale back out into
+Fractions.  No other module knows about the scale.  A high-precision float
+backend (mpmath, configurable mantissa, one rounding per cell) exists for long
+coefficient tails where exactness is pointless.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from mpmath import mp
 
-from .grammar import NormalizedGrammar
+from .grammar import NormalizedGrammar, inside
 from .numerics import to_mpf
 
 
@@ -26,19 +34,41 @@ class ClassCapExceeded(RuntimeError):
     """The weight-class DP grew past its configured cap."""
 
 
+def _int_dot(xs, ys):
+    return sum(map(operator.mul, xs, ys))
+
+
+def _scaled(grammar: NormalizedGrammar, weights) -> tuple:
+    """(D, {terminal: D * weight}) with D the lcm of the weight denominators."""
+    scale = lcm(*(weights[t].denominator for t in grammar.terminals))
+    return scale, {t: weights[t].numerator * (scale // weights[t].denominator)
+                   for t in grammar.terminals}
+
+
+def _splits(m: int):
+    """Split points 1..m-1 from both ends inwards: 1, m-1, 2, m-2, ..."""
+    lo, hi = 1, m - 1
+    while lo < hi:
+        yield lo
+        yield hi
+        lo += 1
+        hi -= 1
+    if lo == hi:
+        yield lo
+
+
 class CountTable:
     """Per-(nonterminal, length) total weights for a normalized grammar.
 
-    With `precision` unset the table holds exact Fractions; otherwise mpf
-    values with the given binary precision.  Construction costs
+    With `precision` unset the cells are exact scaled ints (see the module
+    docstring); otherwise they are mpf values with the given binary precision,
+    each the correctly rounded dot product of its children.  Construction costs
     O(|rules| * horizon^2) arithmetic operations; completed tables are
     immutable and safe to share.
     """
 
     def __init__(self, grammar: NormalizedGrammar, weights, horizon: int,
                  precision: int | None = None):
-        if horizon < 0:
-            raise ValueError("horizon must be nonnegative")
         self.grammar = grammar
         self.horizon = horizon
         self.precision = precision
@@ -47,69 +77,55 @@ class CountTable:
             if t not in self.weights:
                 raise ValueError(f"missing weight for terminal {t!r}")
         if precision is None:
-            self._values = self._fill(self.weights, Fraction(0), Fraction(1))
+            self._scale, self._letters = _scaled(grammar, self.weights)
+            self._cells = inside(grammar, horizon, self._letters.__getitem__,
+                                 1, 0, operator.add, _int_dot)
         else:
             with mp.workprec(precision):
-                wf = {t: to_mpf(w) for t, w in self.weights.items()}
-                self._values = self._fill(wf, mp.mpf(0), mp.mpf(1))
+                self._letters = {t: to_mpf(self.weights[t]) for t in grammar.terminals}
+                self._cells = inside(grammar, horizon, self._letters.__getitem__,
+                                     mp.mpf(1), mp.mpf(0), operator.add, mp.fdot)
 
-    def _fill(self, w, zero, one):
-        ng = self.grammar
-        vals = {nt: [zero] * (self.horizon + 1) for nt in ng.nonterminals}
-        for m in range(self.horizon + 1):
-            for nt in ng.nonterminals:
-                acc = zero
-                for r in ng.alternatives(nt):
-                    if r.kind == "term":
-                        if m == 1:
-                            acc += w[r.rhs[0]]
-                    elif r.kind == "eps":
-                        if m == 0:
-                            acc += one
-                    elif m >= 2:
-                        b, c = r.rhs
-                        vb, vc = vals[b], vals[c]
-                        for j in range(1, m):
-                            acc += vb[j] * vc[m - j]
-                vals[nt][m] = acc
-        return vals
-
-    def value(self, nt: str, m: int):
+    def cell(self, nt: str, m: int):
+        """The stored cell at (nt, m): value(nt, m) in the table's own scale."""
         if not 0 <= m <= self.horizon:
             raise ValueError(f"length {m} outside horizon {self.horizon}")
-        return self._values[nt][m]
+        return self._cells[nt][m]
+
+    def value(self, nt: str, m: int):
+        cell = self.cell(nt, m)
+        return cell if self.precision is not None else Fraction(cell, self._scale ** m)
 
     def total(self, m: int):
         """Total weight of length-m words of the language."""
         return self.value(self.grammar.axiom, m)
 
     def coefficients(self) -> list:
-        return list(self._values[self.grammar.axiom])
+        return [self.total(m) for m in range(self.horizon + 1)]
 
-    # -- sampler support ----------------------------------------------------
+    def choices(self, nt: str, m: int):
+        """The nonzero (weight, rule, split) options of the recursive method at (nt, m).
 
-    def rule_contribution(self, rule, m: int):
-        """Total weight this rule contributes at length m."""
-        if rule.kind == "term":
-            return self.weights[rule.rhs[0]] if m == 1 else 0
-        if rule.kind == "eps":
-            return 1 if m == 0 else 0
-        if m < 2:
-            return 0
-        b, c = rule.rhs
-        return sum(self.value(b, j) * self.value(c, m - j) for j in range(1, m))
-
-    def split_products(self, rule, m: int) -> list:
-        """Nonzero (split point, weight) pairs for a pair rule at length m."""
-        if rule.kind != "pair":
-            raise ValueError("split_products is only defined for pair rules")
-        b, c = rule.rhs
-        out = []
-        for j in range(1, m):
-            v = self.value(b, j) * self.value(c, m - j)
-            if v:
-                out.append((j, v))
-        return out
+        Weights are in the cell's scale and sum to cell(nt, m), exactly for an
+        exact table; `split` is the length of a pair rule's first child.  Split
+        points come from both ends inwards, where these grammars put most of
+        the weight, so a walk that stops at a drawn option computes few products.
+        """
+        self.cell(nt, m)
+        cells = self._cells
+        for r in self.grammar.alternatives(nt):
+            if r.kind == "term":
+                if m == 1:
+                    yield self._letters[r.rhs[0]], r, 1
+            elif r.kind == "eps":
+                if m == 0:
+                    yield 1, r, 0
+            elif m >= 2:
+                vb, vc = cells[r.rhs[0]], cells[r.rhs[1]]
+                for j in _splits(m):
+                    weight = vb[j] * vc[m - j]
+                    if weight:
+                        yield weight, r, j
 
 
 def build_counts(grammar: NormalizedGrammar, weights=None, n: int = 0,
@@ -181,64 +197,40 @@ class WeightSpectrum:
         return "\n".join(lines) + "\n"
 
 
-def min_max_weight(spectrum: WeightSpectrum) -> tuple:
-    return spectrum.min_weight(), spectrum.max_weight()
-
-
-def _composition_profiles(grammar: NormalizedGrammar, weights, n, class_cap):
-    """Per-length maps {composition vector: word count} for the axiom.
-
-    Compositions only track terminals with non-unit weight, which keeps the
-    class count at (n+1)^#weighted instead of (n+1)^|V|.
-    """
-    weighted = tuple(sorted(t for t in grammar.terminals if weights[t] != 1))
-    index = {t: i for i, t in enumerate(weighted)}
-    dim = len(weighted)
-    zero_vec = (0,) * dim
-
-    vals = {nt: [{} for _ in range(n + 1)] for nt in grammar.nonterminals}
-    for m in range(n + 1):
-        for nt in grammar.nonterminals:
-            acc = {}
-            for r in grammar.alternatives(nt):
-                if r.kind == "term":
-                    if m == 1:
-                        t = r.rhs[0]
-                        if t in index:
-                            vec = tuple(1 if i == index[t] else 0 for i in range(dim))
-                        else:
-                            vec = zero_vec
-                        acc[vec] = acc.get(vec, 0) + 1
-                elif r.kind == "eps":
-                    if m == 0:
-                        acc[zero_vec] = acc.get(zero_vec, 0) + 1
-                elif m >= 2:
-                    b, c = r.rhs
-                    vb, vc = vals[b], vals[c]
-                    for j in range(1, m):
-                        db, dc = vb[j], vc[m - j]
-                        if not db or not dc:
-                            continue
-                        for cb, nb in db.items():
-                            for cc, nc in dc.items():
-                                key = tuple(x + y for x, y in zip(cb, cc)) if dim else zero_vec
-                                acc[key] = acc.get(key, 0) + nb * nc
-                if len(acc) > class_cap:
-                    raise ClassCapExceeded(
-                        f"more than {class_cap} weight classes at length {m}")
-            vals[nt][m] = acc
-    return weighted, vals[grammar.axiom]
-
-
 def weight_spectra(grammar: NormalizedGrammar, weights=None, n: int = 0, *,
                    class_cap: int = 200_000) -> list:
-    """WeightSpectrum for every length 0..n (None where the slice is empty)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """WeightSpectrum for every length 0..n (None where the slice is empty).
+
+    The semiring values are {composition vector: word count} maps.  Vectors
+    only track terminals with non-unit weight, which keeps the class count at
+    (n+1)^#weighted instead of (n+1)^|V|.
+    """
     if weights is None:
         weights = grammar.weights
     weights = {t: Fraction(w) for t, w in weights.items()}
-    weighted, profiles = _composition_profiles(grammar, weights, n, class_cap)
+    weighted = tuple(sorted(t for t in grammar.terminals if weights[t] != 1))
+    unit = {t: tuple(int(t == u) for u in weighted) for t in grammar.terminals}
+
+    def add(x, y):
+        out = dict(x)
+        for comp, count in y.items():
+            out[comp] = out.get(comp, 0) + count
+        if len(out) > class_cap:
+            raise ClassCapExceeded(f"more than {class_cap} weight classes")
+        return out
+
+    def dot(xs, ys):
+        out = {}
+        for px, py in zip(xs, ys):
+            if px and py:
+                for cx, nx in px.items():
+                    for cy, ny in py.items():
+                        comp = tuple(map(operator.add, cx, cy))
+                        out[comp] = out.get(comp, 0) + nx * ny
+        return out
+
+    profiles = inside(grammar, n, lambda t: {unit[t]: 1}, {(0,) * len(weighted): 1},
+                      {}, add, dot)[grammar.axiom]
     spectra = []
     for m, profile in enumerate(profiles):
         if not profile:
@@ -268,37 +260,30 @@ def weight_spectrum(grammar: NormalizedGrammar, weights=None, n: int = 0, *,
     return sp
 
 
-def extreme_weights(grammar: NormalizedGrammar, weights=None, n: int = 0) -> tuple:
-    """(minimal, maximal) word weight at length n, by min/max-product DP.
+def _min_word(x, y):
+    return min(x, y) if x and y else x or y
 
-    Cheaper than the full spectrum and immune to its class-count cap.
+
+def _min_dot(xs, ys):
+    return min(filter(None, map(operator.mul, xs, ys)), default=0)
+
+
+def _max_dot(xs, ys):
+    return max(map(operator.mul, xs, ys), default=0)
+
+
+def extreme_weights(grammar: NormalizedGrammar, weights=None, n: int = 0) -> tuple:
+    """(minimal, maximal) word weight at length n, by (min, x) and (max, x) DPs.
+
+    Both run over the scaled int weights, with 0 meaning "no word".  Cheaper
+    than the full spectrum and immune to its class-count cap.
     """
     if weights is None:
         weights = grammar.weights
-    weights = {t: Fraction(w) for t, w in weights.items()}
-    results = []
-    for best in (min, max):
-        vals = {nt: [None] * (n + 1) for nt in grammar.nonterminals}
-        for m in range(n + 1):
-            for nt in grammar.nonterminals:
-                cand = []
-                for r in grammar.alternatives(nt):
-                    if r.kind == "term":
-                        if m == 1:
-                            cand.append(weights[r.rhs[0]])
-                    elif r.kind == "eps":
-                        if m == 0:
-                            cand.append(Fraction(1))
-                    elif m >= 2:
-                        b, c = r.rhs
-                        for j in range(1, m):
-                            vb = vals[b][j]
-                            vc = vals[c][m - j]
-                            if vb is not None and vc is not None:
-                                cand.append(vb * vc)
-                vals[nt][m] = best(cand) if cand else None
-        top = vals[grammar.axiom][n]
-        if top is None:
-            raise EmptyLanguageError(f"no words of length {n}")
-        results.append(top)
-    return tuple(results)
+    scale, letters = _scaled(grammar, {t: Fraction(w) for t, w in weights.items()})
+    extremes = tuple(
+        inside(grammar, n, letters.__getitem__, 1, 0, add, dot)[grammar.axiom][n]
+        for add, dot in ((_min_word, _min_dot), (max, _max_dot)))
+    if not extremes[1]:
+        raise EmptyLanguageError(f"no words of length {n}")
+    return tuple(Fraction(e, scale ** n) for e in extremes)

@@ -15,6 +15,7 @@ as integers, ``num/den`` fractions, or decimal literals (converted exactly).
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -96,10 +97,6 @@ class WeightedGrammar:
             merged[t] = Fraction(w)
         return WeightedGrammar(self.terminals, self.nonterminals, self.rules,
                                self.axiom, merged)
-
-    def powered_weights(self, k: int) -> dict:
-        """Pointwise k-th power of the weight vector."""
-        return {t: w ** k for t, w in self.weights.items()}
 
     def to_text(self) -> str:
         """Render in the grammar file format (reparses to an equal grammar)."""
@@ -490,6 +487,40 @@ class NormalizedGrammar:
         return {i: r.origin for i, r in enumerate(self.rules)}
 
 
+def inside(ng: NormalizedGrammar, horizon: int, letter, one, zero, add, dot) -> dict:
+    """The recursive method over a semiring: {nonterminal: [value at m for m in 0..horizon]}.
+
+    The value of A at length m is the semiring sum, over the derivations of A
+    into length-m words, of the product of their letters: letter(t) for each
+    terminal t and `one` for the empty word.  `add(x, y)` is the semiring sum
+    and `dot(xs, ys)` the sum of the pairwise products of two equally long
+    sequences; for m >= 2 each cell is one `dot` over the split points of all
+    its pair rules, added to `zero`.  `zero` must be the neutral element of
+    `add` and absorb products.  Cost: O(|rules| * horizon^2) products.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    vals = {nt: [] for nt in ng.nonterminals}
+    for m in range(horizon + 1):
+        for nt in ng.nonterminals:
+            cell = zero
+            xs, ys = [], []
+            for r in ng.alternatives(nt):
+                if r.kind == "term":
+                    if m == 1:
+                        cell = add(cell, letter(r.rhs[0]))
+                elif r.kind == "eps":
+                    if m == 0:
+                        cell = add(cell, one)
+                elif m >= 2:
+                    xs += vals[r.rhs[0]][1:m]
+                    ys += vals[r.rhs[1]][m - 1:0:-1]
+            if xs:
+                cell = add(cell, dot(xs, ys))
+            vals[nt].append(cell)
+    return vals
+
+
 def _fresh(names: set, base: str) -> str:
     cand = base
     while cand in names:
@@ -598,41 +629,18 @@ def normalize(g: WeightedGrammar, *, check_depth: int | None = None) -> Normaliz
     ng = NormalizedGrammar(g, start, tuple(nts), tuple(final), axiom_nullable)
 
     if check_depth is not None:
+        derived = inside(ng, check_depth, lambda t: [(t,)], [()], [],
+                         operator.add, _concatenations)[ng.axiom]
         for n in range(check_depth + 1):
-            src = Counter(enumerate_words(g, n))
-            norm = Counter(_normalized_derivation_words(ng, n))
-            if src != norm:
+            if Counter(enumerate_words(g, n)) != Counter(derived[n]):
                 raise GrammarError(
                     f"normalization changed the word multiset at length {n}")
     return ng
 
 
-def _normalized_derivation_words(ng: NormalizedGrammar, n: int) -> list:
-    """All length-n words of the normalized grammar, one entry per derivation."""
-    memo = {}
-
-    def words(nt, m):
-        key = (nt, m)
-        if key in memo:
-            return memo[key]
-        acc = []
-        for r in ng.alternatives(nt):
-            if r.kind == "term":
-                if m == 1:
-                    acc.append(r.rhs)
-            elif r.kind == "eps":
-                if m == 0:
-                    acc.append(())
-            else:
-                b, c = r.rhs
-                for j in range(1, m):
-                    for wb in words(b, j):
-                        for wc in words(c, m - j):
-                            acc.append(wb + wc)
-        memo[key] = acc
-        return acc
-
-    return words(ng.axiom, n)
+def _concatenations(xs, ys):
+    """Derivation-word semiring product: every concatenation, pair by pair."""
+    return [wb + wc for wbs, wcs in zip(xs, ys) for wb in wbs for wc in wcs]
 
 
 # ---------------------------------------------------------------------------

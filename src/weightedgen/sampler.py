@@ -1,11 +1,18 @@
 """Random generation of fixed-length words under the weighted distribution.
 
-Every derivation choice is made by comparing an integer drawn uniformly below
-the (exact) total weight against exact cumulative weights, so under the
-default policy a word w of length n is produced with probability exactly
-weight(w) / total(n).  The "float" policy replaces the comparison by double
-arithmetic; its per-choice bias is at most 2**(1-52) and it is never used by
-the test suite's statistical checks.
+Words are drawn top-down by the recursive method: at each node (A, m) an r is
+drawn below the count-table cell and the options of `CountTable.choices` are
+subtracted from it until it goes negative.  On an exact table the cells are
+ints, r is a uniform integer below the cell and the options sum exactly to it,
+so a word w of length n is produced with probability exactly
+weight(w) / total(n).  On an mpf table (precision p bits) r is a double in
+[0, 1) times the cell, and the subtraction runs at p bits, rounding to
+nearest: each option's probability is within 2**-53 + 10*k*2**-p of its
+share of the stored cell, for k options at the node, so within 2**-52
+whenever k <= 2**(p-57).  The 2**-53 is the grid of the double draw; the rest
+bounds the shift of the option boundaries by the roundings of the draw, the
+products, the subtractions and the cell itself.  The test suite's
+statistical checks use exact tables only.
 """
 
 from __future__ import annotations
@@ -13,7 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+
+from mpmath import mp
 
 from .counting import CountTable, EmptyLanguageError
 from .numerics import DEFAULT_SEED, substream_seed
@@ -23,50 +31,21 @@ from .numerics import DEFAULT_SEED, substream_seed
 class SamplerState:
     """Seeded sampling stream over a shared (read-only) count table.
 
-    Identical (seed, worker, grammar, weights, n) produce an identical word
-    sequence on any platform.  Use one state per worker; `spawn` derives
-    independent substreams.
+    Identical (seed, worker, grammar, weights, n, precision) produce an
+    identical word sequence on any platform.  Use one state per worker;
+    `spawn` derives independent substreams.
     """
 
     table: CountTable
     seed: int = DEFAULT_SEED
-    policy: str = "exact"
     worker: int = 0
     rng: random.Random = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.policy not in ("exact", "float"):
-            raise ValueError(f"unknown policy {self.policy!r}")
-        if self.policy == "exact" and self.table.precision is not None:
-            raise ValueError("exact sampling requires an exact count table")
         self.rng = random.Random(substream_seed(self.seed, self.worker))
 
     def spawn(self, worker: int) -> "SamplerState":
-        return SamplerState(self.table, self.seed, self.policy, worker)
-
-
-def _choose_exact(rng, weights):
-    dens = [w.denominator for w in weights]
-    scale = lcm(*dens)
-    ints = [w.numerator * (scale // w.denominator) for w in weights]
-    r = rng.randrange(sum(ints))
-    acc = 0
-    for i, v in enumerate(ints):
-        acc += v
-        if r < acc:
-            return i
-    raise AssertionError("unreachable")
-
-
-def _choose_float(rng, weights):
-    floats = [float(w) for w in weights]
-    r = rng.random() * sum(floats)
-    acc = 0.0
-    for i, v in enumerate(floats):
-        acc += v
-        if r < acc:
-            return i
-    return len(weights) - 1
+        return SamplerState(self.table, self.seed, worker)
 
 
 def sample_word(state: SamplerState, n: int) -> tuple:
@@ -74,42 +53,31 @@ def sample_word(state: SamplerState, n: int) -> tuple:
     table = state.table
     if n > table.horizon:
         raise ValueError(f"length {n} beyond table horizon {table.horizon}")
-    if table.total(n) == 0:
+    axiom = table.grammar.axiom
+    if not table.cell(axiom, n):
         raise EmptyLanguageError(f"no words of length {n}")
-    ng = table.grammar
-    choose = _choose_exact if state.policy == "exact" else _choose_float
+    rng = state.rng
+    exact = table.precision is None
 
     out = []
-    stack = [(ng.axiom, n)]
-    while stack:
-        nt, m = stack.pop()
-        weights = []
-        actions = []
-        for r in ng.alternatives(nt):
-            if r.kind == "term":
-                if m == 1:
-                    weights.append(table.weights[r.rhs[0]])
-                    actions.append(("t", r.rhs[0]))
-            elif r.kind == "eps":
-                if m == 0:
-                    weights.append(Fraction(1))
-                    actions.append(("e",))
-            else:
-                for j, v in table.split_products(r, m):
-                    weights.append(v)
-                    actions.append(("s", r.rhs[0], r.rhs[1], j))
-        act = actions[choose(state.rng, weights)]
-        if act[0] == "t":
-            out.append(act[1])
-        elif act[0] == "s":
-            _, b, c, j = act
-            stack.append((c, m - j))
-            stack.append((b, j))
+    stack = [(axiom, n)]
+    with mp.workprec(table.precision or mp.prec):
+        while stack:
+            nt, m = stack.pop()
+            cell = table.cell(nt, m)
+            r = rng.randrange(cell) if exact else cell * rng.random()
+            for weight, rule, j in table.choices(nt, m):
+                r -= weight
+                if r < 0:
+                    break
+            # an mpf walk that rounds past the last option keeps that option
+            if rule.kind == "term":
+                out.append(rule.rhs[0])
+            elif rule.kind == "pair":
+                b, c = rule.rhs
+                stack.append((c, m - j))
+                stack.append((b, j))
     return tuple(out)
-
-
-def sample_words(state: SamplerState, n: int, count: int) -> list:
-    return [sample_word(state, n) for _ in range(count)]
 
 
 def word_weight(word, weights) -> Fraction:
@@ -136,44 +104,30 @@ def word_probability(word, table: CountTable) -> Fraction:
 def branch_distribution(table: CountTable, n: int, *, word_cap: int = 10_000) -> dict:
     """Exact sampling distribution, by walking every branch of the decision tree.
 
-    Follows the same case analysis as sample_word but symbolically, so it is an
-    independent check that the sampler's choice probabilities multiply out to
+    Walks the same `CountTable.choices` as sample_word, symbolically, so it
+    checks that the sampler's choice probabilities multiply out to
     weight(w)/total(n) word for word.  Exponential in n; guarded by word_cap.
     """
     if table.precision is not None:
         raise ValueError("branch analysis requires an exact count table")
-    ng = table.grammar
     memo = {}
 
     def dist(nt, m):
         key = (nt, m)
         if key in memo:
             return memo[key]
-        options = []  # (probability weight, distribution)
-        for r in ng.alternatives(nt):
-            if r.kind == "term":
-                if m == 1:
-                    options.append((table.weights[r.rhs[0]], {r.rhs: Fraction(1)}))
-            elif r.kind == "eps":
-                if m == 0:
-                    options.append((Fraction(1), {(): Fraction(1)}))
-            else:
-                b, c = r.rhs
-                for j, v in table.split_products(r, m):
-                    db = dist(b, j)
-                    dc = dist(c, m - j)
-                    joint = {}
-                    for wb, pb in db.items():
-                        for wc, pc in dc.items():
-                            w = wb + wc
-                            joint[w] = joint.get(w, Fraction(0)) + pb * pc
-                    options.append((v, joint))
-        total = sum(w for w, _ in options)
+        cell = table.cell(nt, m)
         acc = {}
-        for w, d in options:
-            p = w / total
-            for word, q in d.items():
-                acc[word] = acc.get(word, Fraction(0)) + p * q
+        for weight, rule, j in table.choices(nt, m):
+            p = Fraction(weight, cell)
+            if rule.kind == "pair":
+                b, c = rule.rhs
+                dc = dist(c, m - j)
+                for wb, pb in dist(b, j).items():
+                    for wc, pc in dc.items():
+                        acc[wb + wc] = acc.get(wb + wc, 0) + p * pb * pc
+            else:
+                acc[rule.rhs] = acc.get(rule.rhs, 0) + p
         if len(acc) > word_cap:
             raise RuntimeError(f"more than {word_cap} words in branch analysis")
         memo[key] = acc
@@ -181,4 +135,4 @@ def branch_distribution(table: CountTable, n: int, *, word_cap: int = 10_000) ->
 
     if table.total(n) == 0:
         raise EmptyLanguageError(f"no words of length {n}")
-    return dict(dist(ng.axiom, n))
+    return dict(dist(table.grammar.axiom, n))

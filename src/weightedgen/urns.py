@@ -365,7 +365,7 @@ def _simulate_words(state, statistic, trials, rng_seed, k, n, full_collection_ca
 
     if n is None:
         raise ValueError("word-level simulation needs n")
-    worker_state = sampler_mod.SamplerState(state.table, rng_seed, state.policy)
+    worker_state = sampler_mod.SamplerState(state.table, rng_seed)
     values = []
     if statistic == "first_collision":
         for _ in range(trials):
@@ -406,15 +406,13 @@ def _simulate_words(state, statistic, trials, rng_seed, k, n, full_collection_ca
 
 
 def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
-             k: int | None = None, n: int | None = None, workers: int = 1,
+             k: int | None = None, n: int | None = None,
              full_collection_cap: int = 10 ** 7) -> SimResult:
     """Monte Carlo estimate of a redundancy statistic, with standard error.
 
     `model` is either an UrnModel (urn-level simulation) or a SamplerState
-    (word-level simulation over its grammar, at length n).  Trials are split
-    into per-worker substreams whose seeds depend only on (seed, worker), so
-    results are reproducible regardless of how the chunks are executed;
-    aggregation is a plain sum / sum of squares.
+    (word-level simulation over its grammar, at length n).  The trials draw
+    from substream 0 of `seed`, so identical calls give identical results.
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -425,22 +423,13 @@ def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
             raise ValueError(f"statistic {statistic!r} needs k >= 0")
         if k == 0:
             return SimResult(statistic, 0.0, 0.0, trials, 0)
-    seed = DEFAULT_SEED if seed is None else seed
-    workers = max(1, min(workers, trials))
-    base, extra = divmod(trials, workers)
-    values = []
-    for w in range(workers):
-        chunk = base + (1 if w < extra else 0)
-        if chunk == 0:
-            continue
-        sub = substream_seed(seed, w)
-        if isinstance(model, UrnModel):
-            rng = random.Random(sub)
-            values.extend(_simulate_urns(model, statistic, chunk, rng, k,
-                                         full_collection_cap))
-        else:
-            values.extend(_simulate_words(model, statistic, chunk, sub, k, n,
-                                          full_collection_cap))
+    sub = substream_seed(DEFAULT_SEED if seed is None else seed, 0)
+    if isinstance(model, UrnModel):
+        values = _simulate_urns(model, statistic, trials, random.Random(sub), k,
+                                full_collection_cap)
+    else:
+        values = _simulate_words(model, statistic, trials, sub, k, n,
+                                 full_collection_cap)
     mean = math.fsum(values) / trials
     if trials > 1:
         var = math.fsum((v - mean) ** 2 for v in values) / (trials - 1)
@@ -510,18 +499,14 @@ class AnalyticsReport:
         return "\n".join(lines) + "\n"
 
 
-def standard_report(u: UrnModel, *, n: int | None = None, k: int | None = None,
-                    include_birthday_quadrature: bool = True,
-                    first_order_threshold: float = 0.01) -> AnalyticsReport:
+def standard_report(u: UrnModel, *, n: int | None = None,
+                    k: int | None = None) -> AnalyticsReport:
     """The default analytics bundle for one urn model."""
-    entries = []
-    if include_birthday_quadrature:
-        entries.append(ReportEntry("first_collision", "exact",
-                                   value=birthday_exact(u), n=n,
-                                   note="quadrature, rel tol 1e-9"))
-    entries.append(ReportEntry("first_collision", "asymptotic",
-                               value=birthday_asymptotic(u), n=n,
-                               note="sqrt(pi/(2*alpha2))"))
+    entries = [ReportEntry("first_collision", "exact", value=birthday_exact(u),
+                           n=n, note="quadrature, rel tol 1e-9"),
+               ReportEntry("first_collision", "asymptotic",
+                           value=birthday_asymptotic(u), n=n,
+                           note="sqrt(pi/(2*alpha2))")]
     cb = coupon_bounds(u)
     entries.append(ReportEntry("full_collection", "bound", lower=cb.lower,
                                upper=cb.upper, n=n, note="1/p1 .. 2*H_m/p1"))
@@ -543,7 +528,7 @@ def standard_report(u: UrnModel, *, n: int | None = None, k: int | None = None,
                                    n=n, k=k, note="exponential form, O(1) error"))
         entries.append(ReportEntry("coverage", "exact",
                                    value=expected_coverage(u, k), n=n, k=k))
-        fo = coverage_first_order(u, k, threshold=first_order_threshold)
+        fo = coverage_first_order(u, k)
         entries.append(ReportEntry("coverage", "first_order", value=fo.value,
                                    n=n, k=k,
                                    note="valid" if fo.valid else

@@ -15,6 +15,33 @@ from weightedgen import (Rule, WeightedGrammar, GrammarError, ambiguity_probe,
 from weightedgen.grammar import EnumerationCap
 
 
+# ---------------------------------------------------------------------------
+# count-table oracle
+
+
+def fraction_count_table(ng, weights, horizon):
+    """{nonterminal: [total weight at length m for m = 0..horizon]} of a
+    normalized grammar, by the recursive method written out in plain Fraction
+    arithmetic, independently of `grammar.inside`."""
+    vals = {nt: [Fraction(0)] * (horizon + 1) for nt in ng.nonterminals}
+    for m in range(horizon + 1):
+        for nt in ng.nonterminals:
+            acc = Fraction(0)
+            for r in ng.alternatives(nt):
+                if r.kind == "term":
+                    if m == 1:
+                        acc += Fraction(weights[r.rhs[0]])
+                elif r.kind == "eps":
+                    if m == 0:
+                        acc += 1
+                elif m >= 2:
+                    b, c = r.rhs
+                    for j in range(1, m):
+                        acc += vals[b][j] * vals[c][m - j]
+            vals[nt][m] = acc
+    return vals
+
+
 def expand_urns(u):
     """[(p, chi)] with one entry per urn."""
     out = []
@@ -169,8 +196,8 @@ def random_urn_model(rng, max_urns=5):
     return from_weights(weights)
 
 
-def random_grammar(rng, probe_depth=8):
-    """A random valid, probe-clean weighted grammar (rejection sampling)."""
+def random_valid_grammar(rng):
+    """A random valid weighted grammar, possibly ambiguous (rejection sampling)."""
     for _ in range(2000):
         terminals = rng.sample(["a", "b", "c"], rng.randint(1, 3))
         nts = ["S", "A", "B"][: rng.randint(1, 3)]
@@ -182,10 +209,17 @@ def random_grammar(rng, probe_depth=8):
                 rules.append(Rule(nt, rhs))
         weights = {t: rng.choice(WEIGHT_POOL) for t in terminals}
         try:
-            g = WeightedGrammar(frozenset(terminals), frozenset(nts),
-                                tuple(rules), "S", weights)
+            return WeightedGrammar(frozenset(terminals), frozenset(nts),
+                                   tuple(rules), "S", weights)
         except GrammarError:
             continue
+    raise RuntimeError("could not generate a valid grammar")
+
+
+def random_grammar(rng, probe_depth=8):
+    """A random valid, probe-clean weighted grammar (rejection sampling)."""
+    for _ in range(2000):
+        g = random_valid_grammar(rng)
         try:
             report = ambiguity_probe(g, probe_depth, word_cap=60_000)
         except EnumerationCap:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from weightedgen import (ClassCapExceeded, EmptyLanguageError, build_counts,
-                         extreme_weights, min_max_weight, moment, normalize,
+                         extreme_weights, moment, normalize,
                          parse_grammar, weight_spectra, weight_spectrum)
 from helpers import random_grammar, spectrum_from_enumeration
 
@@ -57,7 +57,7 @@ def test_spectrum_motzkin_h2_n3(motzkin_h2_norm):
     assert [(c.weight, c.count) for c in sp.classes] == [(2, 3), (8, 1)]
     assert sp.total_count() == 4
     assert sp.total_weight() == 14
-    assert min_max_weight(sp) == (2, 8)
+    assert (sp.min_weight(), sp.max_weight()) == (2, 8)
 
 
 def test_spectrum_uniform_single_class(motzkin_norm):
@@ -167,13 +167,23 @@ def test_spectrum_csv(motzkin_h2_norm):
 def test_extreme_weights_match_spectrum(motzkin_h2_norm):
     for n in range(1, 9):
         sp = weight_spectrum(motzkin_h2_norm, None, n)
-        assert extreme_weights(motzkin_h2_norm, None, n) == min_max_weight(sp)
+        assert extreme_weights(motzkin_h2_norm, None, n) == \
+            (sp.min_weight(), sp.max_weight())
 
 
-def test_split_products_cover_rule_weight(motzkin_h2_norm):
+def test_choices_sum_to_cell(motzkin_h2_norm):
     table = build_counts(motzkin_h2_norm, None, 6)
-    for rule in motzkin_h2_norm.rules:
-        if rule.kind != "pair":
-            continue
-        total = sum(v for _, v in table.split_products(rule, 6))
-        assert total == table.rule_contribution(rule, 6)
+    for nt in motzkin_h2_norm.nonterminals:
+        for m in range(7):
+            assert sum(w for w, _, _ in table.choices(nt, m)) == table.cell(nt, m)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda g: build_counts(g, None, -1),
+    lambda g: moment(g, None, 2, -1),
+    lambda g: weight_spectra(g, None, -1),
+    lambda g: extreme_weights(g, None, -1),
+], ids=["build_counts", "moment", "weight_spectra", "extreme_weights"])
+def test_negative_length_is_a_value_error(motzkin_h2_norm, entry):
+    with pytest.raises(ValueError, match="nonnegative"):
+        entry(motzkin_h2_norm)

@@ -125,7 +125,7 @@ def test_normalize_already_binary():
 
 def test_normalize_preserves_word_multisets(motzkin):
     ng = normalize(motzkin, check_depth=7)  # raises on mismatch
-    assert not ng.axiom_nullable or ng.axiom_nullable  # constructed fine
+    assert ng.axiom_nullable
 
 
 def test_normalize_preserves_weighted_totals_random_weights(motzkin):

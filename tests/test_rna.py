@@ -188,11 +188,11 @@ def _strip_plateaux(word, theta):
 
 
 def test_sampled_structures_respect_theta():
-    # structural property, so the (faster) float sampling policy is fine here
+    # structural property, so a (faster) float table is fine here
     w = Fraction(5)
     g = normalize(rna.rna_grammar(3, w))
     table = build_counts(g, None, 25, precision=128)
-    state = SamplerState(table, seed=314, policy="float")
+    state = SamplerState(table, seed=314)
     for _ in range(10_000):
         word = "".join(sample_word(state, 25))
         _, plateaux, shortest = plateau_profile(word)

@@ -7,7 +7,7 @@ import pytest
 
 from weightedgen import (EmptyLanguageError, SamplerState, branch_distribution,
                          build_counts, enumerate_words, normalize,
-                         parse_grammar, sample_word, sample_words,
+                         parse_grammar, sample_word,
                          word_probability, word_weight)
 from helpers import random_grammar
 
@@ -50,17 +50,20 @@ def test_sampled_words_are_in_language(motzkin_h2_norm):
 
 def test_determinism_under_seed(motzkin_h2_norm):
     table = build_counts(motzkin_h2_norm, None, 5)
-    a = sample_words(SamplerState(table, seed=4242), 5, 25)
-    b = sample_words(SamplerState(table, seed=4242), 5, 25)
-    assert a == b
-    c = sample_words(SamplerState(table, seed=4243), 5, 25)
-    assert a != c
+    def words(state):
+        return [sample_word(state, 5) for _ in range(25)]
+
+    a = words(SamplerState(table, seed=4242))
+    assert a == words(SamplerState(table, seed=4242))
+    assert a != words(SamplerState(table, seed=4243))
 
 
 def test_substreams_differ(motzkin_h2_norm):
     table = build_counts(motzkin_h2_norm, None, 5)
     base = SamplerState(table, seed=4242)
-    assert sample_words(base.spawn(1), 5, 25) != sample_words(base.spawn(2), 5, 25)
+    one, two = base.spawn(1), base.spawn(2)
+    assert [sample_word(one, 5) for _ in range(25)] != \
+        [sample_word(two, 5) for _ in range(25)]
 
 
 def test_single_word_languages():
@@ -93,7 +96,7 @@ def test_uniform_chi_square(motzkin_norm):
     table = build_counts(motzkin_norm, None, 5)
     state = SamplerState(table, seed=60601)
     n_draws = 20_000
-    counts = Counter(sample_words(state, 5, n_draws))
+    counts = Counter(sample_word(state, 5) for _ in range(n_draws))
     support = set(enumerate_words(motzkin_norm.original, 5))
     assert set(counts) <= support
     expected = n_draws / len(support)
@@ -120,9 +123,54 @@ def test_word_probability(motzkin_h2_norm):
     assert word_probability(("(", ".", ")"), table) == Fraction(2, 14)
 
 
-def test_float_policy_needs_no_exact_table(motzkin_h2_norm):
+def test_mpf_table_samples_words(motzkin_h2_norm):
     table = build_counts(motzkin_h2_norm, None, 4, precision=128)
-    state = SamplerState(table, seed=5, policy="float")
-    assert len(sample_word(state, 4)) == 4
-    with pytest.raises(ValueError, match="exact"):
-        SamplerState(table, seed=5, policy="exact")
+    lang = set(enumerate_words(motzkin_h2_norm.original, 4))
+    state = SamplerState(table, seed=5)
+    assert all(sample_word(state, 4) in lang for _ in range(50))
+
+
+class _FixedDraw:
+    """Stands in for a state's rng: every draw returns the same double."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_mpf_draw_bias_within_stated_bound():
+    # One node with k=5 options at p=24 bits.  The option taken is monotone in
+    # the double drawn, so a binary search over the 2**53 grid of doubles in
+    # [0, 1) gives each option's exact probability under the draw.
+    g = normalize(parse_grammar(
+        "axiom S\nterminal a weight 1/3\nterminal b weight 7\nterminal c weight 5/11\n"
+        "terminal d weight 2\nterminal e weight 13/3\nS -> a | b | c | d | e\n"))
+    p, grid = 24, 2 ** 53
+    table = build_counts(g, None, 1, precision=p)
+    options = list(table.choices(g.axiom, 1))
+    k = len(options)
+    exact = [w.man * Fraction(2) ** w.exp for w, _, _ in options]
+    state = SamplerState(table)
+    state.rng = _FixedDraw(0.0)
+
+    def option_at(i):
+        state.rng.u = i / grid
+        return [rule.rhs for _, rule, _ in options].index(sample_word(state, 1))
+
+    def first_grid_point_of(option):
+        lo, hi = 0, grid
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if option_at(mid) >= option:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    edges = [first_grid_point_of(i) for i in range(k)] + [grid]
+    bound = Fraction(1, grid) + Fraction(10 * k, 2 ** p)
+    for i in range(k):
+        probability = Fraction(edges[i + 1] - edges[i], grid)
+        assert abs(probability - exact[i] / sum(exact)) <= bound

@@ -256,10 +256,10 @@ def test_report_handles_astronomical_bounds():
         ReportEntry("full_collection", "bound", lower=hi, upper=lo)
 
 
-def test_simulate_worker_chunking_deterministic():
+def test_simulate_deterministic_and_within_4_se():
     u = uniform_urns(5)
-    a = simulate(u, "distinct", 600, seed=9, k=4, workers=4)
-    b = simulate(u, "distinct", 600, seed=9, k=4, workers=4)
+    a = simulate(u, "distinct", 600, seed=9, k=4)
+    b = simulate(u, "distinct", 600, seed=9, k=4)
     assert (a.mean, a.stderr, a.trials) == (b.mean, b.stderr, b.trials)
     exact = float(expected_distinct(u, 4).value)
     assert abs(a.mean - exact) < 4 * a.stderr
