@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from .counting import build_counts, extreme_weights, moment
+from .counting import _extreme_row, build_counts, extreme_weights, moment
 from .numerics import HARMONIC_EXACT_LIMIT, harmonic_exact, harmonic_real, to_mpf
 
 
@@ -238,12 +238,12 @@ def check_conditions(grammar, weights=None, *, ladder=(8, 16, 32, 64),
     # max word probability along a geometric ladder of lengths
     pts = []
     table = build_counts(grammar, weights, max(ladder))
+    scale, highs = _extreme_row(grammar, weights, max(ladder), largest=True)
     for n in ladder:
         total = table.total(n)
         if total == 0:
             continue
-        p_max = extreme_weights(grammar, weights, n)[1] / total
-        pts.append((n, float(p_max)))
+        pts.append((n, float(Fraction(highs[n], scale ** n) / total)))
     if len(pts) < 2:
         c1 = ConditionProbe(None, "too few nonempty lengths on the ladder", tuple(pts))
     else:

@@ -272,18 +272,24 @@ def _max_dot(xs, ys):
     return max(map(operator.mul, xs, ys), default=0)
 
 
+def _extreme_row(grammar: NormalizedGrammar, weights, horizon: int, largest: bool) -> tuple:
+    """(D, row): row[m] is D^m times the minimal (or, if `largest`, maximal)
+    word weight at length m, by a (min, x) or (max, x) DP over the scaled int
+    weights, with 0 meaning "no word"."""
+    scale, letters = _scaled(grammar, {t: Fraction(w) for t, w in weights.items()})
+    add, dot = (max, _max_dot) if largest else (_min_word, _min_dot)
+    return scale, inside(grammar, horizon, letters.__getitem__, 1, 0, add, dot)[grammar.axiom]
+
+
 def extreme_weights(grammar: NormalizedGrammar, weights=None, n: int = 0) -> tuple:
     """(minimal, maximal) word weight at length n, by (min, x) and (max, x) DPs.
 
-    Both run over the scaled int weights, with 0 meaning "no word".  Cheaper
-    than the full spectrum and immune to its class-count cap.
+    Cheaper than the full spectrum and immune to its class-count cap.
     """
     if weights is None:
         weights = grammar.weights
-    scale, letters = _scaled(grammar, {t: Fraction(w) for t, w in weights.items()})
-    extremes = tuple(
-        inside(grammar, n, letters.__getitem__, 1, 0, add, dot)[grammar.axiom][n]
-        for add, dot in ((_min_word, _min_dot), (max, _max_dot)))
-    if not extremes[1]:
+    scale, lows = _extreme_row(grammar, weights, n, largest=False)
+    _, highs = _extreme_row(grammar, weights, n, largest=True)
+    if not highs[n]:
         raise EmptyLanguageError(f"no words of length {n}")
-    return tuple(Fraction(e, scale ** n) for e in extremes)
+    return Fraction(lows[n], scale ** n), Fraction(highs[n], scale ** n)

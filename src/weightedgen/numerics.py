@@ -48,6 +48,11 @@ def rational_from_real(x, sig_digits: int = 30) -> Fraction:
     return Fraction(Decimal(s))
 
 
+def exact_pow_affordable(p: Fraction, k: int) -> bool:
+    """Whether (1-p)^k fits the bit-size budget of the exact route."""
+    return k * bit_size(1 - p) <= EXACT_POW_BIT_LIMIT
+
+
 def one_minus_pow(p: Fraction, k: int, exact: bool | None = None):
     """1 - (1-p)^k, exactly when affordable (or when forced via `exact`).
 
@@ -63,7 +68,7 @@ def one_minus_pow(p: Fraction, k: int, exact: bool | None = None):
     if base == 0:
         return Fraction(1)
     if exact is None:
-        exact = k * bit_size(base) <= EXACT_POW_BIT_LIMIT
+        exact = exact_pow_affordable(p, k)
     if exact:
         return 1 - base ** k
     with mp.workdps(FLOAT_DPS):

@@ -8,7 +8,7 @@ classes, sum c_i * p_i = 1).  The closed forms implemented here:
     distinct urns after k throws   E[N_k] = sum c_i * (1 - (1-p_i)^k)
     coverage after k throws        E[P_k] = sum c_i * p_i * (1 - (1-p_i)^k)
     occupied weight after k throws E[W_k] = sum c_i * chi_i * (1 - (1-p_i)^k)
-    first collision                E[B]   = integral exp(sum c_i*log1p(p_i t) - t) dt
+    first collision                E[B]   = integral (1 + p_i t)^c_i e^-t dt
     full collection (uniform)      E[C]   = m * H_m
     full collection (general)      1/p_1 <= E[C] <= 2 * H_m / p_1,
                                    estimate Xi = sum over urn ranks 1/(i * p_i)
@@ -20,16 +20,19 @@ Everything with a closed form is computed exactly on rationals when the power
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 from mpmath import mp
 
 from .numerics import (DEFAULT_SEED, FLOAT_DPS, HARMONIC_EXACT_LIMIT,
-                       harmonic_diff, harmonic_exact, harmonic_real, log2log2,
-                       one_minus_pow, substream_seed, to_mpf)
+                       exact_pow_affordable, harmonic_diff, harmonic_exact,
+                       harmonic_real, log2log2, one_minus_pow, substream_seed,
+                       to_mpf)
 
 
 class QuadratureError(RuntimeError):
@@ -115,14 +118,34 @@ def alpha(u: UrnModel, j: int) -> Fraction:
     return sum((c.count * c.probability ** j for c in u.classes), Fraction(0))
 
 
-def _occupancy_sum(u, k, coeff, exact):
+def _scaled_probabilities(u: UrnModel) -> tuple:
+    """(D, [D * p_i]) with D the lcm of the class probability denominators."""
+    scale = math.lcm(*(c.probability.denominator for c in u.classes))
+    return scale, [c.probability.numerator * (scale // c.probability.denominator)
+                   for c in u.classes]
+
+
+def _occupancy_sum(u, k, power, factor, exact):
+    """factor * sum over classes of c_i * p_i^power * (1 - (1-p_i)^k), power 0 or 1.
+
+    One route serves every class.  Exact: with p_i = P_i/D over the common
+    denominator D, the sum is one integer numerator over D^(k+power), using
+    sum c_i P_i^power = m (power 0) or D (power 1).  Float: one_minus_pow at
+    40 digits per class.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    terms = [(coeff(c), one_minus_pow(c.probability, k, exact)) for c in u.classes]
-    if all(isinstance(v, Fraction) for _, v in terms):
-        return sum((f * v for f, v in terms), Fraction(0))
+    if exact is None:
+        exact = all(exact_pow_affordable(c.probability, k) for c in u.classes)
+    if exact or k == 0 or u.p_max == 1:
+        scale, nums = _scaled_probabilities(u)
+        hit = (u.m if power == 0 else scale) * scale ** k
+        missed = sum(c.count * num ** power * (scale - num) ** k
+                     for c, num in zip(u.classes, nums))
+        return factor * Fraction(hit - missed, scale ** (k + power))
     with mp.workdps(FLOAT_DPS):
-        return sum(to_mpf(f) * to_mpf(v) for f, v in terms)
+        return sum(to_mpf(factor * c.count * c.probability ** power)
+                   * one_minus_pow(c.probability, k, False) for c in u.classes)
 
 
 @dataclass(frozen=True)
@@ -134,7 +157,7 @@ class Expectation:
 def expected_distinct(u: UrnModel, k: int, *, exact: bool | None = None) -> Expectation:
     """Expected number of distinct urns hit by k throws, plus the exponential
     approximation (which carries an O(1) absolute error)."""
-    value = _occupancy_sum(u, k, lambda c: c.count, exact)
+    value = _occupancy_sum(u, k, 0, 1, exact)
     with mp.workdps(FLOAT_DPS):
         approx = float(sum(to_mpf(c.count) * (-mp.expm1(-to_mpf(c.probability) * k))
                            for c in u.classes))
@@ -143,13 +166,13 @@ def expected_distinct(u: UrnModel, k: int, *, exact: bool | None = None) -> Expe
 
 def expected_coverage(u: UrnModel, k: int, *, exact: bool | None = None):
     """Expected cumulated probability of the distinct urns hit by k throws."""
-    return _occupancy_sum(u, k, lambda c: c.count * c.probability, exact)
+    return _occupancy_sum(u, k, 1, 1, exact)
 
 
 def expected_occupied_weight(u: UrnModel, k: int, *, exact: bool | None = None):
     """Expected total unnormalized weight of the occupied urns; equals
     mu * expected_coverage."""
-    return _occupancy_sum(u, k, lambda c: c.count * c.weight, exact)
+    return _occupancy_sum(u, k, 1, u.mu, exact)
 
 
 @dataclass(frozen=True)
@@ -169,49 +192,132 @@ def coverage_first_order(u: UrnModel, k: int, *, threshold: float = 0.01) -> Fir
 # birthday (first collision)
 
 
-def birthday_exact(u: UrnModel, *, rel_tol: float = 1e-9) -> float:
-    """E[B] by quadrature of exp(psi(t)) with psi = sum c_i*log1p(p_i t) - t.
+# h(x) below 1/2: the series S(v) = sum_j v^j / (2j+3), v <= 1/25, to 2^-53
+_ATANH_SERIES = tuple(1 / (2 * j + 3) for j in reversed(range(12)))
 
-    psi is concave with its maximum (zero) at t=0, so the integrand decreases
-    monotonically from 1; the integral is truncated where the integrand drops
-    below 1e-15 of that peak.  The log-domain form keeps language-scale models
-    (astronomical class counts) finite.
+# Class x node entries per block of the birthday integrand: bounded temporaries
+# whatever the number of weight classes.
+_BLOCK = 1 << 15
+
+# Rounding budget of the birthday quadrature, relative to the integral.
+_ROUNDING = 64 * 2.0 ** -52
+
+
+def _h(x):
+    """h(x) = (log1p(x) - x) / x^2 for x >= 0, to a few ulp.
+
+    Below 1/2, with d = 2 + x: log1p(x) = 2 atanh(x/d) gives
+    h = (2x S((x/d)^2) / d^2 - 1) / d, where the product term stays below 6%
+    of the 1 it is taken from.  From 1/2 on, the direct form loses at most a
+    factor 6 to cancellation.
     """
-    with mp.workdps(45):
-        params = [(to_mpf(c.probability), to_mpf(c.count)) for c in u.classes]
+    out = np.empty_like(x)
+    small = x < 0.5
+    xs = x[small]
+    d = xs + 2
+    v = (xs / d) ** 2
+    series = np.full_like(xs, _ATANH_SERIES[0])
+    for coeff in _ATANH_SERIES[1:]:
+        series *= v
+        series += coeff
+    out[small] = (2 * xs * series / (d * d) - 1) / d
+    xl = x[~small]
+    out[~small] = (np.log1p(xl) - xl) / (xl * xl)
+    return out
 
-        def psi(t):
-            return mp.fsum(cnt * mp.log1p(p * t) for p, cnt in params) - t
 
-        target = mp.log(mp.mpf("1e-15"))
-        upper = mp.mpf(1)
-        for _ in range(300):
-            if psi(upper) < target:
-                break
-            upper *= 2
-        else:
-            raise QuadratureError("could not locate the truncation point")
+def _class_sum(b, q, s, f):
+    """sum_i b_i f(q_i s) at every node s, over blocks of classes."""
+    out = np.zeros_like(s)
+    rows = max(1, _BLOCK // len(s))
+    for lo in range(0, len(b), rows):
+        out += b[lo:lo + rows] @ f(np.multiply.outer(q[lo:lo + rows], s))
+    return out
 
-        a2 = to_mpf(alpha(u, 2))
-        scale = 1 / mp.sqrt(a2)
-        points = [mp.mpf(0)]
-        for pt in (scale, 4 * scale, upper):
-            if points[-1] < pt <= upper:
-                points.append(pt)
-        if points[-1] != upper:
-            points.append(upper)
 
-        value, err = mp.quad(lambda t: mp.exp(psi(t)), points,
-                             error=True, maxdegree=8)
-        if not (err <= rel_tol * abs(value)):
-            value, err = mp.quad(lambda t: mp.exp(psi(t)), points,
-                                 error=True, maxdegree=11)
-        if not (err <= rel_tol * abs(value)):
-            raise QuadratureError(
-                f"birthday quadrature did not converge: value~{mp.nstr(value, 8)}, "
-                f"error~{mp.nstr(err, 3)}, truncation={mp.nstr(upper, 6)}, "
-                f"{len(points)} nodes")
-        return float(value)
+@functools.cache
+def _gauss_legendre(n: int) -> tuple:
+    """Gauss-Legendre (nodes, weights) on [-1, 1], by Newton's method on the
+    Legendre recurrence.  At 64 points the weights are off by 2e-15 in sum,
+    where numpy's leggauss is off by 2e-14 and needs LAPACK workspace."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):  # converges quadratically from these starting points
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        slope = n * (x * p1 - p0) / (x * x - 1)
+        x = x - p1 / slope
+    return x, 2 / ((1 - x * x) * slope * slope)
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) for positive ints of any size, as a float."""
+    half = (num.bit_length() - den.bit_length()) // 2
+    ratio = num / (den << 2 * half) if half >= 0 else (num << -2 * half) / den
+    return math.ldexp(math.sqrt(ratio), half)
+
+
+def birthday_exact(u: UrnModel, *, rel_tol: float = 1e-9) -> float:
+    """E[B] = integral over t >= 0 of e^-t prod (1 + p_i t)^c_i, in double precision.
+
+    Rescaling.  With t = s / sqrt(alpha_2) and sum c_i p_i = 1 the integral is
+    E[B] = (1/sqrt(alpha_2)) * integral exp(psi(s)) ds, where
+    psi(s) = s^2 * sum b_i h(q_i s), h(x) = (log1p(x) - x) / x^2,
+    b_i = c_i p_i^2 / alpha_2 (so sum b_i = 1) and q_i = p_i / sqrt(alpha_2) <= 1.
+    b_i and q_i^2 are correctly rounded from exact rationals.  Every term of
+    psi is negative, so nothing cancels and nothing overflows at any m.  As
+    h(0) = -1/2 the result is the plug-in sqrt(pi / (2 alpha_2)) times the
+    correction integral(exp psi) / sqrt(pi/2) >= 1.
+
+    Error bound.  The integral is composite Gauss-Legendre with 32 and 64
+    points on the panels [0, 1], [1, 2], [2, 4], ..., [S/2, S]; the 64-point
+    sum is returned.  Its error is bounded by err = E_panel + E_tail + E_round,
+    and a QuadratureError is raised unless err <= rel_tol * value:
+    - E_panel = sum |G64 - G32| over the panels.  The branch points
+      s = -1/q_i <= -1 of the integrand lie at least three half-widths from
+      every panel, so both rules converge geometrically and the 32-point
+      error overestimates the 64-point one;
+    - E_tail = exp(psi(S)) / |psi'(S)| bounds the integral beyond S, because
+      psi is concave; S is the first power of two where it falls below
+      1e-3 * rel_tol (the integral is at least sqrt(pi/2) > 1, as h >= -1/2);
+    - E_round = 64 * 2^-52 * value covers rounding: h to a few ulp, b_i, q_i,
+      the Gauss weights, the class sums and exp.
+    So rel_tol cannot go much below 1e-14.  Memory stays flat in the number
+    of classes: the class x node matrix is built in blocks.
+    """
+    scale, nums = _scaled_probabilities(u)
+    squares = [num * num for num in nums]
+    moment2 = sum(c.count * sq for c, sq in zip(u.classes, squares))  # alpha_2 * D^2
+    b = np.array([c.count * sq / moment2 for c, sq in zip(u.classes, squares)])
+    q = np.sqrt([sq / moment2 for sq in squares])
+    unscale = _sqrt_ratio(scale * scale, moment2)  # 1 / sqrt(alpha_2)
+
+    # Candidate truncation points up to 1024, where exp(psi) < exp(-1000) for
+    # every model, as psi(s) <= log1p(s) - s (the single urn).
+    ends = 2.0 ** np.arange(11)
+    slopes = ends * _class_sum(b, q, ends, lambda x: 1 / (1 + x))  # |psi'|
+    tails = np.exp(ends * ends * _class_sum(b, q, ends, _h)) / slopes
+    hits = np.flatnonzero(tails < 1e-3 * rel_tol)
+    if not hits.size:
+        raise QuadratureError(f"no truncation point up to t={ends[-1] * unscale:.6g}")
+    last = hits[0]
+
+    (x32, w32), (x64, w64) = _gauss_legendre(32), _gauss_legendre(64)
+    lo, hi = np.concatenate(([0.0], ends[:last])), ends[:last + 1]
+    half = (hi - lo) / 2
+    nodes = ((hi + lo) / 2)[:, None] + half[:, None] * np.concatenate((x32, x64))
+    s = nodes.ravel()
+    f = np.exp(s * s * _class_sum(b, q, s, _h)).reshape(nodes.shape)
+    g32 = half * (f[:, :len(x32)] @ w32)
+    g64 = half * (f[:, len(x32):] @ w64)
+    value = g64.sum()
+    err = np.abs(g64 - g32).sum() + tails[last] + _ROUNDING * value
+    if not err <= rel_tol * value:
+        raise QuadratureError(
+            f"birthday quadrature did not converge: value~{value * unscale:.8g}, "
+            f"error~{err * unscale:.3g}, truncation t={ends[last] * unscale:.6g}, "
+            f"{s.size} nodes")
+    return float(value * unscale)
 
 
 def birthday_asymptotic(u: UrnModel) -> float:

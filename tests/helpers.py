@@ -3,16 +3,22 @@
 Everything here is deliberately independent of the implementation paths it
 checks: expectations are computed by exhaustive enumeration over outcome
 sequences, absorbing-chain linear algebra on subsets, or direct generation
-and filtering of words.
+and filtering of words.  The routes that faster code replaced stay here as
+oracles: the Fraction count table, the 45-digit birthday quadrature and the
+per-class occupancy sum.
 """
 
 from fractions import Fraction
 from itertools import product
 import random
 
+from mpmath import mp
+
 from weightedgen import (Rule, WeightedGrammar, GrammarError, ambiguity_probe,
                          enumerate_words, from_weights)
 from weightedgen.grammar import EnumerationCap
+from weightedgen.numerics import one_minus_pow, to_mpf
+from weightedgen.urns import QuadratureError, UrnClass, UrnModel, alpha
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +73,66 @@ def oracle_occupancy(u, k):
         e_coverage += prob * sum((urns[i][0] for i in hit), Fraction(0))
         e_weight += prob * sum((urns[i][1] for i in hit), Fraction(0))
     return e_distinct, e_coverage, e_weight
+
+
+def mp_birthday(u, rel_tol=1e-9):
+    """E[B] by 45-digit tanh-sinh quadrature of exp(psi(t)),
+    psi = sum c_i*log1p(p_i t) - t, truncated where the integrand drops below
+    1e-15 of its peak at t=0 (psi is concave with maximum zero there).
+
+    psi cancels about log10(1/sqrt(alpha_2)) of its 45 digits, so this is an
+    oracle only while 1/alpha_2 stays well below 10^60."""
+    with mp.workdps(45):
+        params = [(to_mpf(c.probability), to_mpf(c.count)) for c in u.classes]
+
+        def psi(t):
+            return mp.fsum(cnt * mp.log1p(p * t) for p, cnt in params) - t
+
+        target = mp.log(mp.mpf("1e-15"))
+        upper = mp.mpf(1)
+        for _ in range(300):
+            if psi(upper) < target:
+                break
+            upper *= 2
+        else:
+            raise QuadratureError("could not locate the truncation point")
+
+        scale = 1 / mp.sqrt(to_mpf(alpha(u, 2)))
+        points = [mp.mpf(0)]
+        for pt in (scale, 4 * scale, upper):
+            if points[-1] < pt <= upper:
+                points.append(pt)
+        if points[-1] != upper:
+            points.append(upper)
+
+        value, err = mp.quad(lambda t: mp.exp(psi(t)), points,
+                             error=True, maxdegree=8)
+        if not (err <= rel_tol * abs(value)):
+            value, err = mp.quad(lambda t: mp.exp(psi(t)), points,
+                                 error=True, maxdegree=11)
+        if not (err <= rel_tol * abs(value)):
+            raise QuadratureError(
+                f"birthday quadrature did not converge: value~{mp.nstr(value, 8)}, "
+                f"error~{mp.nstr(err, 3)}")
+        return float(value)
+
+
+def urn_model(classes):
+    """UrnModel from (weight, count) pairs, counts of any size."""
+    mu = sum((Fraction(w) * c for w, c in classes), Fraction(0))
+    return UrnModel(tuple(UrnClass(Fraction(w) / mu, c, Fraction(w))
+                          for w, c in sorted(classes)),
+                    sum(c for _, c in classes), mu)
+
+
+def occupancy_sum_per_class(u, k, coeff, exact=None):
+    """sum of coeff(class) * (1 - (1-p)^k), one Fraction add per class when
+    every term is exact, else summed at 40 digits."""
+    terms = [(coeff(c), one_minus_pow(c.probability, k, exact)) for c in u.classes]
+    if all(isinstance(v, Fraction) for _, v in terms):
+        return sum((f * v for f, v in terms), Fraction(0))
+    with mp.workdps(40):
+        return sum(to_mpf(f) * to_mpf(v) for f, v in terms)
 
 
 def oracle_birthday(u):

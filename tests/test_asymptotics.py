@@ -6,8 +6,8 @@ import pytest
 
 from weightedgen import (birthday_asymptotic, build_counts, check_conditions,
                          collection_envelope, collision_envelope,
-                         coupon_bounds, estimate_singularity, from_spectrum,
-                         growth_gamma, normalize, parse_grammar,
+                         coupon_bounds, estimate_singularity, extreme_weights,
+                         from_spectrum, growth_gamma, normalize, parse_grammar,
                          weight_spectrum)
 from weightedgen.asymptotics import InsufficientData
 from weightedgen.numerics import harmonic_exact
@@ -84,6 +84,21 @@ def test_conditions_degenerate_language():
     g = normalize(parse_grammar("axiom S\nterminal a\nS -> a S | a\n"))
     rep = check_conditions(g, None)
     assert rep.diversity.holds is False  # single word per length, p_max = 1
+
+
+@pytest.mark.parametrize("text, ladder", [
+    ("axiom S\nterminal (\nterminal )\nterminal .\nS -> ( S ) S | . S | _\n",
+     (8, 16, 32, 64)),
+    ("axiom S\nterminal a\nterminal b\nS -> a S b S | a b\n", (3, 4, 9, 10, 16)),
+], ids=["motzkin", "even-lengths-only"])
+def test_diversity_probe_reads_extreme_weights(text, ladder):
+    g = normalize(parse_grammar(text))
+    weights = {t: Fraction(2 + i, 1 + 2 * i) for i, t in enumerate(sorted(g.terminals))}
+    table = build_counts(g, weights, max(ladder))
+    expected = tuple((n, float(extreme_weights(g, weights, n)[1] / table.total(n)))
+                     for n in ladder if table.total(n))
+    rep = check_conditions(g, weights, ladder=ladder, n_terms=96, precision=128)
+    assert rep.diversity.data == expected
 
 
 def test_collision_envelope_identity(motzkin_h2_norm):

@@ -2,8 +2,11 @@
 
 Grammars come from `random_valid_grammar` under a drawn seed (ambiguous ones
 included: every route here counts derivations), with letter weights redrawn
-as random positive rationals.  Examples are derandomized and few, so the
-module runs in a few seconds and never changes between runs.
+as random positive rationals.  Urn models draw up to five classes with
+weights spread over twelve decades and counts up to 10^45, so they include
+tiny probabilities, astronomical urn counts and dominant urns.  Examples are
+derandomized and few, so the module runs in a few seconds and never changes
+between runs.
 """
 
 import random
@@ -12,10 +15,13 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
-from weightedgen import (branch_distribution, build_counts, enumerate_words,
-                         extreme_weights, normalize, weight_spectra, word_weight)
+from weightedgen import (birthday_exact, branch_distribution, build_counts,
+                         enumerate_words, expected_coverage, expected_distinct,
+                         expected_occupied_weight, extreme_weights, normalize,
+                         weight_spectra, word_weight)
 from weightedgen.grammar import EnumerationCap
-from helpers import fraction_count_table, random_valid_grammar
+from helpers import (fraction_count_table, mp_birthday, occupancy_sum_per_class,
+                     random_valid_grammar, urn_model)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -26,6 +32,16 @@ WEIGHTS = st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=
 def weighted_grammars(draw):
     g = random_valid_grammar(random.Random(draw(st.integers(0, 2 ** 32))))
     return g.with_weights({t: draw(WEIGHTS) for t in sorted(g.terminals)})
+
+
+@st.composite
+def urn_models(draw):
+    classes = {}
+    for _ in range(draw(st.integers(1, 5))):
+        w = Fraction(draw(st.integers(1, 10 ** 6)), draw(st.integers(1, 10 ** 6)))
+        c = draw(st.one_of(st.integers(1, 50), st.integers(1, 10 ** 45)))
+        classes[w] = classes.get(w, 0) + c
+    return urn_model(list(classes.items()))
 
 
 def mpf_to_fraction(x):
@@ -79,3 +95,25 @@ def test_branch_distribution_is_derivations_times_weight_over_total(g, n):
     dist = branch_distribution(table, n)
     assert dist == {w: c * word_weight(w, g.weights) / total
                     for w, c in derivations.items()}
+
+
+@settings(PROPERTY, max_examples=20)
+@given(urn_models())
+def test_birthday_exact_matches_mp_oracle_on_random_urns(u):
+    oracle = mp_birthday(u, rel_tol=1e-14)
+    assert abs(birthday_exact(u) - oracle) <= 1e-12 * oracle
+
+
+@PROPERTY
+@given(urn_models(), st.integers(0, 3000), st.sampled_from((True, None)))
+def test_occupancy_sums_equal_per_class_oracle(u, k, exact):
+    routes = ((lambda c: c.count, lambda: expected_distinct(u, k, exact=exact).value),
+              (lambda c: c.count * c.probability, lambda: expected_coverage(u, k, exact=exact)),
+              (lambda c: c.count * c.weight, lambda: expected_occupied_weight(u, k, exact=exact)))
+    for coeff, value in routes:
+        oracle = occupancy_sum_per_class(u, k, coeff, exact)
+        if isinstance(oracle, Fraction):
+            assert value() == oracle
+        else:
+            assert abs(mpf_to_fraction(value()) - mpf_to_fraction(oracle)) \
+                <= Fraction(1, 10 ** 30) * mpf_to_fraction(oracle)

@@ -11,9 +11,11 @@ from weightedgen import (ReportEntry, SamplerState, birthday_asymptotic,
                          expected_occupied_weight, from_spectrum, from_weights,
                          normalize, simulate, standard_report, uniform_urns,
                          weight_spectrum, xi_estimate)
-from weightedgen.urns import alpha
-from helpers import (oracle_birthday, oracle_birthday_uniform, oracle_coupon,
-                     oracle_occupancy, expand_urns, random_urn_model)
+from weightedgen.numerics import exact_pow_affordable
+from weightedgen.urns import QuadratureError, alpha
+from helpers import (mp_birthday, occupancy_sum_per_class, oracle_birthday,
+                     oracle_birthday_uniform, oracle_coupon, oracle_occupancy,
+                     expand_urns, random_urn_model, urn_model)
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +123,45 @@ def test_birthday_exact_vs_oracle_weighted():
         assert abs(birthday_exact(u) - expected) < 1e-8 * max(1.0, expected)
 
 
+@pytest.mark.parametrize("u", [uniform_urns(m) for m in (1, 2, 3, 365, 10 ** 40)]
+                         + [urn_model([(1, 10 ** 6), (10 ** 9, 1)]),
+                            urn_model([(1, 3), (10 ** 6, 1)])],
+                         ids=["m=1", "m=2", "m=3", "m=365", "m=1e40",
+                              "dominant-among-1e6", "dominant-among-3"])
+def test_birthday_exact_matches_mp_oracle(u):
+    oracle = mp_birthday(u, rel_tol=1e-14)
+    assert abs(birthday_exact(u) - oracle) <= 1e-12 * oracle
+
+
+def test_birthday_exact_within_its_tolerance():
+    u = urn_model([(1, 7), (5, 2), (40, 1)])
+    oracle = mp_birthday(u, rel_tol=1e-14)
+    for rel_tol in (1e-3, 1e-6, 1e-9, 1e-12):
+        assert abs(birthday_exact(u, rel_tol=rel_tol) - oracle) <= rel_tol * oracle
+
+
+def test_birthday_exact_beyond_double_range():
+    # 1/alpha_2 = 10^400 is no double, E[B] ~ sqrt(pi m / 2) is
+    u = uniform_urns(10 ** 400)
+    assert abs(birthday_exact(u) / (math.sqrt(math.pi / 2) * 1e200) - 1) < 1e-12
+
+
+def test_birthday_exact_refuses_tolerance_beyond_doubles():
+    with pytest.raises(QuadratureError, match="did not converge"):
+        birthday_exact(uniform_urns(365), rel_tol=1e-20)
+
+
+def test_mixed_routes_sum_in_floats():
+    # (1-p)^k fits the exact budget for p = 1/11 but not for p = 1/22000
+    u = urn_model([(1, 20_000), (2_000, 1)])
+    k = 10_000
+    assert [exact_pow_affordable(c.probability, k) for c in u.classes] == [False, True]
+    value = expected_distinct(u, k).value
+    assert not isinstance(value, Fraction)
+    oracle = occupancy_sum_per_class(u, k, lambda c: c.count)
+    assert abs(value - oracle) <= 1e-35 * oracle
+
+
 def test_birthday_classic_365():
     u = uniform_urns(365)
     exact = birthday_exact(u)
@@ -211,7 +252,7 @@ def test_simulate_distinct_and_coverage(motzkin_h2_urns):
     assert zero.mean == 0.0 and zero.stderr == 0.0
 
 
-def test_simulate_deterministic_and_chunked():
+def test_simulate_same_seed_repeats_other_seed_differs():
     u = uniform_urns(4)
     a = simulate(u, "distinct", 500, seed=7, k=3)
     b = simulate(u, "distinct", 500, seed=7, k=3)
