@@ -19,7 +19,8 @@ import numpy as np
 from mpmath import mp
 
 from .counting import _extreme_row, build_counts, extreme_weights, moment
-from .numerics import HARMONIC_EXACT_LIMIT, harmonic_exact, harmonic_real, to_mpf
+from .numerics import to_mpf
+from .urns import coupon_uniform_exact
 
 
 class InsufficientData(ValueError):
@@ -356,9 +357,5 @@ def collection_envelope(grammar, weights=None, n: int = 0, *,
     if uniform:
         m_n = build_counts(grammar, weights, n).total(n)
         if m_n > 0:
-            m_n = int(m_n)
-            if m_n <= HARMONIC_EXACT_LIMIT:
-                uniform_exact = m_n * harmonic_exact(m_n)
-            else:
-                uniform_exact = float(m_n * harmonic_real(m_n))
+            uniform_exact = coupon_uniform_exact(int(m_n))
     return CollectionEnvelope(lower, upper, uniform_exact, est_w, est_1, mu_min)

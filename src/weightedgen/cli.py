@@ -19,7 +19,8 @@ from fractions import Fraction
 from mpmath import mp
 
 from . import asymptotics, counting, rna, sampler, urns
-from .grammar import GrammarError, Rule, WeightedGrammar, normalize, parse_grammar
+from .grammar import (GrammarError, Rule, WeightedGrammar, _parse_weight, normalize,
+                      parse_grammar)
 from .numerics import DEFAULT_SEED, to_mpf
 
 BUILTINS = ("motzkin", "rna")
@@ -40,17 +41,6 @@ def _num(x) -> str:
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     with mp.workdps(30):
         return mp.nstr(to_mpf(x), 12)
-
-
-def _parse_weight_override(spec: str):
-    if "=" not in spec:
-        raise ValueError(f"--weight expects SYM=VALUE, got {spec!r}")
-    sym, val = spec.split("=", 1)
-    if "/" in val:
-        num, den = val.split("/", 1)
-        return sym, Fraction(int(num), int(den))
-    from decimal import Decimal
-    return sym, Fraction(Decimal(val))
 
 
 def _parse_precision(spec: str) -> int | None:
@@ -86,8 +76,10 @@ def _load_grammar(args) -> WeightedGrammar:
         raise ValueError(f"unknown builtin {args.builtin!r}")
     overrides = {}
     for spec in args.weight or ():
-        sym, val = _parse_weight_override(spec)
-        overrides[sym] = val
+        if "=" not in spec:
+            raise ValueError(f"--weight expects SYM=VALUE, got {spec!r}")
+        sym, val = spec.split("=", 1)
+        overrides[sym] = _parse_weight(val)
     return g.with_weights(overrides) if overrides else g
 
 
@@ -104,21 +96,24 @@ def _emit_csv(header, rows):
     print("\n".join(lines))
 
 
-def _add_grammar_args(p, with_rna_defaults=True):
+def _add_rna_args(p):
+    p.add_argument("--theta", type=int, default=3,
+                   help="minimal dot-run inside a pair (builtin rna)")
+    p.add_argument("--energy", type=float, default=-1.0,
+                   help="free energy per pair, kcal/mol (builtin rna)")
+    p.add_argument("--rt", type=float, default=rna.DEFAULT_RT,
+                   help="RT in kcal/mol")
+    p.add_argument("--energy-sign", choices=("inverted", "literal"),
+                   default="inverted",
+                   help="pair weight exp(-E/RT) (inverted, calibrated) or exp(E/RT)")
+
+
+def _add_grammar_args(p):
     p.add_argument("--grammar", metavar="PATH", help="grammar file")
     p.add_argument("--builtin", choices=BUILTINS, help="builtin grammar")
     p.add_argument("--weight", action="append", metavar="SYM=VALUE",
                    help="terminal weight override (repeatable)")
-    if with_rna_defaults:
-        p.add_argument("--theta", type=int, default=3,
-                       help="minimal dot-run inside a pair (builtin rna)")
-        p.add_argument("--energy", type=float, default=-1.0,
-                       help="free energy per pair, kcal/mol (builtin rna)")
-        p.add_argument("--rt", type=float, default=rna.DEFAULT_RT,
-                       help="RT in kcal/mol")
-        p.add_argument("--energy-sign", choices=("inverted", "literal"),
-                       default="inverted",
-                       help="pair weight exp(-E/RT) (inverted, calibrated) or exp(E/RT)")
+    _add_rna_args(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,10 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="csv emits the (n, coefficient) tail")
 
     p = sub.add_parser("rna", help="secondary-structure model analytics")
-    p.add_argument("--theta", type=int, default=3)
-    p.add_argument("--energy", type=float, default=-1.0)
-    p.add_argument("--rt", type=float, default=rna.DEFAULT_RT)
-    p.add_argument("--energy-sign", choices=("inverted", "literal"), default="inverted")
+    _add_rna_args(p)
     p.add_argument("--n", type=int, help="structure length")
     p.add_argument("--k", type=int, help="sample size for distinct/coverage")
     p.add_argument("--sweep", metavar="N1..N2", help="emit CSV over a length range")
@@ -311,7 +303,7 @@ def cmd_rna(args) -> int:
 
 def cmd_figure(args) -> int:
     if args.fig == 1:
-        w = Fraction(args.W)
+        w = _parse_weight(args.W)
         n_min = 4 if args.n_min is None else args.n_min
         g = normalize(motzkin_grammar().with_weights({".": w}))
         spectra = counting.weight_spectra(g, None, args.n_max)

@@ -289,14 +289,16 @@ def _tokenize(line):
     return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", content)]
 
 
-def _parse_weight(tok, line, col) -> Fraction:
+def _parse_weight(tok, line=None, col=None) -> Fraction:
+    """A positive weight literal: an integer, a fraction `3/2` or a decimal
+    `0.25` / `1e-3`.  Grammar files and the CLI's --weight share it."""
     try:
         if "/" in tok:
             num, den = tok.split("/", 1)
             value = Fraction(int(num), int(den))
         else:
             value = Fraction(Decimal(tok))
-    except (ValueError, ZeroDivisionError, InvalidOperation):
+    except (ValueError, ZeroDivisionError, InvalidOperation, OverflowError):
         raise GrammarSyntaxError(f"malformed weight {tok!r}", line, col) from None
     if value <= 0:
         raise GrammarSyntaxError(f"weight must be positive, got {tok!r}", line, col)

@@ -151,7 +151,7 @@ def rna_series(w, theta: int, n: int) -> list:
     return out
 
 
-def rna_rho(w, theta: int, *, tol: float = 1e-12) -> float:
+def rna_rho(w, theta: int) -> float:
     """Smallest root of the discriminant in (0, 1): the dominant singularity.
 
     Roots come from the companion matrix (mpmath polyroots) and the smallest

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -29,10 +30,12 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
+from .counting import build_counts
 from .numerics import (DEFAULT_SEED, FLOAT_DPS, HARMONIC_EXACT_LIMIT,
                        exact_pow_affordable, harmonic_diff, harmonic_exact,
                        harmonic_real, log2log2, one_minus_pow, substream_seed,
                        to_mpf)
+from .sampler import SamplerState, sample_word, word_weight
 
 
 class QuadratureError(RuntimeError):
@@ -331,9 +334,12 @@ def birthday_asymptotic(u: UrnModel) -> float:
 # coupon collection
 
 
-def coupon_uniform_exact(m: int) -> Fraction:
-    """Exact expected full-collection time m * H_m for m equiprobable urns."""
-    return m * harmonic_exact(m)
+def coupon_uniform_exact(m: int):
+    """Expected full-collection time m * H_m for m equiprobable urns: a
+    Fraction up to HARMONIC_EXACT_LIMIT urns, a 40-digit float beyond."""
+    if m <= HARMONIC_EXACT_LIMIT:
+        return m * harmonic_exact(m)
+    return float(m * harmonic_real(m))
 
 
 def xi_estimate(u: UrnModel):
@@ -404,121 +410,54 @@ class SimResult:
 
 _STATISTICS = ("first_collision", "full_collection", "distinct", "coverage")
 
+# Full collection draws every urn (or word) at least once: larger models are refused.
+FULL_COLLECTION_CAP = 10 ** 7
 
-def _simulate_urns(u, statistic, trials, rng, k, full_collection_cap):
-    cum = []
-    acc = 0.0
-    for c in u.classes:
-        acc += float(c.probability) * c.count
-        cum.append(acc)
-    cum[-1] = 1.0
+
+def _urn_source(u: UrnModel, seed: int) -> tuple:
+    """(draw, weight, size) for throws into the urns of u.  A ball is
+    (class, index); its weight is the float probability of its class."""
+    rng = random.Random(seed)
+    cum = list(itertools.accumulate(float(c.probability) * c.count for c in u.classes))
+    cum[-1] = 1.0  # so every draw r < 1 lands in a class
     counts = [c.count for c in u.classes]
     probs = [float(c.probability) for c in u.classes]
 
     def draw():
         i = bisect.bisect_right(cum, rng.random())
-        i = min(i, len(counts) - 1)
         return i, rng.randrange(counts[i])
 
-    values = []
-    if statistic == "first_collision":
-        for _ in range(trials):
-            seen = set()
-            t = 0
-            while True:
-                t += 1
-                ball = draw()
-                if ball in seen:
-                    values.append(t)
-                    break
-                seen.add(ball)
-    elif statistic == "full_collection":
-        if u.m > full_collection_cap:
-            raise ValueError(f"full collection needs m <= {full_collection_cap}, got {u.m}")
-        for _ in range(trials):
-            seen = [set() for _ in counts]
-            remaining = u.m
-            t = 0
-            while remaining:
-                t += 1
-                i, j = draw()
-                if j not in seen[i]:
-                    seen[i].add(j)
-                    remaining -= 1
-            values.append(t)
-    elif statistic == "distinct":
-        for _ in range(trials):
-            seen = set()
-            for _ in range(k):
-                seen.add(draw())
-            values.append(len(seen))
-    elif statistic == "coverage":
-        for _ in range(trials):
-            seen = set()
-            cov = 0.0
-            for _ in range(k):
-                ball = draw()
-                if ball not in seen:
-                    seen.add(ball)
-                    cov += probs[ball[0]]
-            values.append(cov)
-    return values
+    return draw, lambda ball: probs[ball[0]], lambda: u.m
 
 
-def _simulate_words(state, statistic, trials, rng_seed, k, n, full_collection_cap):
-    from . import sampler as sampler_mod
-    from .counting import build_counts
-
+def _word_source(state: SamplerState, seed: int, n: int | None) -> tuple:
+    """(draw, weight, size) for words of length n sampled from the table of
+    `state`.  A word's weight is its probability word_weight / total(n)."""
     if n is None:
         raise ValueError("word-level simulation needs n")
-    worker_state = sampler_mod.SamplerState(state.table, rng_seed)
-    values = []
-    if statistic == "first_collision":
-        for _ in range(trials):
-            seen = set()
-            t = 0
-            while True:
-                t += 1
-                w = sampler_mod.sample_word(worker_state, n)
-                if w in seen:
-                    values.append(t)
-                    break
-                seen.add(w)
-    elif statistic == "full_collection":
-        ones = {t: Fraction(1) for t in state.table.grammar.terminals}
-        m_n = build_counts(state.table.grammar, ones, n).total(n)
-        if m_n > full_collection_cap:
-            raise ValueError(f"full collection needs |L_n| <= {full_collection_cap}")
-        m_n = int(m_n)
-        for _ in range(trials):
-            seen = set()
-            t = 0
-            while len(seen) < m_n:
-                t += 1
-                seen.add(sampler_mod.sample_word(worker_state, n))
-            values.append(t)
-    elif statistic in ("distinct", "coverage"):
-        total = state.table.total(n)
-        for _ in range(trials):
-            seen = set()
-            for _ in range(k):
-                seen.add(sampler_mod.sample_word(worker_state, n))
-            if statistic == "distinct":
-                values.append(len(seen))
-            else:
-                cov = sum(sampler_mod.word_weight(w, state.table.weights) for w in seen)
-                values.append(float(cov / total))
-    return values
+    table = state.table
+    stream = SamplerState(table, seed)
+    total = table.total(n)
+
+    def weight(word):
+        return word_weight(word, table.weights) / total
+
+    def size():
+        ones = {t: Fraction(1) for t in table.grammar.terminals}
+        return int(build_counts(table.grammar, ones, n).total(n))
+
+    return lambda: sample_word(stream, n), weight, size
 
 
 def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
-             k: int | None = None, n: int | None = None,
-             full_collection_cap: int = 10 ** 7) -> SimResult:
+             k: int | None = None, n: int | None = None) -> SimResult:
     """Monte Carlo estimate of a redundancy statistic, with standard error.
 
     `model` is either an UrnModel (urn-level simulation) or a SamplerState
-    (word-level simulation over its grammar, at length n).  The trials draw
-    from substream 0 of `seed`, so identical calls give identical results.
+    (word-level simulation over its grammar, at length n); both run the same
+    trial loop over a draw source.  The trials draw from substream 0 of
+    `seed`, so identical calls give identical results.  Full collection
+    refuses models of more than FULL_COLLECTION_CAP urns or words.
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -531,11 +470,42 @@ def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
             return SimResult(statistic, 0.0, 0.0, trials, 0)
     sub = substream_seed(DEFAULT_SEED if seed is None else seed, 0)
     if isinstance(model, UrnModel):
-        values = _simulate_urns(model, statistic, trials, random.Random(sub), k,
-                                full_collection_cap)
+        draw, weight, size = _urn_source(model, sub)
     else:
-        values = _simulate_words(model, statistic, trials, sub, k, n,
-                                 full_collection_cap)
+        draw, weight, size = _word_source(model, sub, n)
+    if statistic == "full_collection":
+        balls = size()
+        if balls > FULL_COLLECTION_CAP:
+            raise ValueError(f"full collection needs at most {FULL_COLLECTION_CAP} "
+                             f"urns or words, got {balls}")
+
+    values = []
+    for _ in range(trials):
+        seen = set()
+        if statistic == "first_collision":
+            ball = draw()
+            while ball not in seen:
+                seen.add(ball)
+                ball = draw()
+            values.append(len(seen) + 1)
+        elif statistic == "full_collection":
+            t = 0
+            while len(seen) < balls:
+                t += 1
+                seen.add(draw())
+            values.append(t)
+        elif statistic == "distinct":
+            for _ in range(k):
+                seen.add(draw())
+            values.append(len(seen))
+        else:
+            cov = 0
+            for _ in range(k):
+                ball = draw()
+                if ball not in seen:
+                    seen.add(ball)
+                    cov += weight(ball)
+            values.append(float(cov))
     mean = math.fsum(values) / trials
     if trials > 1:
         var = math.fsum((v - mean) ** 2 for v in values) / (trials - 1)
@@ -624,8 +594,7 @@ def standard_report(u: UrnModel, *, n: int | None = None,
                                    n=n, note="guaranteed factor around estimate"))
     if len(u.classes) == 1:  # equal weights: the collection time is exact
         entries.append(ReportEntry("full_collection", "exact",
-                                   value=coupon_uniform_exact(u.m) if u.m <= HARMONIC_EXACT_LIMIT
-                                   else float(u.m * harmonic_real(u.m)),
+                                   value=coupon_uniform_exact(u.m),
                                    n=n, note="uniform m*H_m"))
     if k is not None:
         d = expected_distinct(u, k)

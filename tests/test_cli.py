@@ -156,6 +156,18 @@ def test_error_exit_codes(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--builtin", "motzkin", "--n", "3", "--weight", ".=1/0"),
+    ("count", "--builtin", "motzkin", "--n", "3", "--weight", ".=abc"),
+    ("count", "--builtin", "motzkin", "--n", "3", "--weight", ".=inf"),
+    ("figure", "1", "--W", "1/0"),
+])
+def test_bad_weight_literal_is_error(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "malformed weight" in err
+
+
 def test_weight_override_fraction():
     code, out, _ = run_cli("count", "--builtin", "motzkin",
                            "--weight", ".=1/2", "--n", "2")

@@ -39,6 +39,7 @@ def test_parse_unknown_symbol_position():
     ("axiom S\nterminal a weight 0\nS -> a\n", "positive"),
     ("axiom S\nterminal a weight -1/2\nS -> a\n", "positive"),
     ("axiom S\nterminal a weight x\nS -> a\n", "malformed"),
+    ("axiom S\nterminal a weight inf\nS -> a\n", "malformed"),
     ("axiom S\naxiom S\nterminal a\nS -> a\n", "duplicate axiom"),
     ("terminal a\nS -> a\n", "missing axiom"),
     ("axiom S\nterminal a\nS -> a _\n", "only symbol"),

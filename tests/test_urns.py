@@ -11,8 +11,9 @@ from weightedgen import (ReportEntry, SamplerState, birthday_asymptotic,
                          expected_occupied_weight, from_spectrum, from_weights,
                          normalize, simulate, standard_report, uniform_urns,
                          weight_spectrum, xi_estimate)
+from weightedgen import urns as urns_module
 from weightedgen.numerics import exact_pow_affordable
-from weightedgen.urns import QuadratureError, alpha
+from weightedgen.urns import FULL_COLLECTION_CAP, QuadratureError, SimResult, alpha
 from helpers import (mp_birthday, occupancy_sum_per_class, oracle_birthday,
                      oracle_birthday_uniform, oracle_coupon, oracle_occupancy,
                      expand_urns, random_urn_model, urn_model)
@@ -270,6 +271,51 @@ def test_simulate_words_matches_urn_level(motzkin_h2_norm):
     r = simulate(state, "full_collection", 1500, seed=12, n=3)
     chain = oracle_coupon([p for p, _ in expand_urns(u)])
     assert abs(r.mean - float(chain)) < 4 * r.stderr
+    r = simulate(state, "distinct", 4000, seed=13, k=3, n=3)
+    assert abs(r.mean - float(expected_distinct(u, 3).value)) < 4 * r.stderr
+    r = simulate(state, "coverage", 4000, seed=14, k=3, n=3)
+    assert abs(r.mean - float(expected_coverage(u, 3))) < 4 * r.stderr
+
+
+# Pinned SimResults, Motzkin W=2 at n=5 (21 words in 3 weight classes), 50
+# trials, seed 2026: any change to a draw source or the trial loop shows here.
+GOLDEN_SIMULATIONS = {
+    ("urns", "first_collision"): (5.1, 0.2917225408094591),
+    ("urns", "full_collection"): (208.68, 10.923722173437449),
+    ("urns", "distinct"): (7.84, 0.18151291627735533),
+    ("urns", "coverage"): (0.5742424242424241, 0.012184820731634252),
+    ("words", "first_collision"): (5.12, 0.2468412693309163),
+    ("words", "full_collection"): (191.68, 10.186563378754768),
+    ("words", "distinct"): (8.32, 0.1967905755168293),
+    ("words", "coverage"): (0.6015151515151514, 0.010228274762520051),
+}
+
+
+@pytest.mark.parametrize("level,statistic", sorted(GOLDEN_SIMULATIONS))
+def test_simulate_golden(motzkin_h2_norm, level, statistic):
+    if level == "urns":
+        model = from_spectrum(weight_spectrum(motzkin_h2_norm, None, 5))
+    else:
+        model = SamplerState(build_counts(motzkin_h2_norm, None, 5))
+    k = 12 if statistic in ("distinct", "coverage") else None
+    mean, stderr = GOLDEN_SIMULATIONS[level, statistic]
+    assert simulate(model, statistic, 50, seed=2026, k=k, n=5) == \
+        SimResult(statistic, mean, stderr, 50, k)
+
+
+def test_simulate_full_collection_cap_starts_no_draws(motzkin_norm, monkeypatch):
+    message = f"at most {FULL_COLLECTION_CAP} urns or words"
+    assert FULL_COLLECTION_CAP == 10 ** 7
+    with pytest.raises(ValueError, match=message):
+        simulate(uniform_urns(10 ** 7 + 1), "full_collection", 1)
+
+    def no_draw(state, n):
+        raise AssertionError("a word was drawn")
+
+    monkeypatch.setattr(urns_module, "sample_word", no_draw)
+    state = SamplerState(build_counts(motzkin_norm, None, 30))
+    with pytest.raises(ValueError, match=message):
+        simulate(state, "full_collection", 1, n=30)
 
 
 def test_report_structure(motzkin_h2_urns):
