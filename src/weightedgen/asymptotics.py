@@ -23,6 +23,15 @@ from .numerics import to_mpf
 from .urns import coupon_uniform_exact
 
 
+# tail share of the log-log fit, fewest usable coefficients, ratios per
+# extrapolation
+FIT_FRACTION = 0.25
+MIN_TERMS = 64
+RATIO_DEPTH = 10
+# relative slack of the singularity-separation probe rho^k < rho_k
+SEPARATION_MARGIN = 1e-3
+
+
 class InsufficientData(ValueError):
     """Too few (eventually positive) coefficients for a stable estimate."""
 
@@ -51,31 +60,30 @@ def _neville(points, x0=0.0):
     return ys[0]
 
 
-def _ratio_limit(values, indices, depth):
+def _ratio_limit(values, indices):
     """Extrapolated limit of c_n / c_{n+2} over the given index subsequence."""
     pts = []
     for n in indices:
         if n == 0:
             continue
         pts.append((mp.mpf(1) / n, values[n] / values[n + 2]))
-    pts = pts[-depth:]
+    pts = pts[-RATIO_DEPTH:]
     if len(pts) < 3:
         return None
     return _neville(pts)
 
 
-def estimate_singularity(coeffs, *, fit_fraction: float = 0.25,
-                         min_terms: int = 64, depth: int = 10) -> SingularityEstimate:
+def estimate_singularity(coeffs) -> SingularityEstimate:
     """Estimate (rho, kappa, k) from a coefficient sequence.
 
-    Needs at least `min_terms` eventually-positive coefficients.  Disagreement
+    Needs at least MIN_TERMS eventually-positive coefficients.  Disagreement
     between the even- and odd-subsequence estimates of rho lowers `converged`
     instead of raising: multiple dominant singularities on one circle are a
     diagnosis, not a crash.
     """
     n_total = len(coeffs)
-    if n_total < min_terms:
-        raise InsufficientData(f"need at least {min_terms} coefficients, got {n_total}")
+    if n_total < MIN_TERMS:
+        raise InsufficientData(f"need at least {MIN_TERMS} coefficients, got {n_total}")
 
     notes = []
     with mp.workprec(350):
@@ -86,16 +94,16 @@ def estimate_singularity(coeffs, *, fit_fraction: float = 0.25,
                 break
             start = i
         tail_len = n_total - start
-        if tail_len < min_terms:
+        if tail_len < MIN_TERMS:
             raise InsufficientData(
-                f"only {tail_len} trailing positive coefficients, need {min_terms}")
+                f"only {tail_len} trailing positive coefficients, need {MIN_TERMS}")
         if start > 0:
             notes.append(f"ignored {start} leading coefficients")
 
         per_parity = {}
         for parity in (0, 1):
             indices = [n for n in range(start, n_total - 2) if n % 2 == parity]
-            limit = _ratio_limit(vals, indices, depth)
+            limit = _ratio_limit(vals, indices)
             if limit is not None and limit > 0:
                 per_parity[parity] = mp.sqrt(limit)
 
@@ -112,7 +120,7 @@ def estimate_singularity(coeffs, *, fit_fraction: float = 0.25,
         converged = parity_gap < 1e-3
 
         # log-log fit of c_n * rho^n = kappa * n^(-k) on the tail
-        window = max(16, int(fit_fraction * tail_len))
+        window = max(16, int(FIT_FRACTION * tail_len))
         window = min(window, tail_len)
         log_rho = mp.log(rho_mp)
         xs, ys = [], []
@@ -214,8 +222,7 @@ class ConditionReport:
 
 
 def check_conditions(grammar, weights=None, *, ladder=(8, 16, 32, 64),
-                     n_terms: int = 160, precision: int = 192,
-                     margin: float = 1e-3) -> ConditionReport:
+                     n_terms: int = 160, precision: int = 192) -> ConditionReport:
     """Probe the three growth conditions behind the collision asymptotics.
 
     Only the weight positivity check is exact; the exponential-decay and
@@ -264,7 +271,7 @@ def check_conditions(grammar, weights=None, *, ladder=(8, 16, 32, 64),
             powered = {t: w ** k for t, w in weights.items()}
             est_k = estimate_singularity(
                 build_counts(grammar, powered, n_terms, precision).coefficients())
-            checks.append((k, est_base.rho ** k < est_k.rho * (1 + margin),
+            checks.append((k, est_base.rho ** k < est_k.rho * (1 + SEPARATION_MARGIN),
                            est_base.rho ** k, est_k.rho))
         ok = all(c[1] for c in checks)
         detail = "; ".join(f"rho^{k}={a:.6g} vs rho_k={b:.6g}" for k, _, a, b in checks)

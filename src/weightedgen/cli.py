@@ -255,7 +255,7 @@ def cmd_asymptotics(args) -> int:
     g = normalize(_load_grammar(args))
     precision = _parse_precision(args.precision)
     if precision is None:
-        precision = 256
+        raise ValueError("asymptotics needs a float count table: --precision floatBITS")
     table = counting.build_counts(g, None, args.n_terms, precision)
     if args.format == "csv":
         _emit_csv(("n", "coefficient"),

@@ -5,12 +5,16 @@ nonterminal A of a binary-form grammar and every length m, the total weight of
 the words A derives at that length.  Every table in this module is one
 instance of `grammar.inside` over its own semiring.
 
-Exact cells are plain ints: each letter weight is scaled by D, the lcm of the
-weight denominators, so the cell at length m holds D^m times its value, and
-`value()`, `total()` and `coefficients()` divide the scale back out into
-Fractions.  No other module knows about the scale.  A high-precision float
-backend (mpmath, configurable mantissa, one rounding per cell) exists for long
-coefficient tails where exactness is pointless.
+Count-table cells are plain ints under one of two scales, and no other module
+knows about either.  Exact cells scale each letter weight by D, the lcm of
+the weight denominators, so the cell at length m holds D^m times its value,
+and `value()`, `total()` and `coefficients()` divide the scale back out into
+Fractions.  Fixed-point cells (`precision=p`, for long coefficient tails where
+exactness is pointless) hold floor(value * 2^(q - b*m)) with q = p + 64 and b
+= floor(log2) of the smallest letter weight: every length-m word weighs at
+least 2^(b*m), so every nonempty cell is at least 2^q - 2m, and one
+truncation per cell keeps it within a relative (2m-1) * 2^-q below its value.
+Their `value()` rounds the cell to a p-bit mpf.
 """
 
 from __future__ import annotations
@@ -18,12 +22,14 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 
 from mpmath import mp
 
 from .grammar import NormalizedGrammar, inside
-from .numerics import to_mpf
+
+# bits a fixed-point table keeps beyond its precision
+GUARD_BITS = 64
 
 
 class EmptyLanguageError(ValueError):
@@ -34,15 +40,16 @@ class ClassCapExceeded(RuntimeError):
     """The weight-class DP grew past its configured cap."""
 
 
-def _int_dot(xs, ys):
-    return sum(map(operator.mul, xs, ys))
-
-
 def _scaled(grammar: NormalizedGrammar, weights) -> tuple:
     """(D, {terminal: D * weight}) with D the lcm of the weight denominators."""
     scale = lcm(*(weights[t].denominator for t in grammar.terminals))
     return scale, {t: weights[t].numerator * (scale // weights[t].denominator)
                    for t in grammar.terminals}
+
+
+def _floor_log2(w: Fraction) -> int:
+    b = w.numerator.bit_length() - w.denominator.bit_length()
+    return b if Fraction(2) ** b <= w else b - 1
 
 
 def _splits(m: int):
@@ -60,11 +67,13 @@ def _splits(m: int):
 class CountTable:
     """Per-(nonterminal, length) total weights for a normalized grammar.
 
-    With `precision` unset the cells are exact scaled ints (see the module
-    docstring); otherwise they are mpf values with the given binary precision,
-    each the correctly rounded dot product of its children.  Construction costs
-    O(|rules| * horizon^2) arithmetic operations; completed tables are
-    immutable and safe to share.
+    With `precision` unset the cells are exact scaled ints; with precision p
+    they are fixed-point ints whose `value()` is a p-bit mpf within a relative
+    (2m-1) * 2^-(p+64) + 2^-p of the exact value (see the module docstring).
+    Both are built by the same int instance of `grammar.inside`; only the
+    letter scale and the shift after each dot differ.  Construction costs
+    O(|rules| * horizon^2) products; completed tables are immutable and safe
+    to share.
     """
 
     def __init__(self, grammar: NormalizedGrammar, weights, horizon: int,
@@ -77,16 +86,24 @@ class CountTable:
             if t not in self.weights:
                 raise ValueError(f"missing weight for terminal {t!r}")
         if precision is None:
+            self._shift = 0
             self._scale, self._letters = _scaled(grammar, self.weights)
-            self._cells = inside(grammar, horizon, self._letters.__getitem__,
-                                 1, 0, operator.add, _int_dot)
         else:
-            with mp.workprec(precision):
-                self._letters = {t: to_mpf(self.weights[t]) for t in grammar.terminals}
-                self._cells = inside(grammar, horizon, self._letters.__getitem__,
-                                     mp.mpf(1), mp.mpf(0), operator.add, mp.fdot)
+            q = self._shift = precision + GUARD_BITS
+            b = self._slope = _floor_log2(min((self.weights[t] for t in grammar.terminals),
+                                              default=Fraction(1)))
+            self._letters = {t: floor(self.weights[t] * Fraction(2) ** (q - b))
+                             for t in grammar.terminals}
+        shift = self._shift
+        self._one = 1 << shift
 
-    def cell(self, nt: str, m: int):
+        def dot(xs, ys):
+            return sum(map(operator.mul, xs, ys)) >> shift
+
+        self._cells = inside(grammar, horizon, self._letters.__getitem__,
+                             self._one, 0, operator.add, dot)
+
+    def cell(self, nt: str, m: int) -> int:
         """The stored cell at (nt, m): value(nt, m) in the table's own scale."""
         if not 0 <= m <= self.horizon:
             raise ValueError(f"length {m} outside horizon {self.horizon}")
@@ -94,7 +111,10 @@ class CountTable:
 
     def value(self, nt: str, m: int):
         cell = self.cell(nt, m)
-        return cell if self.precision is not None else Fraction(cell, self._scale ** m)
+        if self.precision is None:
+            return Fraction(cell, self._scale ** m)
+        with mp.workprec(self.precision):
+            return mp.mpf((cell, self._slope * m - self._shift))
 
     def total(self, m: int):
         """Total weight of length-m words of the language."""
@@ -103,13 +123,26 @@ class CountTable:
     def coefficients(self) -> list:
         return [self.total(m) for m in range(self.horizon + 1)]
 
+    def draw_bound(self, nt: str, m: int) -> int:
+        """The bound a sampler draws r below at (nt, m), in the scale of `choices`.
+
+        The options of `choices(nt, m)` sum to at least this bound, exactly on
+        an exact table and at lengths 0 and 1.  On a fixed-point table a pair
+        option is a product of two cells, so it sits 2^q above the cell's
+        scale, and the cell is the floor of the options' sum shifted down by q.
+        """
+        cell = self.cell(nt, m)
+        return cell << self._shift if m >= 2 else cell
+
     def choices(self, nt: str, m: int):
         """The nonzero (weight, rule, split) options of the recursive method at (nt, m).
 
-        Weights are in the cell's scale and sum to cell(nt, m), exactly for an
-        exact table; `split` is the length of a pair rule's first child.  Split
-        points come from both ends inwards, where these grammars put most of
-        the weight, so a walk that stops at a drawn option computes few products.
+        Weights are ints in the scale of `draw_bound(nt, m)`; a walk that
+        subtracts them from a draw below that bound in this order always
+        stops at an option.  `split` is the length of a pair rule's first
+        child.  Split points come from both ends inwards, where these grammars
+        put most of the weight, so a walk that stops at a drawn option
+        computes few products.
         """
         self.cell(nt, m)
         cells = self._cells
@@ -119,7 +152,7 @@ class CountTable:
                     yield self._letters[r.rhs[0]], r, 1
             elif r.kind == "eps":
                 if m == 0:
-                    yield 1, r, 0
+                    yield self._one, r, 0
             elif m >= 2:
                 vb, vc = cells[r.rhs[0]], cells[r.rhs[1]]
                 for j in _splits(m):

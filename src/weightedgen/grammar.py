@@ -25,6 +25,9 @@ from itertools import product
 
 RESERVED_TOKENS = {"->", "|", "_"}
 EPSILON_MARK = "_"
+# Python's default int-digit limit, which already refuses a longer `num/den`;
+# decimals are held to it before any integer is built (`1e999999999` would hang)
+MAX_WEIGHT_DIGITS = 4300
 
 
 class GrammarError(ValueError):
@@ -291,13 +294,19 @@ def _tokenize(line):
 
 def _parse_weight(tok, line=None, col=None) -> Fraction:
     """A positive weight literal: an integer, a fraction `3/2` or a decimal
-    `0.25` / `1e-3`.  Grammar files and the CLI's --weight share it."""
+    `0.25` / `1e-3`, with numerator and denominator of at most
+    MAX_WEIGHT_DIGITS digits.  Grammar files and the CLI's --weight share it."""
     try:
         if "/" in tok:
             num, den = tok.split("/", 1)
             value = Fraction(int(num), int(den))
         else:
-            value = Fraction(Decimal(tok))
+            dec = Decimal(tok)
+            _, digits, exp = dec.as_tuple()
+            if not isinstance(exp, int) or max(len(digits) + max(exp, 0),
+                                               1 - min(exp, 0)) > MAX_WEIGHT_DIGITS:
+                raise ValueError
+            value = Fraction(dec)
     except (ValueError, ZeroDivisionError, InvalidOperation, OverflowError):
         raise GrammarSyntaxError(f"malformed weight {tok!r}", line, col) from None
     if value <= 0:

@@ -1,18 +1,21 @@
 """Random generation of fixed-length words under the weighted distribution.
 
-Words are drawn top-down by the recursive method: at each node (A, m) an r is
-drawn below the count-table cell and the options of `CountTable.choices` are
-subtracted from it until it goes negative.  On an exact table the cells are
-ints, r is a uniform integer below the cell and the options sum exactly to it,
-so a word w of length n is produced with probability exactly
-weight(w) / total(n).  On an mpf table (precision p bits) r is a double in
-[0, 1) times the cell, and the subtraction runs at p bits, rounding to
-nearest: each option's probability is within 2**-53 + 10*k*2**-p of its
-share of the stored cell, for k options at the node, so within 2**-52
-whenever k <= 2**(p-57).  The 2**-53 is the grid of the double draw; the rest
-bounds the shift of the option boundaries by the roundings of the draw, the
-products, the subtractions and the cell itself.  The test suite's
-statistical checks use exact tables only.
+Words are drawn top-down by the recursive method: at each node (A, m) an
+integer r is drawn uniformly below `CountTable.draw_bound(A, m)` and the
+options of `CountTable.choices` are subtracted from it until it goes
+negative.  The options always sum to at least the bound, so the walk always
+stops at an option; one that the bound cuts short is taken with the part of
+its weight below the bound.  Every table thus gives each word an exact
+rational probability, a product of ratios of stored integers.
+
+On an exact table the options sum exactly to the bound, so a word w of
+length n is produced with probability exactly weight(w) / total(n).  On a
+fixed-point table (precision p, q = p + 64 bits; see `counting`) each stored
+cell is within a relative (2m-1) * 2^-q below its value, and the product of
+a word's option probabilities telescopes to its letters over the axiom cell:
+w is produced with probability within a relative 2n * 2^-q of
+weight(w) / total(n), for n <= 2^(q/2 - 2).  `branch_distribution` computes
+those probabilities exactly.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-from mpmath import mp
 
 from .counting import CountTable, EmptyLanguageError
 from .numerics import DEFAULT_SEED, substream_seed
@@ -31,21 +32,16 @@ from .numerics import DEFAULT_SEED, substream_seed
 class SamplerState:
     """Seeded sampling stream over a shared (read-only) count table.
 
-    Identical (seed, worker, grammar, weights, n, precision) produce an
-    identical word sequence on any platform.  Use one state per worker;
-    `spawn` derives independent substreams.
+    Identical (seed, grammar, weights, n, precision) produce an identical
+    word sequence on any platform.  The stream is substream 0 of the seed.
     """
 
     table: CountTable
     seed: int = DEFAULT_SEED
-    worker: int = 0
     rng: random.Random = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.rng = random.Random(substream_seed(self.seed, self.worker))
-
-    def spawn(self, worker: int) -> "SamplerState":
-        return SamplerState(self.table, self.seed, worker)
+        self.rng = random.Random(substream_seed(self.seed, 0))
 
 
 def sample_word(state: SamplerState, n: int) -> tuple:
@@ -57,26 +53,22 @@ def sample_word(state: SamplerState, n: int) -> tuple:
     if not table.cell(axiom, n):
         raise EmptyLanguageError(f"no words of length {n}")
     rng = state.rng
-    exact = table.precision is None
 
     out = []
     stack = [(axiom, n)]
-    with mp.workprec(table.precision or mp.prec):
-        while stack:
-            nt, m = stack.pop()
-            cell = table.cell(nt, m)
-            r = rng.randrange(cell) if exact else cell * rng.random()
-            for weight, rule, j in table.choices(nt, m):
-                r -= weight
-                if r < 0:
-                    break
-            # an mpf walk that rounds past the last option keeps that option
-            if rule.kind == "term":
-                out.append(rule.rhs[0])
-            elif rule.kind == "pair":
-                b, c = rule.rhs
-                stack.append((c, m - j))
-                stack.append((b, j))
+    while stack:
+        nt, m = stack.pop()
+        r = rng.randrange(table.draw_bound(nt, m))
+        for weight, rule, j in table.choices(nt, m):
+            r -= weight
+            if r < 0:
+                break
+        if rule.kind == "term":
+            out.append(rule.rhs[0])
+        elif rule.kind == "pair":
+            b, c = rule.rhs
+            stack.append((c, m - j))
+            stack.append((b, j))
     return tuple(out)
 
 
@@ -104,22 +96,25 @@ def word_probability(word, table: CountTable) -> Fraction:
 def branch_distribution(table: CountTable, n: int, *, word_cap: int = 10_000) -> dict:
     """Exact sampling distribution, by walking every branch of the decision tree.
 
-    Walks the same `CountTable.choices` as sample_word, symbolically, so it
-    checks that the sampler's choice probabilities multiply out to
-    weight(w)/total(n) word for word.  Exponential in n; guarded by word_cap.
+    Walks the same `CountTable.choices` below the same `draw_bound` as
+    sample_word, symbolically, so it gives each word the exact probability
+    the sampler draws it with: weight(w)/total(n) on an exact table, and
+    within the bound of the module docstring on a fixed-point one.
+    Exponential in n; guarded by word_cap.
     """
-    if table.precision is not None:
-        raise ValueError("branch analysis requires an exact count table")
     memo = {}
 
     def dist(nt, m):
         key = (nt, m)
         if key in memo:
             return memo[key]
-        cell = table.cell(nt, m)
+        bound = left = table.draw_bound(nt, m)
         acc = {}
         for weight, rule, j in table.choices(nt, m):
-            p = Fraction(weight, cell)
+            if left <= 0:
+                break
+            p = Fraction(min(weight, left), bound)
+            left -= weight
             if rule.kind == "pair":
                 b, c = rule.rhs
                 dc = dist(c, m - j)

@@ -97,6 +97,13 @@ def test_asymptotics_text_and_csv():
     assert len(lines) == 10
 
 
+def test_asymptotics_refuses_exact_precision():
+    code, out, err = run_cli("asymptotics", "--builtin", "motzkin",
+                             "--n-terms", "96", "--precision", "exact")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "floatBITS" in err
+
+
 def test_asymptotics_collision_comparison():
     code, out, _ = run_cli("asymptotics", "--builtin", "motzkin",
                            "--weight", ".=2", "--n-terms", "128",
@@ -161,6 +168,8 @@ def test_error_exit_codes(tmp_path):
     ("count", "--builtin", "motzkin", "--n", "3", "--weight", ".=abc"),
     ("count", "--builtin", "motzkin", "--n", "3", "--weight", ".=inf"),
     ("figure", "1", "--W", "1/0"),
+    ("count", "--builtin", "motzkin", "--n", "3", "--weight", ".=1e4301"),
+    ("count", "--builtin", "motzkin", "--n", "3", "--weight", ".=1e-4301"),
 ])
 def test_bad_weight_literal_is_error(argv):
     code, out, err = run_cli(*argv)

@@ -5,7 +5,7 @@ import pytest
 
 from weightedgen import (ClassCapExceeded, EmptyLanguageError, build_counts,
                          extreme_weights, moment, normalize,
-                         parse_grammar, weight_spectra, weight_spectrum)
+                         parse_grammar, rna, weight_spectra, weight_spectrum)
 from helpers import random_grammar, spectrum_from_enumeration
 
 
@@ -25,12 +25,50 @@ def test_empty_slice_is_zero():
     assert table.total(4) == 1
 
 
+@pytest.mark.parametrize("precision", [None, 64])
+def test_epsilon_only_language(precision):
+    g = normalize(parse_grammar("axiom S\nS -> _\n"))
+    assert build_counts(g, None, 3, precision).coefficients() == [1, 0, 0, 0]
+
+
 def test_float_backend_tracks_exact(motzkin_h2_norm):
     exact = build_counts(motzkin_h2_norm, None, 30)
     approx = build_counts(motzkin_h2_norm, None, 30, precision=128)
     for n in (10, 20, 30):
         rel = abs(float(exact.total(n)) - float(approx.total(n))) / float(exact.total(n))
         assert rel < 1e-20
+
+
+def _rna3(motzkin):
+    return normalize(rna.rna_grammar(3, rna.RnaModel(theta=3, pair_energy=-3.0).w))
+
+
+@pytest.mark.parametrize("build,n", [
+    (lambda motzkin: normalize(motzkin.with_weights({".": Fraction(2)})), 256),
+    (_rna3, 100),
+    # one word per length, a^m: its cells grow by only (3/7) / 2^b = 12/7 per
+    # length at b = floor(log2 3/7) = -2, and would shrink at any higher slope
+    (lambda _: normalize(parse_grammar("axiom S\nterminal a weight 3/7\nS -> a S | a\n")), 256),
+], ids=["motzkin-W2", "rna-theta3-E-3", "min-weight-chain"])
+def test_fixed_point_table_within_truncation_bound_of_exact(motzkin, build, n):
+    # each cell is within a relative (2m-1) * 2^-q below its value, q = p + 64,
+    # and value() adds one p-bit rounding
+    g = build(motzkin)
+    p = 256
+    q = p + 64
+    exact = build_counts(g, None, n)
+    fixed = build_counts(g, None, n, precision=p)
+    for nt in g.nonterminals:
+        for m in range(n + 1):
+            v, x = exact.value(nt, m), fixed.value(nt, m)
+            assert x.man.bit_length() <= p
+            bound = (Fraction(max(2 * m - 1, 0), 2 ** q) + Fraction(1, 2 ** p)) * v
+            assert abs(x.man * Fraction(2) ** x.exp - v) <= bound, (nt, m)
+            assert not v or fixed.cell(nt, m) >= 2 ** q - 2 * m
+            if m >= 2:
+                # the sampler's walk stops below the bound within the options
+                options = sum(w for w, _, _ in fixed.choices(nt, m))
+                assert fixed.draw_bound(nt, m) <= options < fixed.draw_bound(nt, m) + 2 ** q
 
 
 def test_moment_normalization(motzkin_h2_norm):

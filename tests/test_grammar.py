@@ -7,6 +7,7 @@ import pytest
 from weightedgen import (GrammarError, GrammarSyntaxError, ambiguity_probe,
                          build_counts, enumerate_words, normalize,
                          parse_grammar)
+from weightedgen.grammar import _parse_weight
 from helpers import random_grammar
 
 
@@ -55,6 +56,16 @@ def test_parse_errors(text, fragment):
 def test_decimal_weights_are_exact():
     g = parse_grammar("axiom S\nterminal a weight 0.25\nS -> a\n")
     assert g.weights["a"] == Fraction(1, 4)
+
+
+def test_parse_weight_digit_limit():
+    # 4300 digits in numerator or denominator pass; one more is refused
+    # from the literal's digit count and exponent
+    assert _parse_weight("1e4299") == 10 ** 4299
+    assert _parse_weight("1e-4299") == Fraction(1, 10 ** 4299)
+    for tok in ("1e4300", "1e-4300", "1" * 4301 + "e-1"):
+        with pytest.raises(GrammarSyntaxError, match="malformed weight"):
+            _parse_weight(tok)
 
 
 def test_unproductive_rejected():

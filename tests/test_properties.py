@@ -82,19 +82,22 @@ def test_extreme_weights_are_the_spectrum_ends(g, n):
 
 
 @PROPERTY
-@given(weighted_grammars(), st.integers(0, 6))
-def test_branch_distribution_is_derivations_times_weight_over_total(g, n):
+@given(weighted_grammars(), st.integers(0, 6), st.sampled_from((None, 24, 53)))
+def test_branch_distribution_is_derivations_times_weight_over_total(g, n, precision):
     ng = normalize(g)
-    table = build_counts(ng, None, n)
-    total = table.total(n)
+    total = build_counts(ng, None, n).total(n)
     assume(total != 0)
     try:
         derivations = Counter(enumerate_words(g, n, word_cap=2000))
     except EnumerationCap:
         assume(False)
-    dist = branch_distribution(table, n)
-    assert dist == {w: c * word_weight(w, g.weights) / total
-                    for w, c in derivations.items()}
+    dist = branch_distribution(build_counts(ng, None, n, precision), n)
+    expected = {w: c * word_weight(w, g.weights) / total for w, c in derivations.items()}
+    assert set(dist) == set(expected) and sum(dist.values()) == 1
+    # the sampler docstring's bound: a relative 2n * 2^-(precision + 64)
+    bound = 0 if precision is None else Fraction(2 * n, 2 ** (precision + 64))
+    for w, p in expected.items():
+        assert abs(dist[w] - p) <= bound * p, w
 
 
 @settings(PROPERTY, max_examples=20)

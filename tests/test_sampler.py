@@ -58,14 +58,6 @@ def test_determinism_under_seed(motzkin_h2_norm):
     assert a != words(SamplerState(table, seed=4243))
 
 
-def test_substreams_differ(motzkin_h2_norm):
-    table = build_counts(motzkin_h2_norm, None, 5)
-    base = SamplerState(table, seed=4242)
-    one, two = base.spawn(1), base.spawn(2)
-    assert [sample_word(one, 5) for _ in range(25)] != \
-        [sample_word(two, 5) for _ in range(25)]
-
-
 def test_single_word_languages():
     g = normalize(parse_grammar("axiom S\nterminal a\nS -> a S | a\n"))
     table = build_counts(g, None, 4)
@@ -130,47 +122,22 @@ def test_mpf_table_samples_words(motzkin_h2_norm):
     assert all(sample_word(state, 4) in lang for _ in range(50))
 
 
-class _FixedDraw:
-    """Stands in for a state's rng: every draw returns the same double."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
-def test_mpf_draw_bias_within_stated_bound():
-    # One node with k=5 options at p=24 bits.  The option taken is monotone in
-    # the double drawn, so a binary search over the 2**53 grid of doubles in
-    # [0, 1) gives each option's exact probability under the draw.
+def test_fixed_point_node_probabilities_are_exact_ratios():
+    # One node with k=5 options at p=24 bits: the draw is an integer below the
+    # node's bound, so each option's probability is its stored weight over
+    # that bound, within the sampler docstring's 2n * 2^-(p+64) (n = 1) of
+    # its exact share.
     g = normalize(parse_grammar(
         "axiom S\nterminal a weight 1/3\nterminal b weight 7\nterminal c weight 5/11\n"
         "terminal d weight 2\nterminal e weight 13/3\nS -> a | b | c | d | e\n"))
-    p, grid = 24, 2 ** 53
+    p = 24
     table = build_counts(g, None, 1, precision=p)
     options = list(table.choices(g.axiom, 1))
-    k = len(options)
-    exact = [w.man * Fraction(2) ** w.exp for w, _, _ in options]
-    state = SamplerState(table)
-    state.rng = _FixedDraw(0.0)
-
-    def option_at(i):
-        state.rng.u = i / grid
-        return [rule.rhs for _, rule, _ in options].index(sample_word(state, 1))
-
-    def first_grid_point_of(option):
-        lo, hi = 0, grid
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if option_at(mid) >= option:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    edges = [first_grid_point_of(i) for i in range(k)] + [grid]
-    bound = Fraction(1, grid) + Fraction(10 * k, 2 ** p)
-    for i in range(k):
-        probability = Fraction(edges[i + 1] - edges[i], grid)
-        assert abs(probability - exact[i] / sum(exact)) <= bound
+    bound = table.draw_bound(g.axiom, 1)
+    assert sum(w for w, _, _ in options) == bound
+    dist = branch_distribution(table, 1)
+    assert dist == {rule.rhs: Fraction(w, bound) for w, rule, _ in options}
+    exact = build_counts(g, None, 1)
+    for word, probability in dist.items():
+        share = word_probability(word, exact)
+        assert abs(probability - share) <= Fraction(2, 2 ** (p + 64)) * share
