@@ -11,12 +11,14 @@ from .counting import (ClassCapExceeded, CountTable, EmptyLanguageError,
                        weight_spectra, weight_spectrum)
 from .sampler import (SamplerState, branch_distribution, sample_word,
                       word_probability, word_weight)
-from .urns import (AnalyticsReport, CouponBounds, Expectation, ReportEntry,
-                   SimResult, UrnClass, UrnModel, birthday_asymptotic,
-                   birthday_exact, coupon_bounds, coupon_uniform_exact,
+from .urns import (AnalyticsReport, CouponBounds, Expectation, Occupancy,
+                   ReportEntry, SimResult, UrnClass, UrnModel,
+                   birthday_asymptotic, birthday_exact, coupon_bounds,
+                   coupon_uniform_exact,
                    coverage_first_order, expected_coverage, expected_distinct,
                    expected_occupied_weight, from_spectrum, from_weights,
-                   simulate, standard_report, uniform_urns, xi_estimate)
+                   occupancy, simulate, standard_report, uniform_urns,
+                   xi_estimate)
 from .asymptotics import (CollectionEnvelope, CollisionEstimates,
                           ConditionReport, GammaEstimate, SingularityEstimate,
                           check_conditions, collection_envelope,

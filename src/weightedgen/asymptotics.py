@@ -30,6 +30,8 @@ MIN_TERMS = 64
 RATIO_DEPTH = 10
 # relative slack of the singularity-separation probe rho^k < rho_k
 SEPARATION_MARGIN = 1e-3
+# fewest bits of coefficient precision the ratio extrapolation can carry
+MIN_FIT_PRECISION = 128
 
 
 class InsufficientData(ValueError):
@@ -80,6 +82,12 @@ def estimate_singularity(coeffs) -> SingularityEstimate:
     between the even- and odd-subsequence estimates of rho lowers `converged`
     instead of raising: multiple dominant singularities on one circle are a
     diagnosis, not a crash.
+
+    The coefficients need at least MIN_FIT_PRECISION = 128 bits: the
+    RATIO_DEPTH-point extrapolation amplifies their rounding, and `converged`
+    does not see it.  On Motzkin W=2 (256 terms), 64-bit coefficients give
+    rho 0.249990255851 as converged, 96-bit ones are off in the 11th digit of
+    kappa, and 128-bit ones agree with 256-bit ones on every printed digit.
     """
     n_total = len(coeffs)
     if n_total < MIN_TERMS:

@@ -254,8 +254,9 @@ def cmd_simulate(args) -> int:
 def cmd_asymptotics(args) -> int:
     g = normalize(_load_grammar(args))
     precision = _parse_precision(args.precision)
-    if precision is None:
-        raise ValueError("asymptotics needs a float count table: --precision floatBITS")
+    if precision is None or precision < asymptotics.MIN_FIT_PRECISION:
+        raise ValueError("asymptotics needs a float count table of at least "
+                         f"{asymptotics.MIN_FIT_PRECISION} bits: --precision floatBITS")
     table = counting.build_counts(g, None, args.n_terms, precision)
     if args.format == "csv":
         _emit_csv(("n", "coefficient"),

@@ -16,8 +16,8 @@ from mpmath import mp
 DEFAULT_SEED = 123456789
 
 # Bit-size budget for an exactly computed (1-p)^k.  Beyond it the occupancy
-# formulas switch to high-precision floats (expm1/log1p at 40 decimal digits,
-# relative error far below the documented 1e-12).
+# formulas switch to the double-precision pass urns.occupancy, within a
+# relative urns.OCCUPANCY_REL_ERROR = 12 * 2^-53 (1.3e-15) of the exact value.
 EXACT_POW_BIT_LIMIT = 200_000
 
 # Largest m for which harmonic numbers are kept as exact fractions.  H_m has a

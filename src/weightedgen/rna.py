@@ -300,12 +300,11 @@ def rna_report(n: int, model: RnaModel, k: int | None = None) -> urns.AnalyticsR
 
 
 def coverage_rows(model: RnaModel, k: int, n_values) -> list:
-    """(n, k, expected coverage, expected distinct fraction) per length."""
+    """(n, k, expected coverage, expected distinct fraction) per length, as
+    floats from the double-precision pass `urns.occupancy`."""
     w = model.w
     rows = []
     for n in n_values:
-        u = urns.from_spectrum(pair_spectrum(n, model.theta, w))
-        cov = float(urns.expected_coverage(u, k))
-        distinct = float(urns.expected_distinct(u, k).value)
-        rows.append((n, k, cov, distinct / k if k else 0.0))
+        occ = urns.occupancy(urns.from_spectrum(pair_spectrum(n, model.theta, w)), k)
+        rows.append((n, k, float(occ.coverage), float(occ.distinct) / k if k else 0.0))
     return rows

@@ -14,7 +14,10 @@ classes, sum c_i * p_i = 1).  The closed forms implemented here:
                                    estimate Xi = sum over urn ranks 1/(i * p_i)
 
 Everything with a closed form is computed exactly on rationals when the power
-(1-p)^k stays below a bit-size budget, and with high-precision floats beyond.
+(1-p)^k stays below a bit-size budget.  Beyond it, distinct urns, coverage and
+occupied weight come from one double-precision pass over the classes
+(`occupancy`), within a relative OCCUPANCY_REL_ERROR = 12 * 2^-53 of the
+exact value.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ from mpmath import mp
 from .counting import build_counts
 from .numerics import (DEFAULT_SEED, FLOAT_DPS, HARMONIC_EXACT_LIMIT,
                        exact_pow_affordable, harmonic_diff, harmonic_exact,
-                       harmonic_real, log2log2, one_minus_pow, substream_seed,
-                       to_mpf)
+                       harmonic_real, log2log2, substream_seed, to_mpf)
+# Unused here; the benchmark's self-test still expects the binding (bench/spans.py
+# traces one_minus_pow in every module that imports it).
+from .numerics import one_minus_pow  # noqa: F401
 from .sampler import SamplerState, sample_word, word_weight
 
 
@@ -128,13 +133,88 @@ def _scaled_probabilities(u: UrnModel) -> tuple:
                    for c in u.classes]
 
 
-def _occupancy_sum(u, k, power, factor, exact):
+# Relative error bound of the double-precision occupancy pass (see occupancy).
+OCCUPANCY_REL_ERROR = 12 * 2.0 ** -53
+
+# Largest k of the double-precision pass: every k up to it is a double.
+OCCUPANCY_K_LIMIT = 2 ** 53
+
+# Below this probability (1 - (1-p)^k) / p is taken as k.
+_FIRST_ORDER_P = 2.0 ** -1000
+
+
+@dataclass(frozen=True)
+class Occupancy:
+    distinct: object     # E[N_k], an mpf holding a double-precision value
+    coverage: object     # E[P_k], an mpf: alpha_2 times a double, never underflows
+    exponential: float   # sum c_i * (1 - exp(-p_i k)), the O(1)-error form
+
+
+def occupancy(u: UrnModel, k: int) -> Occupancy:
+    """Distinct urns, coverage and the exponential form after k throws, in one
+    double-precision pass over the classes.  Occupied weight is mu * coverage.
+
+    With p_i = P_i / D over the common denominator D, each term is a weight
+    correctly rounded from exact integers times g_i = (1 - (1-p_i)^k) / p_i,
+    which lies in [1, k] for k >= 1:
+    - distinct   = sum w_i g_i,          w_i = c_i P_i / D;
+    - coverage   = alpha_2 * sum b_i g_i, b_i = c_i P_i^2 / (alpha_2 D^2), so
+      the sum is at least 1 and the exact alpha_2 carries the scale;
+    - exponential = sum w_i (1 - exp(-k p_i)) / p_i.
+    g_i is -expm1(k log1p(-p_i)) / p_i, with log((D - P_i) / D) in place of
+    log1p(-p_i) once p_i > 1/2, so p_i near 1 loses nothing.  Below
+    p_i = 2^-1000, g_i = k, within a relative k * p_i < 2^-947.
+
+    Error bound.  With log1p, log and expm1 within one ulp, each term is
+    within a relative 10 * 2^-53 of its value: the weight, p_i and
+    (D - P_i) / D round once each; 1 - (1-p)^k has condition number at most
+    1 in p, in 1 - p (for p > 1/2) and in k log(1-p), so the rounding of p,
+    of the log and of the product by k passes on at most its own size; expm1,
+    the division and the product round once each (the exponential form
+    likewise, with k p in place of the log).  Every term is nonnegative, so
+    math.fsum keeps the sum within 11 * 2^-53, and one more rounding (to a
+    double, or of alpha_2 to 40 digits) stays within OCCUPANCY_REL_ERROR =
+    12 * 2^-53 (1.3e-15) of the exact value.  k may not exceed
+    OCCUPANCY_K_LIMIT.
+    """
+    if not 0 <= k <= OCCUPANCY_K_LIMIT:
+        raise ValueError(f"k must lie in [0, 2^53] for the occupancy pass, got {k}")
+    scale, nums = _scaled_probabilities(u)
+    counts = [c.count * num for c, num in zip(u.classes, nums)]  # c_i P_i
+    moment2 = sum(cp * num for cp, num in zip(counts, nums))     # alpha_2 * D^2
+    distinct, coverage, exponential = [], [], []
+    for cp, num in zip(counts, nums):
+        p = num / scale
+        if k == 0:
+            g = e = 0.0
+        elif p < _FIRST_ORDER_P:
+            g = e = float(k)
+        else:
+            if p <= 0.5:
+                log_miss = math.log1p(-p)
+            else:
+                miss = (scale - num) / scale
+                log_miss = math.log(miss) if miss else -math.inf
+            g = -math.expm1(k * log_miss) / p
+            e = -math.expm1(-k * p) / p
+        weight = cp / scale
+        distinct.append(weight * g)
+        coverage.append(cp * num / moment2 * g)
+        exponential.append(weight * e)
+    with mp.workdps(FLOAT_DPS):
+        return Occupancy(mp.mpf(math.fsum(distinct)),
+                         mp.mpf(math.fsum(coverage)) * moment2 / scale ** 2,
+                         math.fsum(exponential))
+
+
+def _occupancy_sum(u, k, power, factor, exact, occ=None):
     """factor * sum over classes of c_i * p_i^power * (1 - (1-p_i)^k), power 0 or 1.
 
-    One route serves every class.  Exact: with p_i = P_i/D over the common
-    denominator D, the sum is one integer numerator over D^(k+power), using
-    sum c_i P_i^power = m (power 0) or D (power 1).  Float: one_minus_pow at
-    40 digits per class.
+    Exact: with p_i = P_i/D over the common denominator D, the sum is one
+    integer numerator over D^(k+power), using sum c_i P_i^power = m (power 0)
+    or D (power 1); a Fraction.  Float: the double-precision pass `occupancy`,
+    within OCCUPANCY_REL_ERROR, as a 40-digit mpf; `occ` is that pass when
+    the caller already has it.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -146,25 +226,23 @@ def _occupancy_sum(u, k, power, factor, exact):
         missed = sum(c.count * num ** power * (scale - num) ** k
                      for c, num in zip(u.classes, nums))
         return factor * Fraction(hit - missed, scale ** (k + power))
+    if occ is None:
+        occ = occupancy(u, k)
     with mp.workdps(FLOAT_DPS):
-        return sum(to_mpf(factor * c.count * c.probability ** power)
-                   * one_minus_pow(c.probability, k, False) for c in u.classes)
+        return to_mpf(factor) * (occ.coverage if power else occ.distinct)
 
 
 @dataclass(frozen=True)
 class Expectation:
-    value: object        # Fraction under the exact policy, mpf otherwise
+    value: object        # Fraction on the exact route, mpf from `occupancy` otherwise
     exponential: float   # sum c_i * (1 - exp(-p_i k)), the O(1)-error form
 
 
 def expected_distinct(u: UrnModel, k: int, *, exact: bool | None = None) -> Expectation:
     """Expected number of distinct urns hit by k throws, plus the exponential
     approximation (which carries an O(1) absolute error)."""
-    value = _occupancy_sum(u, k, 0, 1, exact)
-    with mp.workdps(FLOAT_DPS):
-        approx = float(sum(to_mpf(c.count) * (-mp.expm1(-to_mpf(c.probability) * k))
-                           for c in u.classes))
-    return Expectation(value, approx)
+    occ = occupancy(u, k)
+    return Expectation(_occupancy_sum(u, k, 0, 1, exact, occ), occ.exponential)
 
 
 def expected_coverage(u: UrnModel, k: int, *, exact: bool | None = None):

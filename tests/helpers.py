@@ -4,8 +4,8 @@ Everything here is deliberately independent of the implementation paths it
 checks: expectations are computed by exhaustive enumeration over outcome
 sequences, absorbing-chain linear algebra on subsets, or direct generation
 and filtering of words.  The routes that faster code replaced stay here as
-oracles: the Fraction count table, the 45-digit birthday quadrature and the
-per-class occupancy sum.
+oracles: the Fraction count table, the 45-digit birthday quadrature, and the
+40-digit per-class occupancy sums and exponential form.
 """
 
 from fractions import Fraction
@@ -133,6 +133,13 @@ def occupancy_sum_per_class(u, k, coeff, exact=None):
         return sum((f * v for f, v in terms), Fraction(0))
     with mp.workdps(40):
         return sum(to_mpf(f) * to_mpf(v) for f, v in terms)
+
+
+def exponential_per_class(u, k):
+    """sum c_i * (1 - exp(-p_i k)) at 40 digits, one expm1 per class."""
+    with mp.workdps(40):
+        return mp.fsum(c.count * -mp.expm1(-to_mpf(c.probability) * k)
+                       for c in u.classes)
 
 
 def oracle_birthday(u):

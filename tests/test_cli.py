@@ -1,9 +1,13 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from weightedgen.cli import main
+
+# stdout of report commands, pinned byte for byte
+GOLDEN = Path(__file__).parent / "data" / "cli_golden"
 
 
 def run_cli(*argv, env=None, monkeypatch=None):
@@ -102,6 +106,18 @@ def test_asymptotics_refuses_exact_precision():
                              "--n-terms", "96", "--precision", "exact")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "floatBITS" in err
+
+
+@pytest.mark.parametrize("precision, refused", [("float64", True), ("float127", True),
+                                               ("float128", False)])
+def test_asymptotics_precision_floor(precision, refused):
+    code, out, err = run_cli("asymptotics", "--builtin", "motzkin",
+                             "--n-terms", "96", "--precision", precision)
+    if refused:
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "128" in err
+    else:
+        assert code == 0 and out.startswith("rho")
 
 
 def test_asymptotics_collision_comparison():
@@ -221,3 +237,14 @@ def test_figure_outputs_deterministic():
     a = run_cli("figure", "2", "--k", "10", "--n-min", "3", "--n-max", "4")
     b = run_cli("figure", "2", "--k", "10", "--n-min", "3", "--n-max", "4")
     assert a == b
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("rna_n80_k1000", ("rna", "--n", "80", "--k", "1000")),
+    ("rna_sweep_2_40_k100", ("rna", "--sweep", "2..40", "--k", "100")),
+    ("figure2_nmax20", ("figure", "2", "--n-max", "20")),
+])
+def test_cli_stdout_golden(name, argv):
+    code, out, err = run_cli(*argv)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / f"{name}.txt").read_text()

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from weightedgen import (SamplerState, build_counts, enumerate_words,
+                         expected_coverage, expected_distinct, from_spectrum,
                          normalize, sample_word, weight_spectrum)
 from weightedgen import rna
+from weightedgen.urns import OCCUPANCY_REL_ERROR
 from helpers import motzkin_words, plateau_profile, secondary_structures
 
 WATERMAN = [1, 1, 1, 2, 4, 8, 17, 37, 82, 185, 423, 978, 2283]
@@ -231,6 +233,17 @@ def test_coverage_rows_shape():
         assert k == 50
         assert 0 <= cov <= 1
         assert 0 <= frac <= 1
+
+
+def test_coverage_rows_match_exact_route():
+    model = rna.RnaModel(theta=1, pair_energy=-1.0)
+    k = 100
+    for n, _, cov, frac in rna.coverage_rows(model, k, range(2, 41)):
+        u = from_spectrum(rna.pair_spectrum(n, 1, model.w))
+        exact_cov = float(expected_coverage(u, k, exact=True))
+        exact_frac = float(expected_distinct(u, k, exact=True).value / k)
+        assert abs(cov - exact_cov) <= OCCUPANCY_REL_ERROR * exact_cov, n
+        assert abs(frac - exact_frac) <= OCCUPANCY_REL_ERROR * exact_frac, n
 
 
 def test_invalid_model_parameters():

@@ -3,20 +3,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
 from weightedgen import (ReportEntry, SamplerState, birthday_asymptotic,
                          birthday_exact, build_counts, coupon_bounds,
                          coupon_uniform_exact, coverage_first_order,
                          expected_coverage, expected_distinct,
                          expected_occupied_weight, from_spectrum, from_weights,
-                         normalize, simulate, standard_report, uniform_urns,
-                         weight_spectrum, xi_estimate)
+                         normalize, occupancy, simulate, standard_report,
+                         uniform_urns, weight_spectrum, xi_estimate)
 from weightedgen import urns as urns_module
-from weightedgen.numerics import exact_pow_affordable
-from weightedgen.urns import FULL_COLLECTION_CAP, QuadratureError, SimResult, alpha
-from helpers import (mp_birthday, occupancy_sum_per_class, oracle_birthday,
-                     oracle_birthday_uniform, oracle_coupon, oracle_occupancy,
-                     expand_urns, random_urn_model, urn_model)
+from weightedgen.numerics import exact_pow_affordable, to_mpf
+from weightedgen.urns import (FULL_COLLECTION_CAP, OCCUPANCY_K_LIMIT,
+                              OCCUPANCY_REL_ERROR, QuadratureError, SimResult,
+                              alpha)
+from helpers import (exponential_per_class, mp_birthday, occupancy_sum_per_class,
+                     oracle_birthday, oracle_birthday_uniform, oracle_coupon,
+                     oracle_occupancy, expand_urns, random_urn_model, urn_model)
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +163,35 @@ def test_mixed_routes_sum_in_floats():
     value = expected_distinct(u, k).value
     assert not isinstance(value, Fraction)
     oracle = occupancy_sum_per_class(u, k, lambda c: c.count)
-    assert abs(value - oracle) <= 1e-35 * oracle
+    assert abs(value - oracle) <= OCCUPANCY_REL_ERROR * oracle
+
+
+@pytest.mark.parametrize("u", [uniform_urns(10 ** 400),
+                               urn_model([(1, 10 ** 400), (10 ** 420, 1)]),
+                               uniform_urns(1)],
+                         ids=["uniform_1e400", "dominant_beside_1e400", "single"])
+@pytest.mark.parametrize("k", [0, 1, 1000, 10 ** 12])
+def test_occupancy_within_bound_of_per_class_oracle(u, k):
+    # p = 10^-400 underflows a double and c = 10^400 overflows one; p = 1 has
+    # no log1p(-p); the dominant urn's p rounds to 1.0 as a double
+    occ = occupancy(u, k)
+    oracles = ((occ.distinct, occupancy_sum_per_class(u, k, lambda c: c.count, False)),
+               (occ.coverage, occupancy_sum_per_class(
+                   u, k, lambda c: c.count * c.probability, False)),
+               (occ.exponential, exponential_per_class(u, k)))
+    with mp.workdps(40):
+        for value, oracle in oracles:
+            oracle = to_mpf(oracle)
+            assert abs(to_mpf(value) - oracle) <= OCCUPANCY_REL_ERROR * oracle
+            assert (value == 0) == (k == 0)
+
+
+def test_occupancy_refuses_k_beyond_doubles():
+    u = uniform_urns(3)
+    assert occupancy(u, OCCUPANCY_K_LIMIT).distinct == 3
+    for k in (-1, OCCUPANCY_K_LIMIT + 1):
+        with pytest.raises(ValueError, match="occupancy pass"):
+            occupancy(u, k)
 
 
 def test_birthday_classic_365():
