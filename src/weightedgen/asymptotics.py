@@ -299,23 +299,26 @@ class CollisionEstimates:
     plug_in: float        # from exact totals at this n
     fitted: float         # from the fitted singularity constants
     relative_gap: float
-    agree: bool           # within 5%
+    agree: bool           # gap within COLLISION_GAP_TOLERANCE
+
+
+# Largest relative gap at which the two first-collision estimates agree.
+COLLISION_GAP_TOLERANCE = 0.05
 
 
 def collision_estimates(grammar, weights=None, n: int = 0, *,
-                        n_terms: int = 256, precision: int = 256,
-                        tolerance: float = 0.05) -> CollisionEstimates:
+                        n_terms: int = 256, precision: int = 256) -> CollisionEstimates:
     """Both first-collision estimates side by side.
 
     The finite-n plug-in and the fitted asymptote describe the same curve, so
-    a gap beyond the tolerance flags either a short coefficient tail or an n
-    too small for the asymptotic regime.
+    a gap beyond COLLISION_GAP_TOLERANCE flags either a short coefficient tail
+    or an n too small for the asymptotic regime.
     """
     plug = collision_envelope(grammar, weights, n)
     fitted = growth_gamma(grammar, weights, n_terms=n_terms,
                           precision=precision).collision_asymptote(n)
     gap = abs(fitted - plug) / plug
-    return CollisionEstimates(plug, fitted, gap, gap <= tolerance)
+    return CollisionEstimates(plug, fitted, gap, gap <= COLLISION_GAP_TOLERANCE)
 
 
 def collision_envelope(grammar, weights=None, n: int = 0) -> float:

@@ -1,4 +1,5 @@
-"""Shared numeric helpers: exact rationals, high-precision floats, harmonic numbers."""
+"""Shared numeric helpers: exact rationals, high-precision floats, and
+harmonic numbers from `harmonic`, the only reader of HARMONIC_EXACT_LIMIT."""
 
 from __future__ import annotations
 
@@ -75,23 +76,13 @@ def one_minus_pow(p: Fraction, k: int, exact: bool | None = None):
         return -mp.expm1(k * mp.log1p(to_mpf(-p)))
 
 
-def harmonic_exact(m: int) -> Fraction:
-    """H_m as an exact fraction; refuses silly sizes."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m > HARMONIC_EXACT_LIMIT:
-        raise ValueError(f"exact harmonic number for m={m} is impractical")
-    return sum((Fraction(1, j) for j in range(1, m + 1)), Fraction(0))
-
-
-def harmonic_real(m):
-    """H_m via mpmath (psi-based), valid for astronomically large m."""
-    with mp.workdps(FLOAT_DPS):
-        return mp.harmonic(to_mpf(m))
-
-
-def harmonic_diff(hi, lo):
-    """H_hi - H_lo for 0 <= lo <= hi, either exact or via mpmath."""
+def harmonic(hi: int, lo: int = 0):
+    """H_hi - H_lo for 0 <= lo <= hi, the one place that picks the route of a
+    harmonic number: an exact Fraction up to hi = HARMONIC_EXACT_LIMIT, a
+    40-digit mpf beyond (mpmath's digamma-based H, valid for astronomically
+    large hi), within an absolute 10^-39 * H_hi."""
+    if not 0 <= lo <= hi:
+        raise ValueError(f"harmonic difference needs 0 <= lo <= hi, got {lo}, {hi}")
     if hi <= HARMONIC_EXACT_LIMIT:
         return sum((Fraction(1, j) for j in range(lo + 1, hi + 1)), Fraction(0))
     with mp.workdps(FLOAT_DPS):

@@ -13,6 +13,7 @@ spectra in polynomial time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -28,6 +29,9 @@ from .numerics import rational_from_real
 R_KCAL = 0.0019872
 DEFAULT_RT = 0.6163
 
+# Significant digits of the rational snapshot of a pair weight.
+PAIR_WEIGHT_DIGITS = 30
+
 OPEN, CLOSE, DOT = "(", ")", "."
 
 
@@ -36,8 +40,9 @@ class RootBracketError(RuntimeError):
 
 
 def pair_weight(energy: float, rt: float = DEFAULT_RT, *,
-                invert_sign: bool = True, digits: int = 30) -> Fraction:
-    """Boltzmann weight of one base pair, as a rational snapshot.
+                invert_sign: bool = True) -> Fraction:
+    """Boltzmann weight of one base pair, as a rational snapshot of
+    PAIR_WEIGHT_DIGITS significant digits.
 
     Stabilizing energies are negative; with invert_sign the weight is
     exp(-energy/RT) > 1, so more stable structures are sampled more often
@@ -47,9 +52,9 @@ def pair_weight(energy: float, rt: float = DEFAULT_RT, *,
     if rt <= 0:
         raise ValueError("RT must be positive")
     sign = -1 if invert_sign else 1
-    with mp.workdps(digits + 15):
+    with mp.workdps(PAIR_WEIGHT_DIGITS + 15):
         w = mp.e ** (sign * mp.mpf(repr(energy)) / mp.mpf(repr(rt)))
-    return rational_from_real(w, digits)
+    return rational_from_real(w, PAIR_WEIGHT_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,6 @@ class RnaModel:
     pair_energy: float = -1.0
     rt: float = DEFAULT_RT
     invert_sign: bool = True
-    digits: int = 30
 
     def __post_init__(self):
         if self.theta < 1:
@@ -66,8 +70,7 @@ class RnaModel:
 
     @property
     def w(self) -> Fraction:
-        return pair_weight(self.pair_energy, self.rt,
-                           invert_sign=self.invert_sign, digits=self.digits)
+        return pair_weight(self.pair_energy, self.rt, invert_sign=self.invert_sign)
 
 
 def rna_grammar(theta: int, w=Fraction(1)) -> WeightedGrammar:
@@ -151,6 +154,7 @@ def rna_series(w, theta: int, n: int) -> list:
     return out
 
 
+@functools.cache
 def rna_rho(w, theta: int) -> float:
     """Smallest root of the discriminant in (0, 1): the dominant singularity.
 
@@ -158,7 +162,8 @@ def rna_rho(w, theta: int) -> float:
     real candidate is polished by Newton iteration at high precision.  Plain
     grid bracketing is hopeless here: for strong pair weights the discriminant
     dips below zero only on an interval narrower than any reasonable grid
-    step.  z=1 is always a (double) root and is excluded.
+    step.  z=1 is always a (double) root and is excluded.  The root depends
+    on (w, theta) only, so it is memoized.
     """
     coeffs = rna_delta(w, theta)
     # z=1 is always a double root of the discriminant; deflating it exactly
@@ -305,6 +310,7 @@ def coverage_rows(model: RnaModel, k: int, n_values) -> list:
     w = model.w
     rows = []
     for n in n_values:
-        occ = urns.occupancy(urns.from_spectrum(pair_spectrum(n, model.theta, w)), k)
+        occ = urns.occupancy(urns.from_spectrum(pair_spectrum(n, model.theta, w)), k,
+                             exact=False)
         rows.append((n, k, float(occ.coverage), float(occ.distinct) / k if k else 0.0))
     return rows

@@ -13,11 +13,11 @@ classes, sum c_i * p_i = 1).  The closed forms implemented here:
     full collection (general)      1/p_1 <= E[C] <= 2 * H_m / p_1,
                                    estimate Xi = sum over urn ranks 1/(i * p_i)
 
-Everything with a closed form is computed exactly on rationals when the power
-(1-p)^k stays below a bit-size budget.  Beyond it, distinct urns, coverage and
-occupied weight come from one double-precision pass over the classes
-(`occupancy`), within a relative OCCUPANCY_REL_ERROR = 12 * 2^-53 of the
-exact value.
+`occupancy` alone chooses the route of distinct urns, coverage and occupied
+weight: exact rationals while every power (1-p)^k stays below a bit-size
+budget, else one double-precision pass over the classes, within a relative
+OCCUPANCY_REL_ERROR = 12 * 2^-53.  H_m is exact or 40-digit as
+`numerics.harmonic` returns it.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ import numpy as np
 from mpmath import mp
 
 from .counting import build_counts
-from .numerics import (DEFAULT_SEED, FLOAT_DPS, HARMONIC_EXACT_LIMIT,
-                       exact_pow_affordable, harmonic_diff, harmonic_exact,
-                       harmonic_real, log2log2, substream_seed, to_mpf)
+from .numerics import (DEFAULT_SEED, FLOAT_DPS, exact_pow_affordable, harmonic,
+                       log2log2, substream_seed, to_mpf)
 # Unused here; the benchmark's self-test still expects the binding (bench/spans.py
 # traces one_minus_pow in every module that imports it).
 from .numerics import one_minus_pow  # noqa: F401
@@ -145,18 +144,23 @@ _FIRST_ORDER_P = 2.0 ** -1000
 
 @dataclass(frozen=True)
 class Occupancy:
-    distinct: object     # E[N_k], an mpf holding a double-precision value
-    coverage: object     # E[P_k], an mpf: alpha_2 times a double, never underflows
-    exponential: float   # sum c_i * (1 - exp(-p_i k)), the O(1)-error form
+    distinct: object         # E[N_k]: Fraction on the exact route, else an mpf of a double
+    coverage: object         # E[P_k]: Fraction on the exact route, else alpha_2 * a double
+    occupied_weight: object  # E[W_k] = mu * coverage, of the same type
+    exponential: float       # sum c_i * (1 - exp(-p_i k)), the O(1)-error form
 
 
-def occupancy(u: UrnModel, k: int) -> Occupancy:
-    """Distinct urns, coverage and the exponential form after k throws, in one
-    double-precision pass over the classes.  Occupied weight is mu * coverage.
+def occupancy(u: UrnModel, k: int, *, exact: bool | None = None) -> Occupancy:
+    """Distinct urns, coverage, occupied weight and the exponential form after
+    k throws.  Exact when every (1-p_i)^k is affordable, when forced via
+    `exact`, for k = 0 and for a single urn; else the double-precision pass,
+    which also gives the exponential form on both routes.
 
-    With p_i = P_i / D over the common denominator D, each term is a weight
-    correctly rounded from exact integers times g_i = (1 - (1-p_i)^k) / p_i,
-    which lies in [1, k] for k >= 1:
+    Exact route.  With p_i = P_i / D over the common denominator D, one power
+    (D - P_i)^k per class feeds the integer numerators of both Fractions.
+
+    Double-precision pass.  Each term is a weight correctly rounded from exact
+    integers times g_i = (1 - (1-p_i)^k) / p_i, which lies in [1, k] for k >= 1:
     - distinct   = sum w_i g_i,          w_i = c_i P_i / D;
     - coverage   = alpha_2 * sum b_i g_i, b_i = c_i P_i^2 / (alpha_2 D^2), so
       the sum is at least 1 and the exact alpha_2 carries the scale;
@@ -174,11 +178,13 @@ def occupancy(u: UrnModel, k: int) -> Occupancy:
     likewise, with k p in place of the log).  Every term is nonnegative, so
     math.fsum keeps the sum within 11 * 2^-53, and one more rounding (to a
     double, or of alpha_2 to 40 digits) stays within OCCUPANCY_REL_ERROR =
-    12 * 2^-53 (1.3e-15) of the exact value.  k may not exceed
-    OCCUPANCY_K_LIMIT.
+    12 * 2^-53 (1.3e-15) of the exact value; occupied weight is the 40-digit
+    mu times coverage.  k may not exceed OCCUPANCY_K_LIMIT on either route.
     """
     if not 0 <= k <= OCCUPANCY_K_LIMIT:
         raise ValueError(f"k must lie in [0, 2^53] for the occupancy pass, got {k}")
+    if exact is None:
+        exact = all(exact_pow_affordable(c.probability, k) for c in u.classes)
     scale, nums = _scaled_probabilities(u)
     counts = [c.count * num for c, num in zip(u.classes, nums)]  # c_i P_i
     moment2 = sum(cp * num for cp, num in zip(counts, nums))     # alpha_2 * D^2
@@ -201,35 +207,17 @@ def occupancy(u: UrnModel, k: int) -> Occupancy:
         distinct.append(weight * g)
         coverage.append(cp * num / moment2 * g)
         exponential.append(weight * e)
-    with mp.workdps(FLOAT_DPS):
-        return Occupancy(mp.mpf(math.fsum(distinct)),
-                         mp.mpf(math.fsum(coverage)) * moment2 / scale ** 2,
-                         math.fsum(exponential))
-
-
-def _occupancy_sum(u, k, power, factor, exact, occ=None):
-    """factor * sum over classes of c_i * p_i^power * (1 - (1-p_i)^k), power 0 or 1.
-
-    Exact: with p_i = P_i/D over the common denominator D, the sum is one
-    integer numerator over D^(k+power), using sum c_i P_i^power = m (power 0)
-    or D (power 1); a Fraction.  Float: the double-precision pass `occupancy`,
-    within OCCUPANCY_REL_ERROR, as a 40-digit mpf; `occ` is that pass when
-    the caller already has it.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if exact is None:
-        exact = all(exact_pow_affordable(c.probability, k) for c in u.classes)
     if exact or k == 0 or u.p_max == 1:
-        scale, nums = _scaled_probabilities(u)
-        hit = (u.m if power == 0 else scale) * scale ** k
-        missed = sum(c.count * num ** power * (scale - num) ** k
-                     for c, num in zip(u.classes, nums))
-        return factor * Fraction(hit - missed, scale ** (k + power))
-    if occ is None:
-        occ = occupancy(u, k)
+        hit = scale ** k
+        missed = [c.count * (scale - num) ** k for c, num in zip(u.classes, nums)]
+        cov = Fraction(scale * hit - sum(cm * num for cm, num in zip(missed, nums)),
+                       scale * hit)
+        return Occupancy(Fraction(u.m * hit - sum(missed), hit), cov, u.mu * cov,
+                         math.fsum(exponential))
     with mp.workdps(FLOAT_DPS):
-        return to_mpf(factor) * (occ.coverage if power else occ.distinct)
+        cov = mp.mpf(math.fsum(coverage)) * moment2 / scale ** 2
+        return Occupancy(mp.mpf(math.fsum(distinct)), cov, to_mpf(u.mu) * cov,
+                         math.fsum(exponential))
 
 
 @dataclass(frozen=True)
@@ -241,32 +229,36 @@ class Expectation:
 def expected_distinct(u: UrnModel, k: int, *, exact: bool | None = None) -> Expectation:
     """Expected number of distinct urns hit by k throws, plus the exponential
     approximation (which carries an O(1) absolute error)."""
-    occ = occupancy(u, k)
-    return Expectation(_occupancy_sum(u, k, 0, 1, exact, occ), occ.exponential)
+    occ = occupancy(u, k, exact=exact)
+    return Expectation(occ.distinct, occ.exponential)
 
 
 def expected_coverage(u: UrnModel, k: int, *, exact: bool | None = None):
     """Expected cumulated probability of the distinct urns hit by k throws."""
-    return _occupancy_sum(u, k, 1, 1, exact)
+    return occupancy(u, k, exact=exact).coverage
 
 
 def expected_occupied_weight(u: UrnModel, k: int, *, exact: bool | None = None):
     """Expected total unnormalized weight of the occupied urns; equals
     mu * expected_coverage."""
-    return _occupancy_sum(u, k, 1, u.mu, exact)
+    return occupancy(u, k, exact=exact).occupied_weight
+
+
+# Largest k * p_max at which the first-order coverage k * alpha_2 counts as valid.
+FIRST_ORDER_THRESHOLD = 0.01
 
 
 @dataclass(frozen=True)
 class FirstOrderCoverage:
     value: Fraction      # k * alpha_2
-    valid: bool          # False once k * p_max exceeds the threshold
+    valid: bool          # False once k * p_max exceeds FIRST_ORDER_THRESHOLD
     k_p_max: Fraction
 
 
-def coverage_first_order(u: UrnModel, k: int, *, threshold: float = 0.01) -> FirstOrderCoverage:
+def coverage_first_order(u: UrnModel, k: int) -> FirstOrderCoverage:
     """First-order coverage estimate k * alpha_2, valid only while k*p_max is small."""
     kp = k * u.p_max
-    return FirstOrderCoverage(k * alpha(u, 2), kp <= threshold, kp)
+    return FirstOrderCoverage(k * alpha(u, 2), kp <= FIRST_ORDER_THRESHOLD, kp)
 
 
 # ---------------------------------------------------------------------------
@@ -414,29 +406,26 @@ def birthday_asymptotic(u: UrnModel) -> float:
 
 def coupon_uniform_exact(m: int):
     """Expected full-collection time m * H_m for m equiprobable urns: a
-    Fraction up to HARMONIC_EXACT_LIMIT urns, a 40-digit float beyond."""
-    if m <= HARMONIC_EXACT_LIMIT:
-        return m * harmonic_exact(m)
-    return float(m * harmonic_real(m))
+    Fraction while `harmonic` is exact, a float from its 40-digit H_m beyond."""
+    h_m = harmonic(m)
+    return m * h_m if isinstance(h_m, Fraction) else float(m * h_m)
 
 
 def xi_estimate(u: UrnModel):
     """Xi = sum over urn ranks i (nondecreasing p) of 1/(i * p_i).
 
     Computed per class via harmonic-number differences, so models with
-    astronomically many urns never get materialized.  Exact for small m.
+    astronomically many urns never get materialized.  Exact while H_m is.
     """
-    start = 0
-    total = Fraction(0) if u.m <= HARMONIC_EXACT_LIMIT else mp.mpf(0)
-    for c in u.classes:
-        end = start + c.count
-        h = harmonic_diff(end, start)
-        if isinstance(total, Fraction) and isinstance(h, Fraction):
-            total += h / c.probability
-        else:
-            with mp.workdps(FLOAT_DPS):
-                total = to_mpf(total) + to_mpf(h) / to_mpf(c.probability)
-        start = end
+    ends = list(itertools.accumulate(c.count for c in u.classes))
+    terms = [(harmonic(end, end - c.count), c.probability)
+             for c, end in zip(u.classes, ends)]
+    if isinstance(terms[-1][0], Fraction):
+        return sum((h / p for h, p in terms), Fraction(0))
+    total = mp.mpf(0)
+    with mp.workdps(FLOAT_DPS):
+        for h, p in terms:
+            total = total + to_mpf(h) / to_mpf(p)
     return total
 
 
@@ -458,12 +447,9 @@ def coupon_bounds(u: UrnModel) -> CouponBounds:
     """
     p1 = u.p_min
     lower = 1 / p1
-    if u.m <= HARMONIC_EXACT_LIMIT:
-        h_m = harmonic_exact(u.m)
-        upper = 2 * h_m / p1
-    else:
-        with mp.workdps(FLOAT_DPS):
-            upper = 2 * harmonic_real(u.m) / to_mpf(p1)
+    h_m = harmonic(u.m)
+    with mp.workdps(FLOAT_DPS):
+        upper = 2 * h_m / (p1 if isinstance(h_m, Fraction) else to_mpf(p1))
     xi = xi_estimate(u)
     berenbrink = None
     if u.m >= 3:
@@ -675,17 +661,16 @@ def standard_report(u: UrnModel, *, n: int | None = None,
                                    value=coupon_uniform_exact(u.m),
                                    n=n, note="uniform m*H_m"))
     if k is not None:
-        d = expected_distinct(u, k)
-        entries.append(ReportEntry("distinct", "exact", value=d.value, n=n, k=k))
-        entries.append(ReportEntry("distinct", "asymptotic", value=d.exponential,
+        occ = occupancy(u, k)
+        entries.append(ReportEntry("distinct", "exact", value=occ.distinct, n=n, k=k))
+        entries.append(ReportEntry("distinct", "asymptotic", value=occ.exponential,
                                    n=n, k=k, note="exponential form, O(1) error"))
-        entries.append(ReportEntry("coverage", "exact",
-                                   value=expected_coverage(u, k), n=n, k=k))
+        entries.append(ReportEntry("coverage", "exact", value=occ.coverage, n=n, k=k))
         fo = coverage_first_order(u, k)
         entries.append(ReportEntry("coverage", "first_order", value=fo.value,
                                    n=n, k=k,
                                    note="valid" if fo.valid else
                                    f"invalid: k*p_max={_fmt_number(fo.k_p_max)}"))
         entries.append(ReportEntry("occupied_weight", "exact",
-                                   value=expected_occupied_weight(u, k), n=n, k=k))
+                                   value=occ.occupied_weight, n=n, k=k))
     return AnalyticsReport(tuple(entries))

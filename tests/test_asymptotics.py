@@ -10,7 +10,7 @@ from weightedgen import (birthday_asymptotic, build_counts, check_conditions,
                          from_spectrum, growth_gamma, normalize, parse_grammar,
                          weight_spectrum)
 from weightedgen.asymptotics import InsufficientData
-from weightedgen.numerics import harmonic_exact
+from weightedgen.numerics import harmonic
 
 
 def synthetic(a, b, n_terms=512):
@@ -113,7 +113,7 @@ def test_collision_envelope_identity(motzkin_h2_norm):
 def test_collection_envelope_uniform(motzkin_norm):
     env = collection_envelope(motzkin_norm, None, 6, n_terms=256, precision=192)
     # enumeration gives 51 words of length 6
-    assert env.uniform_exact == 51 * harmonic_exact(51)
+    assert env.uniform_exact == 51 * harmonic(51)
     assert env.lower <= float(env.uniform_exact) <= env.upper
 
 

@@ -243,6 +243,18 @@ def test_figure_outputs_deterministic():
     ("rna_n80_k1000", ("rna", "--n", "80", "--k", "1000")),
     ("rna_sweep_2_40_k100", ("rna", "--sweep", "2..40", "--k", "100")),
     ("figure2_nmax20", ("figure", "2", "--n-max", "20")),
+    # occupancy on the exact route
+    ("analyze_motzkin_w2_n22_k1000", ("analyze", "--builtin", "motzkin", "--weight",
+                                      ".=2", "--n", "22", "--k", "1000")),
+    # occupancy on the double-precision route
+    ("analyze_motzkin_w3_n30_k10000_csv", ("analyze", "--builtin", "motzkin", "--weight",
+                                           ".=3", "--n", "30", "--k", "10000",
+                                           "--format", "csv")),
+    # m = 15511 equal weights: H_m beyond the exact harmonic limit
+    ("analyze_motzkin_n12_k1000", ("analyze", "--builtin", "motzkin", "--n", "12",
+                                   "--k", "1000")),
+    # the rank-harmonic estimate crosses the exact harmonic limit
+    ("figure1_nmax40", ("figure", "1", "--n-max", "40")),
 ])
 def test_cli_stdout_golden(name, argv):
     code, out, err = run_cli(*argv)

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from weightedgen.numerics import (harmonic_diff, harmonic_exact, harmonic_real,
-                                  one_minus_pow, rational_from_real,
-                                  substream_seed)
+from mpmath import mp
+
+from weightedgen.numerics import (HARMONIC_EXACT_LIMIT, harmonic, one_minus_pow,
+                                  rational_from_real, substream_seed)
 
 
 def test_one_minus_pow_small_exact():
@@ -29,11 +30,24 @@ def test_one_minus_pow_tiny_p_no_cancellation():
 
 
 def test_harmonic_variants_agree():
-    assert harmonic_exact(3) == Fraction(11, 6)
-    assert abs(float(harmonic_real(3)) - 11 / 6) < 1e-20
-    assert harmonic_diff(5, 2) == Fraction(1, 3) + Fraction(1, 4) + Fraction(1, 5)
-    big = harmonic_diff(10 ** 15 + 10, 10 ** 15)
+    assert harmonic(3) == Fraction(11, 6)
+    assert harmonic(0) == 0
+    assert harmonic(5, 2) == Fraction(1, 3) + Fraction(1, 4) + Fraction(1, 5)
+    assert harmonic(HARMONIC_EXACT_LIMIT, 4990) == \
+        sum(Fraction(1, j) for j in range(4991, HARMONIC_EXACT_LIMIT + 1))
+    big = harmonic(10 ** 15 + 10, 10 ** 15)
     assert abs(float(big) - 10 / 10 ** 15) < 1e-25
+    # lo <= HARMONIC_EXACT_LIMIT < hi takes the float route, within 10^-39 * H_hi
+    for hi, lo in ((HARMONIC_EXACT_LIMIT + 1, 0), (HARMONIC_EXACT_LIMIT + 10, 4990)):
+        value = harmonic(hi, lo)
+        assert isinstance(value, mp.mpf)
+        with mp.workdps(60):
+            oracle = mp.fsum(mp.mpf(1) / j for j in range(lo + 1, hi + 1))
+            h_hi = mp.fsum(mp.mpf(1) / j for j in range(1, hi + 1))
+            assert abs(value - oracle) <= mp.mpf(10) ** -39 * h_hi
+    for hi, lo in ((-1, 0), (3, 4), (3, -1)):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            harmonic(hi, lo)
 
 
 def test_rational_from_real_precision():

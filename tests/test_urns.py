@@ -73,8 +73,10 @@ def test_coverage_first_order():
     fo = coverage_first_order(two, 1)
     assert fo.value == Fraction(5, 9)
     assert fo.value == expected_coverage(two, 1)
-    assert not fo.valid  # k * p_max = 2/3 over the default threshold
-    assert coverage_first_order(two, 1, threshold=0.7).valid
+    assert not fo.valid  # k * p_max = 2/3 over the threshold
+    fo = coverage_first_order(uniform_urns(200), 2)  # k * p_max = 0.01
+    assert fo.valid and fo.k_p_max == Fraction(1, 100)
+    assert fo.value == Fraction(1, 100)
 
 
 def test_occupied_weight_reductions(motzkin_h2_urns):
@@ -98,6 +100,8 @@ def test_occupancy_oracle_exact_equality():
             assert expected_distinct(u, k, exact=True).value == dn
             assert expected_coverage(u, k, exact=True) == cov
             assert expected_occupied_weight(u, k, exact=True) == wt
+            occ = occupancy(u, k, exact=True)
+            assert (occ.distinct, occ.coverage, occ.occupied_weight) == (dn, cov, wt)
 
 
 def test_rescaling_invariance():
@@ -174,7 +178,7 @@ def test_mixed_routes_sum_in_floats():
 def test_occupancy_within_bound_of_per_class_oracle(u, k):
     # p = 10^-400 underflows a double and c = 10^400 overflows one; p = 1 has
     # no log1p(-p); the dominant urn's p rounds to 1.0 as a double
-    occ = occupancy(u, k)
+    occ = occupancy(u, k, exact=False)
     oracles = ((occ.distinct, occupancy_sum_per_class(u, k, lambda c: c.count, False)),
                (occ.coverage, occupancy_sum_per_class(
                    u, k, lambda c: c.count * c.probability, False)),
@@ -188,10 +192,32 @@ def test_occupancy_within_bound_of_per_class_oracle(u, k):
 
 def test_occupancy_refuses_k_beyond_doubles():
     u = uniform_urns(3)
-    assert occupancy(u, OCCUPANCY_K_LIMIT).distinct == 3
+    assert occupancy(u, OCCUPANCY_K_LIMIT, exact=False).distinct == 3
     for k in (-1, OCCUPANCY_K_LIMIT + 1):
-        with pytest.raises(ValueError, match="occupancy pass"):
-            occupancy(u, k)
+        for exact in (True, False):
+            with pytest.raises(ValueError, match="occupancy pass"):
+                occupancy(u, k, exact=exact)
+
+
+@pytest.mark.parametrize("u, k, route", [
+    (urn_model([(1, 3), (4, 1)]), 5, Fraction),
+    (urn_model([(1, 20_000), (3, 50)]), 10_000, mp.mpf),
+    (urn_model([(1, 20_000), (2_000, 1)]), 10_000, mp.mpf),  # one class affordable
+    (urn_model([(1, 20_000), (2_000, 1)]), 0, Fraction),
+    (uniform_urns(1), 10 ** 12, Fraction),
+], ids=["exact", "float", "mixed", "k=0", "single"])
+def test_report_occupancy_rows_equal_expectations(u, k, route):
+    rows = {(e.statistic, e.method): e.value
+            for e in standard_report(u, k=k).entries
+            if e.statistic in ("distinct", "coverage", "occupied_weight")}
+    d = expected_distinct(u, k)
+    assert rows == {("distinct", "exact"): d.value,
+                    ("distinct", "asymptotic"): d.exponential,
+                    ("coverage", "exact"): expected_coverage(u, k),
+                    ("coverage", "first_order"): coverage_first_order(u, k).value,
+                    ("occupied_weight", "exact"): expected_occupied_weight(u, k)}
+    for key in (("distinct", "exact"), ("coverage", "exact"), ("occupied_weight", "exact")):
+        assert isinstance(rows[key], route)
 
 
 def test_birthday_classic_365():
