@@ -8,6 +8,13 @@ from a log-log least-squares fit of c_n * rho^n on the tail.  Ratio errors
 decay like 1/n, so the extrapolation is Richardson/Neville in 1/n rather than
 Aitken (geometric-error) acceleration; anything cruder leaks an O(1/n) bias
 on rho that the exponent fit then amplifies by a factor of n.
+
+Every analytic reads the grammar's own weights W (reweight with
+`with_weights` before `normalize`) through `_fit_power`, the fit of the table
+for W^j: j = 1, 2, 3 for the growth base and the condition probes, j = 0 (unit
+weights) for full collection.  Only `growth_gamma` takes a tail length and
+precision; the probes fit CONDITION_TERMS = 160 terms at 192 bits, and the
+collection envelope COLLECTION_TERMS = 320 terms at 256 bits.
 """
 
 from __future__ import annotations
@@ -32,6 +39,13 @@ RATIO_DEPTH = 10
 SEPARATION_MARGIN = 1e-3
 # fewest bits of coefficient precision the ratio extrapolation can carry
 MIN_FIT_PRECISION = 128
+# lengths of the diversity probe; tail length and bits of the separation fits
+LADDER = (8, 16, 32, 64)
+CONDITION_TERMS = 160
+CONDITION_PRECISION = 192
+# tail length and bits of the full-collection fits
+COLLECTION_TERMS = 320
+COLLECTION_PRECISION = 256
 
 
 class InsufficientData(ValueError):
@@ -170,8 +184,21 @@ class GammaEstimate:
             return float(coeff * mp.power(self.gamma, n) * mp.power(n, expo))
 
 
-def growth_gamma(grammar, weights=None, *, n_terms: int = 256,
-                 precision: int = 256) -> GammaEstimate:
+def _fit_power(grammar, j: int, n_terms: int, precision: int) -> SingularityEstimate:
+    """Singularity fit of the n_terms-term table for the grammar's weights
+    raised to the power j."""
+    weights = {t: w ** j for t, w in grammar.weights.items()}
+    table = build_counts(grammar, weights, n_terms, precision)
+    return estimate_singularity(table.coefficients())
+
+
+def _log_positive(weights) -> bool:
+    """No weight below 1 and at least one above: weight vectors are equivalent
+    up to a positive constant, so the check is on this normalized form."""
+    return all(w >= 1 for w in weights.values()) and any(w > 1 for w in weights.values())
+
+
+def growth_gamma(grammar, *, n_terms: int = 256, precision: int = 256) -> GammaEstimate:
     """gamma = sqrt(rho_{W^2}) / rho_W, from two coefficient-tail estimates.
 
     gamma is the per-length growth factor of the first-collision envelope
@@ -180,19 +207,10 @@ def growth_gamma(grammar, weights=None, *, n_terms: int = 256,
     Computed unconditionally; the flags report when the regime assumptions
     (log-positive weights, clean convergence) do not hold.
     """
-    if weights is None:
-        weights = grammar.weights
-    weights = {t: Fraction(w) for t, w in weights.items()}
-    squared = {t: w ** 2 for t, w in weights.items()}
-    est_w = estimate_singularity(
-        build_counts(grammar, weights, n_terms, precision).coefficients())
-    est_w2 = estimate_singularity(
-        build_counts(grammar, squared, n_terms, precision).coefficients())
-    gamma = (est_w2.rho ** 0.5) / est_w.rho
-    log_positive = (all(w >= 1 for w in weights.values())
-                    and any(w > 1 for w in weights.values()))
-    return GammaEstimate(gamma=gamma, base=est_w, squared=est_w2,
-                         log_positive=log_positive,
+    est_w = _fit_power(grammar, 1, n_terms, precision)
+    est_w2 = _fit_power(grammar, 2, n_terms, precision)
+    return GammaEstimate(gamma=(est_w2.rho ** 0.5) / est_w.rho, base=est_w,
+                         squared=est_w2, log_positive=_log_positive(grammar.weights),
                          converged=est_w.converged and est_w2.converged)
 
 
@@ -229,33 +247,26 @@ class ConditionReport:
         ])
 
 
-def check_conditions(grammar, weights=None, *, ladder=(8, 16, 32, 64),
-                     n_terms: int = 160, precision: int = 192) -> ConditionReport:
+def check_conditions(grammar) -> ConditionReport:
     """Probe the three growth conditions behind the collision asymptotics.
 
     Only the weight positivity check is exact; the exponential-decay and
     singularity-separation probes are finite-n heuristics and labeled so.
     """
-    if weights is None:
-        weights = grammar.weights
-    weights = {t: Fraction(w) for t, w in weights.items()}
-
-    # Weight vectors are equivalent up to a positive constant, so the check is
-    # on the normalized form: no weight below 1 and at least one above it.
+    weights = grammar.weights
     below = sorted(t for t, w in weights.items() if w < 1)
-    all_unit = all(w == 1 for w in weights.values())
-    if below:
-        c2 = ConditionProbe(False, f"weights below 1 on {below}")
-    elif all_unit:
-        c2 = ConditionProbe(False, "all weights equal 1 (uniform distribution)")
-    else:
+    if _log_positive(weights):
         c2 = ConditionProbe(True, "weights normalized above 1")
+    elif below:
+        c2 = ConditionProbe(False, f"weights below 1 on {below}")
+    else:
+        c2 = ConditionProbe(False, "all weights equal 1 (uniform distribution)")
 
     # max word probability along a geometric ladder of lengths
     pts = []
-    table = build_counts(grammar, weights, max(ladder))
-    scale, highs = _extreme_row(grammar, weights, max(ladder), largest=True)
-    for n in ladder:
+    table = build_counts(grammar, None, LADDER[-1])
+    scale, highs = _extreme_row(grammar, LADDER[-1], largest=True)
+    for n in LADDER:
         total = table.total(n)
         if total == 0:
             continue
@@ -272,15 +283,10 @@ def check_conditions(grammar, weights=None, *, ladder=(8, 16, 32, 64),
                             tuple(pts))
 
     try:
-        est_base = estimate_singularity(
-            build_counts(grammar, weights, n_terms, precision).coefficients())
-        checks = []
-        for k in (2, 3):
-            powered = {t: w ** k for t, w in weights.items()}
-            est_k = estimate_singularity(
-                build_counts(grammar, powered, n_terms, precision).coefficients())
-            checks.append((k, est_base.rho ** k < est_k.rho * (1 + SEPARATION_MARGIN),
-                           est_base.rho ** k, est_k.rho))
+        rho = {j: _fit_power(grammar, j, CONDITION_TERMS, CONDITION_PRECISION).rho
+               for j in (1, 2, 3)}
+        checks = [(k, rho[1] ** k < rho[k] * (1 + SEPARATION_MARGIN), rho[1] ** k, rho[k])
+                  for k in (2, 3)]
         ok = all(c[1] for c in checks)
         detail = "; ".join(f"rho^{k}={a:.6g} vs rho_k={b:.6g}" for k, _, a, b in checks)
         c3 = ConditionProbe(ok, detail, tuple(checks))
@@ -306,29 +312,30 @@ class CollisionEstimates:
 COLLISION_GAP_TOLERANCE = 0.05
 
 
-def collision_estimates(grammar, weights=None, n: int = 0, *,
-                        n_terms: int = 256, precision: int = 256) -> CollisionEstimates:
-    """Both first-collision estimates side by side.
+def collision_estimates(grammar, n: int, gamma: GammaEstimate) -> CollisionEstimates:
+    """Both first-collision estimates at length n >= 1 side by side, the
+    fitted one from `gamma`, the grammar's `growth_gamma`.
 
     The finite-n plug-in and the fitted asymptote describe the same curve, so
     a gap beyond COLLISION_GAP_TOLERANCE flags either a short coefficient tail
     or an n too small for the asymptotic regime.
     """
-    plug = collision_envelope(grammar, weights, n)
-    fitted = growth_gamma(grammar, weights, n_terms=n_terms,
-                          precision=precision).collision_asymptote(n)
+    if n < 1:
+        raise ValueError(f"collision length must be at least 1, got {n}")
+    plug = collision_envelope(grammar, n)
+    fitted = gamma.collision_asymptote(n)
     gap = abs(fitted - plug) / plug
     return CollisionEstimates(plug, fitted, gap, gap <= COLLISION_GAP_TOLERANCE)
 
 
-def collision_envelope(grammar, weights=None, n: int = 0) -> float:
+def collision_envelope(grammar, n: int) -> float:
     """Expected first-collision time at length n: sqrt(pi / (2 * alpha_2)).
 
     alpha_2 = total(w^2) / total(w)^2 is the exact second moment of the
     length-n distribution, so the weight spectrum is never materialized.
     """
     with mp.workdps(50):
-        return float(mp.sqrt(mp.pi / (2 * to_mpf(moment(grammar, weights, 2, n)))))
+        return float(mp.sqrt(mp.pi / (2 * to_mpf(moment(grammar, 2, n)))))
 
 
 @dataclass(frozen=True)
@@ -341,8 +348,7 @@ class CollectionEnvelope:
     min_weight: Fraction
 
 
-def collection_envelope(grammar, weights=None, n: int = 0, *,
-                        n_terms: int = 320, precision: int = 256) -> CollectionEnvelope:
+def collection_envelope(grammar, n: int) -> CollectionEnvelope:
     """Asymptotic envelope of the full-collection time at length n.
 
     lower = kappa_W * rho_W^(-n) / (mu_min * n^k_W)
@@ -351,19 +357,11 @@ def collection_envelope(grammar, weights=None, n: int = 0, *,
     The logarithmic factor comes from H_{M_n} ~ n*log(1/rho_1), so it uses the
     singularity of the unweighted counting sequence, not the weighted one.
     """
-    if weights is None:
-        weights = grammar.weights
-    weights = {t: Fraction(w) for t, w in weights.items()}
-    uniform = all(w == 1 for w in weights.values())
-    est_w = estimate_singularity(
-        build_counts(grammar, weights, n_terms, precision).coefficients())
-    if uniform:
-        est_1 = est_w
-    else:
-        ones = {t: Fraction(1) for t in weights}
-        est_1 = estimate_singularity(
-            build_counts(grammar, ones, n_terms, precision).coefficients())
-    mu_min = extreme_weights(grammar, weights, n)[0]
+    uniform = all(w == 1 for w in grammar.weights.values())
+    est_w = _fit_power(grammar, 1, COLLECTION_TERMS, COLLECTION_PRECISION)
+    est_1 = (est_w if uniform
+             else _fit_power(grammar, 0, COLLECTION_TERMS, COLLECTION_PRECISION))
+    mu_min = extreme_weights(grammar, n)[0]
 
     with mp.workdps(40):
         growth = to_mpf(est_w.kappa) * mp.power(est_w.rho, -n) / to_mpf(mu_min)
@@ -373,7 +371,7 @@ def collection_envelope(grammar, weights=None, n: int = 0, *,
 
     uniform_exact = None
     if uniform:
-        m_n = build_counts(grammar, weights, n).total(n)
+        m_n = build_counts(grammar, None, n).total(n)
         if m_n > 0:
             uniform_exact = coupon_uniform_exact(int(m_n))
     return CollectionEnvelope(lower, upper, uniform_exact, est_w, est_1, mu_min)

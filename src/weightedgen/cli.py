@@ -252,17 +252,28 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
+    if args.collision_n is not None and args.collision_n < 1:
+        raise ValueError(f"--collision-n must be at least 1, got {args.collision_n}")
     g = normalize(_load_grammar(args))
     precision = _parse_precision(args.precision)
     if precision is None or precision < asymptotics.MIN_FIT_PRECISION:
         raise ValueError("asymptotics needs a float count table of at least "
                          f"{asymptotics.MIN_FIT_PRECISION} bits: --precision floatBITS")
-    table = counting.build_counts(g, None, args.n_terms, precision)
     if args.format == "csv":
+        table = counting.build_counts(g, None, args.n_terms, precision)
         _emit_csv(("n", "coefficient"),
                   [(m, _num(v)) for m, v in enumerate(table.coefficients())])
         return 0
-    est = asymptotics.estimate_singularity(table.coefficients())
+    # everything is computed before the first line is printed
+    ce = None
+    if args.collision_n is None:
+        est = asymptotics.estimate_singularity(
+            counting.build_counts(g, None, args.n_terms, precision).coefficients())
+    else:
+        gamma = asymptotics.growth_gamma(g, n_terms=args.n_terms, precision=precision)
+        est = gamma.base
+        ce = asymptotics.collision_estimates(g, args.collision_n, gamma)
+    report = asymptotics.check_conditions(g)
     print(f"rho      {est.rho:.12g}")
     print(f"kappa    {est.kappa:.12g}")
     print(f"k_exp    {est.k_exp:.12g}")
@@ -270,12 +281,8 @@ def cmd_asymptotics(args) -> int:
           f"residual {est.residual:.3g}  tail {est.tail_len}")
     for note in est.notes:
         print(f"note: {note}")
-    report = asymptotics.check_conditions(g)
     print(report.summary())
-    if args.collision_n is not None:
-        ce = asymptotics.collision_estimates(g, None, args.collision_n,
-                                             n_terms=args.n_terms,
-                                             precision=precision)
+    if ce is not None:
         tag = "agree" if ce.agree else "DISAGREE"
         print(f"first collision at n={args.collision_n}: plug-in {_num(ce.plug_in)}  "
               f"fitted {_num(ce.fitted)}  ({tag}, gap {ce.relative_gap:.1%})")

@@ -169,23 +169,19 @@ def build_counts(grammar: NormalizedGrammar, weights=None, n: int = 0,
     return CountTable(grammar, weights, n, precision)
 
 
-def moment(grammar: NormalizedGrammar, weights, k: int, n: int) -> Fraction:
+def moment(grammar: NormalizedGrammar, k: int, n: int) -> Fraction:
     """k-th moment of the length-n weighted distribution.
 
-    Equals the total weight under the pointwise k-th power of the weight
-    vector, divided by the k-th power of the plain total.
+    Equals the total weight under the pointwise k-th power of the grammar's
+    weights, divided by the k-th power of the plain total.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if weights is None:
-        weights = grammar.weights
-    weights = {t: Fraction(w) for t, w in weights.items()}
-    total = build_counts(grammar, weights, n).total(n)
+    total = build_counts(grammar, None, n).total(n)
     if total == 0:
         raise EmptyLanguageError(f"no words of length {n}")
-    powered = {t: w ** k for t, w in weights.items()}
-    total_k = build_counts(grammar, powered, n).total(n)
-    return total_k / total ** k
+    powered = {t: w ** k for t, w in grammar.weights.items()}
+    return build_counts(grammar, powered, n).total(n) / total ** k
 
 
 # ---------------------------------------------------------------------------
@@ -305,24 +301,22 @@ def _max_dot(xs, ys):
     return max(map(operator.mul, xs, ys), default=0)
 
 
-def _extreme_row(grammar: NormalizedGrammar, weights, horizon: int, largest: bool) -> tuple:
+def _extreme_row(grammar: NormalizedGrammar, horizon: int, largest: bool) -> tuple:
     """(D, row): row[m] is D^m times the minimal (or, if `largest`, maximal)
-    word weight at length m, by a (min, x) or (max, x) DP over the scaled int
-    weights, with 0 meaning "no word"."""
-    scale, letters = _scaled(grammar, {t: Fraction(w) for t, w in weights.items()})
+    word weight at length m, by a (min, x) or (max, x) DP over the grammar's
+    scaled int weights, with 0 meaning "no word"."""
+    scale, letters = _scaled(grammar, grammar.weights)
     add, dot = (max, _max_dot) if largest else (_min_word, _min_dot)
     return scale, inside(grammar, horizon, letters.__getitem__, 1, 0, add, dot)[grammar.axiom]
 
 
-def extreme_weights(grammar: NormalizedGrammar, weights=None, n: int = 0) -> tuple:
+def extreme_weights(grammar: NormalizedGrammar, n: int) -> tuple:
     """(minimal, maximal) word weight at length n, by (min, x) and (max, x) DPs.
 
     Cheaper than the full spectrum and immune to its class-count cap.
     """
-    if weights is None:
-        weights = grammar.weights
-    scale, lows = _extreme_row(grammar, weights, n, largest=False)
-    _, highs = _extreme_row(grammar, weights, n, largest=True)
+    scale, lows = _extreme_row(grammar, n, largest=False)
+    _, highs = _extreme_row(grammar, n, largest=True)
     if not highs[n]:
         raise EmptyLanguageError(f"no words of length {n}")
     return Fraction(lows[n], scale ** n), Fraction(highs[n], scale ** n)

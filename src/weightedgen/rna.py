@@ -294,7 +294,7 @@ def rna_report(n: int, model: RnaModel, k: int | None = None) -> urns.AnalyticsR
     u = urns.from_spectrum(spectrum)
     entries = [
         urns.ReportEntry("first_collision", "asymptotic",
-                         value=asymptotics.collision_envelope(grammar, None, n),
+                         value=asymptotics.collision_envelope(grammar, n),
                          n=n, note="finite-n plug-in from exact totals"),
         urns.ReportEntry("collision_growth_base", "asymptotic",
                          value=gamma_from_rho(model),

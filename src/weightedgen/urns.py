@@ -27,7 +27,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -58,25 +58,32 @@ class UrnModel:
     classes: tuple          # UrnClass entries, strictly increasing probability
     m: int                  # total number of urns
     mu: Fraction            # total unnormalized weight
+    # p_i = numerators[i] / denominator, the lcm of the probability denominators
+    denominator: int = field(init=False, repr=False, compare=False)
+    numerators: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.classes:
             raise ValueError("empty urn model")
-        total = Fraction(0)
-        prev = None
-        for c in self.classes:
+        scale = math.lcm(*(c.probability.denominator for c in self.classes))
+        nums = tuple(c.probability.numerator * (scale // c.probability.denominator)
+                     for c in self.classes)
+        prev = 0
+        for c, num in zip(self.classes, nums):
             if c.count < 1:
                 raise ValueError("class multiplicities must be positive")
-            if not 0 < c.probability <= 1:
+            if not 0 < num <= scale:
                 raise ValueError("urn probabilities must lie in (0, 1]")
-            if prev is not None and c.probability <= prev:
+            if num <= prev:
                 raise ValueError("class probabilities must strictly increase")
-            prev = c.probability
-            total += c.count * c.probability
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+            prev = num
+        total = sum(c.count * num for c, num in zip(self.classes, nums))
+        if total != scale:
+            raise ValueError(f"probabilities sum to {Fraction(total, scale)}, not 1")
         if self.m != sum(c.count for c in self.classes):
             raise ValueError("urn count does not match class multiplicities")
+        object.__setattr__(self, "denominator", scale)
+        object.__setattr__(self, "numerators", nums)
 
     @property
     def p_min(self) -> Fraction:
@@ -123,13 +130,6 @@ def uniform_urns(m: int) -> UrnModel:
 def alpha(u: UrnModel, j: int) -> Fraction:
     """j-th moment of the urn distribution, sum over urns of p^j."""
     return sum((c.count * c.probability ** j for c in u.classes), Fraction(0))
-
-
-def _scaled_probabilities(u: UrnModel) -> tuple:
-    """(D, [D * p_i]) with D the lcm of the class probability denominators."""
-    scale = math.lcm(*(c.probability.denominator for c in u.classes))
-    return scale, [c.probability.numerator * (scale // c.probability.denominator)
-                   for c in u.classes]
 
 
 # Relative error bound of the double-precision occupancy pass (see occupancy).
@@ -185,7 +185,7 @@ def occupancy(u: UrnModel, k: int, *, exact: bool | None = None) -> Occupancy:
         raise ValueError(f"k must lie in [0, 2^53] for the occupancy pass, got {k}")
     if exact is None:
         exact = all(exact_pow_affordable(c.probability, k) for c in u.classes)
-    scale, nums = _scaled_probabilities(u)
+    scale, nums = u.denominator, u.numerators
     counts = [c.count * num for c, num in zip(u.classes, nums)]  # c_i P_i
     moment2 = sum(cp * num for cp, num in zip(counts, nums))     # alpha_2 * D^2
     distinct, coverage, exponential = [], [], []
@@ -358,7 +358,7 @@ def birthday_exact(u: UrnModel, *, rel_tol: float = 1e-9) -> float:
     So rel_tol cannot go much below 1e-14.  Memory stays flat in the number
     of classes: the class x node matrix is built in blocks.
     """
-    scale, nums = _scaled_probabilities(u)
+    scale, nums = u.denominator, u.numerators
     squares = [num * num for num in nums]
     moment2 = sum(c.count * sq for c, sq in zip(u.classes, squares))  # alpha_2 * D^2
     b = np.array([c.count * sq / moment2 for c, sq in zip(u.classes, squares)])
@@ -614,29 +614,26 @@ class ReportEntry:
 class AnalyticsReport:
     entries: tuple
 
-    def to_text(self) -> str:
-        header = ("statistic", "method", "n", "k", "value", "lower", "upper", "note")
-        rows = [header]
+    def _rows(self) -> list:
+        """The header and one row of cells per entry; the note comes last."""
+        rows = [("statistic", "method", "n", "k", "value", "lower", "upper", "note")]
         for e in self.entries:
             rows.append((e.statistic, e.method,
                          "" if e.n is None else str(e.n),
                          "" if e.k is None else str(e.k),
                          _fmt_number(e.value), _fmt_number(e.lower),
                          _fmt_number(e.upper), e.note))
-        widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
+        return rows
+
+    def to_text(self) -> str:
+        rows = self._rows()
+        widths = [max(map(len, column)) for column in zip(*rows)]
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
                  for row in rows]
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["statistic,method,n,k,value,lower,upper"]
-        for e in self.entries:
-            lines.append(",".join([
-                e.statistic, e.method,
-                "" if e.n is None else str(e.n),
-                "" if e.k is None else str(e.k),
-                _fmt_number(e.value), _fmt_number(e.lower), _fmt_number(e.upper)]))
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(row[:-1]) + "\n" for row in self._rows())
 
 
 def standard_report(u: UrnModel, *, n: int | None = None,

@@ -156,7 +156,7 @@ def test_criterion_07_rna_first_collision_at_80():
         for theta, energy in ((3, -3.0), (1, -1.0)):
             w = rna.pair_weight(energy, invert_sign=True)
             g = normalize(rna.rna_grammar(theta, w))
-            plug_in[theta] = collision_envelope(g, None, 80)
+            plug_in[theta] = collision_envelope(g, 80)
             urns[theta] = from_spectrum(rna.pair_spectrum(80, theta, w))
             cross = birthday_asymptotic(urns[theta])
             assert abs(plug_in[theta] - cross) / plug_in[theta] < 1e-12  # two routes agree

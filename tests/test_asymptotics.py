@@ -5,11 +5,11 @@ import mpmath as mp
 import pytest
 
 from weightedgen import (birthday_asymptotic, build_counts, check_conditions,
-                         collection_envelope, collision_envelope,
+                         collection_envelope, collision_envelope, collision_estimates,
                          coupon_bounds, estimate_singularity, extreme_weights,
                          from_spectrum, growth_gamma, normalize, parse_grammar,
                          weight_spectrum)
-from weightedgen.asymptotics import InsufficientData
+from weightedgen.asymptotics import LADDER, InsufficientData
 from weightedgen.numerics import harmonic
 
 
@@ -47,32 +47,32 @@ def test_motzkin_singularity(motzkin_norm):
 
 
 def test_growth_gamma_uniform_flagged(motzkin_norm):
-    gam = growth_gamma(motzkin_norm, None, n_terms=160, precision=192)
+    gam = growth_gamma(motzkin_norm, n_terms=160, precision=192)
     # squared unit weights leave the singularity alone: gamma = 1/sqrt(rho)
     assert abs(gam.gamma - math.sqrt(3)) < 1e-4
     assert not gam.log_positive
 
 
 def test_growth_gamma_weighted(motzkin_h2_norm):
-    gam = growth_gamma(motzkin_h2_norm, None, n_terms=192, precision=192)
+    gam = growth_gamma(motzkin_h2_norm, n_terms=192, precision=192)
     assert gam.log_positive
     assert gam.converged
     assert gam.gamma > 1
     # the fitted asymptote should land near the finite-n plug-in
     n = 40
-    plug = collision_envelope(motzkin_h2_norm, None, n)
+    plug = collision_envelope(motzkin_h2_norm, n)
     fitted = gam.collision_asymptote(n)
     assert abs(fitted - plug) / plug < 0.2
 
 
 def test_conditions_uniform(motzkin_norm):
-    rep = check_conditions(motzkin_norm, None)
+    rep = check_conditions(motzkin_norm)
     assert rep.log_positive.holds is False
     assert not rep.all_pass
 
 
 def test_conditions_weighted(motzkin_h2_norm):
-    rep = check_conditions(motzkin_h2_norm, None)
+    rep = check_conditions(motzkin_h2_norm)
     assert rep.log_positive.holds
     assert rep.diversity.holds           # fitted decay base beta > 1
     assert rep.bounded_dependency.holds
@@ -82,22 +82,25 @@ def test_conditions_weighted(motzkin_h2_norm):
 
 def test_conditions_degenerate_language():
     g = normalize(parse_grammar("axiom S\nterminal a\nS -> a S | a\n"))
-    rep = check_conditions(g, None)
+    rep = check_conditions(g)
     assert rep.diversity.holds is False  # single word per length, p_max = 1
 
 
-@pytest.mark.parametrize("text, ladder", [
-    ("axiom S\nterminal (\nterminal )\nterminal .\nS -> ( S ) S | . S | _\n",
-     (8, 16, 32, 64)),
-    ("axiom S\nterminal a\nterminal b\nS -> a S b S | a b\n", (3, 4, 9, 10, 16)),
-], ids=["motzkin", "even-lengths-only"])
-def test_diversity_probe_reads_extreme_weights(text, ladder):
-    g = normalize(parse_grammar(text))
-    weights = {t: Fraction(2 + i, 1 + 2 * i) for i, t in enumerate(sorted(g.terminals))}
-    table = build_counts(g, weights, max(ladder))
-    expected = tuple((n, float(extreme_weights(g, weights, n)[1] / table.total(n)))
-                     for n in ladder if table.total(n))
-    rep = check_conditions(g, weights, ladder=ladder, n_terms=96, precision=128)
+@pytest.mark.parametrize("text", [
+    "axiom S\nterminal (\nterminal )\nterminal .\nS -> ( S ) S | . S | _\n",
+    # lengths 2 mod 4 only: every ladder length is empty
+    "axiom S\nterminal a\nterminal b\nS -> a S b S | a b\n",
+    # lengths 1 mod 3 only: 16 and 64 are on the ladder, 8 and 32 are empty
+    "axiom S\nterminal a\nterminal b\nS -> a S S S | b S S S | a | b\n",
+], ids=["motzkin", "even-lengths-only", "lengths-1-mod-3"])
+def test_diversity_probe_reads_extreme_weights(text):
+    grammar = parse_grammar(text)
+    g = normalize(grammar.with_weights(
+        {t: Fraction(2 + i, 1 + 2 * i) for i, t in enumerate(sorted(grammar.terminals))}))
+    table = build_counts(g, None, LADDER[-1])
+    expected = tuple((n, float(extreme_weights(g, n)[1] / table.total(n)))
+                     for n in LADDER if table.total(n))
+    rep = check_conditions(g)
     assert rep.diversity.data == expected
 
 
@@ -106,12 +109,12 @@ def test_collision_envelope_identity(motzkin_h2_norm):
     for n in (5, 12, 20, 30):
         u = from_spectrum(weight_spectrum(motzkin_h2_norm, None, n))
         a = birthday_asymptotic(u)
-        b = collision_envelope(motzkin_h2_norm, None, n)
+        b = collision_envelope(motzkin_h2_norm, n)
         assert abs(a - b) / b < 1e-12
 
 
 def test_collection_envelope_uniform(motzkin_norm):
-    env = collection_envelope(motzkin_norm, None, 6, n_terms=256, precision=192)
+    env = collection_envelope(motzkin_norm, 6)
     # enumeration gives 51 words of length 6
     assert env.uniform_exact == 51 * harmonic(51)
     assert env.lower <= float(env.uniform_exact) <= env.upper
@@ -119,8 +122,7 @@ def test_collection_envelope_uniform(motzkin_norm):
 
 def test_collection_envelope_brackets_rank_estimate(motzkin_h2_norm):
     for n in (10, 14, 20):
-        env = collection_envelope(motzkin_h2_norm, None, n, n_terms=256,
-                                  precision=192)
+        env = collection_envelope(motzkin_h2_norm, n)
         u = from_spectrum(weight_spectrum(motzkin_h2_norm, None, n))
         xi = float(coupon_bounds(u).estimate)
         assert env.lower <= xi <= env.upper
@@ -138,8 +140,7 @@ def test_singularity_with_parity_oscillation():
 
 
 def test_collection_envelope_ratio_scales_linearly(motzkin_norm):
-    envs = {n: collection_envelope(motzkin_norm, None, n, n_terms=256,
-                                   precision=192) for n in (10, 20)}
+    envs = {n: collection_envelope(motzkin_norm, n) for n in (10, 20)}
     for n, env in envs.items():
         ratio = env.upper / env.lower
         assert abs(ratio - 2 * math.log(1 / env.uniform.rho) * n) < 1e-6 * ratio
@@ -153,28 +154,34 @@ def test_gamma_exceeds_one_when_conditions_pass(motzkin_h2_norm):
         normalize(rna.rna_grammar(3, Fraction(5))),
     ]
     for g in corpus:
-        rep = check_conditions(g, None, n_terms=128, precision=160)
-        gam = growth_gamma(g, None, n_terms=128, precision=160)
+        rep = check_conditions(g)
+        gam = growth_gamma(g, n_terms=128, precision=160)
         if rep.all_pass:
             assert gam.gamma > 1, g.original.to_text()
     # at least the weighted-Motzkin member must actually exercise the branch
-    assert check_conditions(motzkin_h2_norm, None).all_pass
+    assert check_conditions(motzkin_h2_norm).all_pass
 
 
 def test_collision_estimates_pair():
-    from weightedgen import collision_estimates
     from weightedgen import rna
     g = normalize(rna.rna_grammar(1, Fraction(2)))
-    ce = collision_estimates(g, None, 36, n_terms=192, precision=192)
+    ce = collision_estimates(g, 36, growth_gamma(g, n_terms=192, precision=192))
     assert ce.plug_in > 1
     assert ce.relative_gap == abs(ce.fitted - ce.plug_in) / ce.plug_in
     assert ce.agree == (ce.relative_gap <= 0.05)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_collision_estimates_refuse_length_below_one(motzkin_h2_norm, n):
+    gam = growth_gamma(motzkin_h2_norm, n_terms=128, precision=128)
+    with pytest.raises(ValueError, match="at least 1"):
+        collision_estimates(motzkin_h2_norm, n, gam)
 
 
 def test_growth_gamma_series_route_matches_root_route():
     from weightedgen import rna
     w = rna.pair_weight(-3.0, invert_sign=True)
     series_gamma = growth_gamma(normalize(rna.rna_grammar(3, w)),
-                                None, n_terms=192, precision=256).gamma
+                                n_terms=192, precision=256).gamma
     root_gamma = rna.gamma_from_rho(rna.RnaModel(theta=3, pair_energy=-3.0))
     assert abs(series_gamma - root_gamma) < 5e-3

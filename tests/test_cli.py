@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from weightedgen import counting
 from weightedgen.cli import main
 
 # stdout of report commands, pinned byte for byte
@@ -127,6 +128,45 @@ def test_asymptotics_collision_comparison():
     assert code == 0
     assert "first collision at n=20" in out
     assert "plug-in" in out and "fitted" in out and "gap" in out
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_asymptotics_refuses_collision_length_below_one(n, monkeypatch):
+    built = []
+    monkeypatch.setattr(counting.CountTable, "__init__",
+                        lambda self, *args, **kwargs: built.append(args))
+    code, out, err = run_cli("asymptotics", "--builtin", "motzkin", "--weight", ".=2",
+                             "--collision-n", n)
+    assert code == 2 and out == "" and built == []
+    assert err.startswith("error:") and "--collision-n" in err
+
+
+def test_asymptotics_empty_collision_length_prints_nothing(tmp_path):
+    # words at every length from 3 on: the fits succeed, the plug-in at n=2 fails
+    path = tmp_path / "g.wcfg"
+    path.write_text("axiom S\nterminal a weight 2\nterminal b\nS -> a a a T\n"
+                    "T -> a T | b T | _\n")
+    code, out, err = run_cli("asymptotics", "--grammar", str(path), "--n-terms", "128",
+                             "--precision", "float128", "--collision-n", "2")
+    assert code == 2 and out == ""
+    assert err == "error: no words of length 2\n"
+
+
+def test_asymptotics_builds_each_table_once(monkeypatch):
+    built = []
+    init = counting.CountTable.__init__
+
+    def record(self, grammar, weights, horizon, precision=None):
+        built.append((tuple(sorted(weights.items())), horizon, precision))
+        init(self, grammar, weights, horizon, precision)
+
+    monkeypatch.setattr(counting.CountTable, "__init__", record)
+    code, _, _ = run_cli("asymptotics", "--builtin", "motzkin", "--weight", ".=2",
+                         "--collision-n", "40")
+    assert code == 0
+    # W and W^2 fitted at 256 terms, the condition probes' exact ladder table
+    # and W, W^2, W^3 fits at 160 terms, and the exact W and W^2 tables at n=40
+    assert len(built) == len(set(built)) == 8
 
 
 def test_rna_report_and_sweep():
@@ -255,6 +295,15 @@ def test_figure_outputs_deterministic():
                                    "--k", "1000")),
     # the rank-harmonic estimate crosses the exact harmonic limit
     ("figure1_nmax40", ("figure", "1", "--n-max", "40")),
+    ("asymptotics_motzkin_w2_collision40", ("asymptotics", "--builtin", "motzkin",
+                                            "--weight", ".=2", "--collision-n", "40")),
+    ("asymptotics_rna_t3_e3_collision40", ("asymptotics", "--builtin", "rna", "--theta",
+                                           "3", "--energy", "-3", "--collision-n", "40")),
+    ("asymptotics_rna_t1_e1", ("asymptotics", "--builtin", "rna", "--theta", "1",
+                               "--energy", "-1")),
+    ("asymptotics_motzkin_w2_nterms16_csv", ("asymptotics", "--builtin", "motzkin",
+                                             "--weight", ".=2", "--n-terms", "16",
+                                             "--format", "csv")),
 ])
 def test_cli_stdout_golden(name, argv):
     code, out, err = run_cli(*argv)

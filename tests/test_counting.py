@@ -72,22 +72,22 @@ def test_fixed_point_table_within_truncation_bound_of_exact(motzkin, build, n):
 
 
 def test_moment_normalization(motzkin_h2_norm):
-    assert moment(motzkin_h2_norm, None, 1, 4) == 1
+    assert moment(motzkin_h2_norm, 1, 4) == 1
 
 
 def test_moment_uniform_is_inverse_count(motzkin_norm):
     # with unit weights the k-th moment is M_n^(1-k)
-    assert moment(motzkin_norm, None, 2, 4) == Fraction(1, 9)
+    assert moment(motzkin_norm, 2, 4) == Fraction(1, 9)
 
 
 def test_moment_weighted_example(motzkin_h2_norm):
-    assert moment(motzkin_h2_norm, None, 2, 2) == Fraction(17, 25)
+    assert moment(motzkin_h2_norm, 2, 2) == Fraction(17, 25)
 
 
 def test_moment_empty_language():
     g = normalize(parse_grammar("axiom S\nterminal a\nterminal b\nS -> a S b | a b\n"))
     with pytest.raises(EmptyLanguageError):
-        moment(g, None, 2, 3)
+        moment(g, 2, 3)
 
 
 def test_spectrum_motzkin_h2_n3(motzkin_h2_norm):
@@ -144,7 +144,7 @@ def test_moment_spectrum_consistency(motzkin_h2_norm):
     n = 6
     sp = weight_spectrum(motzkin_h2_norm, None, n)
     total = build_counts(motzkin_h2_norm, None, n).total(n)
-    a2 = moment(motzkin_h2_norm, None, 2, n)
+    a2 = moment(motzkin_h2_norm, 2, n)
     assert a2 * total ** 2 == sum(c.count * c.weight ** 2 for c in sp.classes)
 
 
@@ -205,7 +205,7 @@ def test_spectrum_csv(motzkin_h2_norm):
 def test_extreme_weights_match_spectrum(motzkin_h2_norm):
     for n in range(1, 9):
         sp = weight_spectrum(motzkin_h2_norm, None, n)
-        assert extreme_weights(motzkin_h2_norm, None, n) == \
+        assert extreme_weights(motzkin_h2_norm, n) == \
             (sp.min_weight(), sp.max_weight())
 
 
@@ -218,9 +218,9 @@ def test_choices_sum_to_cell(motzkin_h2_norm):
 
 @pytest.mark.parametrize("entry", [
     lambda g: build_counts(g, None, -1),
-    lambda g: moment(g, None, 2, -1),
+    lambda g: moment(g, 2, -1),
     lambda g: weight_spectra(g, None, -1),
-    lambda g: extreme_weights(g, None, -1),
+    lambda g: extreme_weights(g, -1),
 ], ids=["build_counts", "moment", "weight_spectra", "extreme_weights"])
 def test_negative_length_is_a_value_error(motzkin_h2_norm, entry):
     with pytest.raises(ValueError, match="nonnegative"):

@@ -79,7 +79,7 @@ def test_extreme_weights_are_the_spectrum_ends(g, n):
     ng = normalize(g)
     spectrum = weight_spectra(ng, None, n)[n]
     assume(spectrum is not None)
-    assert extreme_weights(ng, None, n) == (spectrum.min_weight(), spectrum.max_weight())
+    assert extreme_weights(ng, n) == (spectrum.min_weight(), spectrum.max_weight())
 
 
 @PROPERTY

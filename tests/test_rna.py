@@ -150,7 +150,7 @@ def test_collection_growth_bases():
     from weightedgen import extreme_weights
     g = normalize(rna.rna_grammar(3, w3))
     for n in (7, 12, 17):
-        assert extreme_weights(g, None, n)[0] == 1
+        assert extreme_weights(g, n)[0] == 1
 
 
 def test_bijection_strip_theta_dots():

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from weightedgen import (ReportEntry, SamplerState, birthday_asymptotic,
-                         birthday_exact, build_counts, coupon_bounds,
-                         coupon_uniform_exact, coverage_first_order,
+from weightedgen import (ReportEntry, SamplerState, UrnClass, UrnModel,
+                         birthday_asymptotic, birthday_exact, build_counts,
+                         coupon_bounds, coupon_uniform_exact, coverage_first_order,
                          expected_coverage, expected_distinct,
                          expected_occupied_weight, from_spectrum, from_weights,
                          normalize, occupancy, simulate, standard_report,
@@ -25,6 +25,34 @@ from helpers import (exponential_per_class, mp_birthday, occupancy_sum_per_class
 @pytest.fixture(scope="module")
 def motzkin_h2_urns(motzkin_h2_norm):
     return from_spectrum(weight_spectrum(motzkin_h2_norm, None, 3))
+
+
+H, T, Q = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
+
+
+@pytest.mark.parametrize("classes, m, message", [
+    ((), 0, "empty urn model"),
+    (((H, 0), (H, 2)), 2, "multiplicities must be positive"),
+    (((Fraction(0), 1), (Fraction(1), 1)), 2, r"must lie in \(0, 1\]"),
+    (((Fraction(-1, 2), 1), (Fraction(3, 2), 1)), 2, r"must lie in \(0, 1\]"),
+    (((Fraction(4, 3), 1),), 1, r"must lie in \(0, 1\]"),
+    (((H, 1), (Q, 2)), 3, "strictly increase"),
+    (((H, 1), (H, 1)), 2, "strictly increase"),
+    (((T, 1), (H, 1)), 2, "sum to 5/6, not 1"),
+    (((Q, 2), (H, 2)), 4, "sum to 3/2, not 1"),
+    (((Q, 2), (H, 1)), 4, "urn count does not match"),
+], ids=["empty", "zero-count", "p-zero", "p-negative", "p-above-one", "p-decreasing",
+        "p-equal", "sum-below-one", "sum-above-one", "m-mismatch"])
+def test_urn_model_refusals(classes, m, message):
+    with pytest.raises(ValueError, match=message):
+        UrnModel(tuple(UrnClass(p, c, p) for p, c in classes), m, Fraction(1))
+
+
+def test_urn_model_common_denominator():
+    u = urn_model([(1, 3), (4, 2), (6, 1)])  # p = 1/17, 4/17, 6/17
+    assert u.denominator == 17 and u.numerators == (1, 4, 6)
+    assert [c.probability for c in u.classes] == \
+        [Fraction(n, u.denominator) for n in u.numerators]
 
 
 def test_from_spectrum_classes(motzkin_h2_urns):
