@@ -213,6 +213,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.k < 0:
+        raise ValueError(f"--k must be nonnegative, got {args.k}")
     g = normalize(_load_grammar(args))
     precision = _parse_precision(args.precision)
     table = counting.build_counts(g, None, args.n, precision)

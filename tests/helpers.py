@@ -22,6 +22,23 @@ from weightedgen.urns import QuadratureError, UrnClass, UrnModel, alpha
 
 
 # ---------------------------------------------------------------------------
+# normal-form shape
+
+
+def assert_chains_shared(ng):
+    """Every pair rule of a source nonterminal or the start keeps its source
+    rule's index; every other pair rule is the one rule of its binarization
+    chain nonterminal, with no origin, and no two of those share a right-hand
+    side."""
+    heads = ng.original.nonterminals | {ng.axiom}
+    pairs = [r for r in ng.rules if r.kind == "pair"]
+    chains = [r for r in pairs if r.lhs not in heads]
+    assert all(r.origin is not None for r in pairs if r.lhs in heads)
+    assert all(ng.alternatives(r.lhs) == (r,) and r.origin is None for r in chains)
+    assert len({r.rhs for r in chains}) == len(chains)
+
+
+# ---------------------------------------------------------------------------
 # count-table oracle
 
 

@@ -55,6 +55,12 @@ def test_sample_deterministic_and_sep():
     assert all(len(w) == 5 for w in words)
 
 
+def test_sample_refuses_negative_k():
+    code, out, err = run_cli("sample", "--builtin", "motzkin", "--n", "5", "--k", "-3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--k" in err
+
+
 def test_sample_env_seed(monkeypatch):
     monkeypatch.setenv("WCFG_SEED", "555")
     _, with_env, _ = run_cli("sample", "--builtin", "motzkin", "--n", "5", "--k", "3")
@@ -304,6 +310,11 @@ def test_figure_outputs_deterministic():
     ("asymptotics_motzkin_w2_nterms16_csv", ("asymptotics", "--builtin", "motzkin",
                                              "--weight", ".=2", "--n-terms", "16",
                                              "--format", "csv")),
+    # seeded sampler streams: an exact and a fixed-point table
+    ("sample_rna_n200_k10", ("sample", "--builtin", "rna", "--n", "200", "--k", "10")),
+    ("sample_motzkin_w2_n40_k20_float256", ("sample", "--builtin", "motzkin", "--weight",
+                                            ".=2", "--n", "40", "--k", "20",
+                                            "--precision", "float256")),
 ])
 def test_cli_stdout_golden(name, argv):
     code, out, err = run_cli(*argv)

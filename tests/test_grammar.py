@@ -7,8 +7,10 @@ import pytest
 from weightedgen import (GrammarError, GrammarSyntaxError, ambiguity_probe,
                          build_counts, enumerate_words, normalize,
                          parse_grammar)
+from weightedgen.cli import motzkin_grammar
 from weightedgen.grammar import _parse_weight
-from helpers import random_grammar
+from weightedgen.rna import rna_grammar
+from helpers import assert_chains_shared, random_grammar
 
 
 def test_parse_minimal():
@@ -152,6 +154,20 @@ def test_normalize_preserves_weighted_totals_random_weights(motzkin):
                 (Counter({word: 1})[word] * _word_weight(word, g.weights)
                  for word in enumerate_words(g, n)), Fraction(0))
             assert table.total(n) == direct
+
+
+@pytest.mark.parametrize("grammar, nonterminals, pairs", [
+    (motzkin_grammar(), 8, 13),
+    (rna_grammar(1), 9, 12),
+    (rna_grammar(3), 10, 14),
+])
+def test_normalize_shares_binarization_chains(grammar, nonterminals, pairs):
+    # the epsilon-eliminated variants of `( S ) S` and of the RNA pair rules
+    # end in equal suffixes, which share one chain of binary rules
+    ng = normalize(grammar, check_depth=8)
+    assert len(ng.nonterminals) == nonterminals
+    assert sum(r.kind == "pair" for r in ng.rules) == pairs
+    assert_chains_shared(ng)
 
 
 def _word_weight(word, weights):

@@ -21,8 +21,8 @@ from weightedgen import (birthday_exact, branch_distribution, build_counts,
                          weight_spectra, word_weight)
 from weightedgen.grammar import EnumerationCap
 from weightedgen.urns import OCCUPANCY_REL_ERROR
-from helpers import (fraction_count_table, mp_birthday, occupancy_sum_per_class,
-                     random_valid_grammar, urn_model)
+from helpers import (assert_chains_shared, fraction_count_table, mp_birthday,
+                     occupancy_sum_per_class, random_valid_grammar, urn_model)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -47,6 +47,16 @@ def urn_models(draw):
 
 def mpf_to_fraction(x):
     return x.man * Fraction(2) ** x.exp
+
+
+@PROPERTY
+@given(weighted_grammars())
+def test_normalize_with_shared_chains_keeps_word_multisets(g):
+    try:
+        ng = normalize(g, check_depth=6)  # raises GrammarError on a mismatch
+    except EnumerationCap:
+        assume(False)
+    assert_chains_shared(ng)
 
 
 @PROPERTY
