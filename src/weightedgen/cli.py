@@ -298,6 +298,8 @@ def cmd_rna(args) -> int:
         if not m:
             raise ValueError(f"--sweep expects N1..N2, got {args.sweep!r}")
         lo, hi = int(m.group(1)), int(m.group(2))
+        if lo > hi:
+            raise ValueError(f"--sweep needs N1 <= N2, got {args.sweep!r}")
         if args.k is None:
             raise ValueError("--sweep needs --k")
         rows = rna.coverage_rows(model, args.k, range(lo, hi + 1))

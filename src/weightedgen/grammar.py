@@ -15,12 +15,14 @@ as integers, ``num/den`` fractions, or decimal literals (converted exactly).
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 RESERVED_TOKENS = {"->", "|", "_"}
@@ -134,114 +136,43 @@ def _fixed_point(initial, step):
         current |= new
 
 
-def _productive_set(g):
-    def step(prod):
-        out = set()
-        for r in g.rules:
-            if all(s in g.terminals or s in prod for s in r.rhs):
-                out.add(r.lhs)
-        return out
-    return _fixed_point(set(), step)
+def _least_solution(g, letter, one, zero, add, mul) -> dict:
+    """The least solution of the grammar's equations in a semiring.
 
-
-def _reachable_set(g):
-    reach = {g.axiom}
-    frontier = [g.axiom]
-    while frontier:
-        nt = frontier.pop()
-        for r in g.rules:
-            if r.lhs != nt:
-                continue
-            for s in r.rhs:
-                if s in g.nonterminals and s not in reach:
-                    reach.add(s)
-                    frontier.append(s)
-    return reach
-
-
-def nullable_set(g) -> set:
-    def step(nullable):
-        out = set()
-        for r in g.rules:
-            if all(s in nullable for s in r.rhs):
-                out.add(r.lhs)
-        return out
-    return _fixed_point(set(), step)
-
-
-def _same_length_edges(g, nullable):
-    """Edges A->B such that A can rewrite to B with all siblings nullable."""
-    edges = set()
-    for r in g.rules:
-        for i, s in enumerate(r.rhs):
-            if s not in g.nonterminals:
-                continue
-            rest = r.rhs[:i] + r.rhs[i + 1:]
-            if all(x in nullable for x in rest):
-                edges.add((r.lhs, s))
-    return edges
-
-
-def _find_cycle(nodes, edges):
-    adj = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in nodes}
-    for start in nodes:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(adj.get(start, ())))]
-        color[start] = GREY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color.get(nxt, WHITE) == GREY:
-                    return nxt
-                if color.get(nxt, WHITE) == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, iter(adj.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return None
-
-
-def _epsilon_derivation_counts(g, nullable):
-    """Number of distinct derivations of the empty word per nullable nonterminal.
-
-    Counts are clamped at 2; anything >= 2 means the grammar is ambiguous on
-    empty derivations and cannot be counted faithfully.
+    {symbol: value}: letter(t) for each terminal t, and for each nonterminal
+    A the `add`-sum over A's rules of the `mul`-product of their symbols'
+    values, `one` for an empty right-hand side.  This is the source-grammar
+    counterpart of `inside`.  Kleene iteration from `zero`: each round
+    recomputes every nonterminal from the previous round's values, and the
+    first round that changes nothing ends it.  That happens when the values
+    that can occur are finitely many (counts clamped at 2 take at most
+    2|nonterminals| + 1 rounds), and for (min, +) lengths after at most
+    |nonterminals| + 1 rounds: round k covers every derivation tree of height
+    k, and some shortest word of each nonterminal has a tree repeating no
+    nonterminal along a path.
     """
-    # The nullable-restricted dependency graph is acyclic here (cycle check ran
-    # first), so a simple memoized recursion terminates.
-    memo = {}
-
-    def count(nt):
-        if nt in memo:
-            return memo[nt]
-        memo[nt] = 0  # placeholder; acyclicity makes re-entry impossible
-        total = 0
+    start = {t: letter(t) for t in g.terminals} | dict.fromkeys(g.nonterminals, zero)
+    val = start
+    while True:
+        new = dict(start)
         for r in g.rules:
-            if r.lhs != nt:
-                continue
-            if not all(s in nullable for s in r.rhs):
-                continue
-            prod = 1
-            for s in r.rhs:
-                prod *= count(s)
-                if prod >= 2:
-                    break
-            total += prod
-            if total >= 2:
-                break
-        memo[nt] = min(total, 2)
-        return memo[nt]
+            new[r.lhs] = add(new[r.lhs], reduce(mul, (val[s] for s in r.rhs), one))
+        if new == val:
+            return val
+        val = new
 
-    return {nt: count(nt) for nt in nullable}
+
+def _min_lengths(g) -> dict:
+    """Shortest word length per symbol; inf for an unproductive nonterminal."""
+    return _least_solution(g, lambda t: 1, 0, math.inf, min, operator.add)
+
+
+def _epsilon_counts(g) -> dict:
+    """Derivations of the empty word per symbol, clamped at 2: 1 or more is
+    nullable, 2 is ambiguous on the empty word.  Clamping commutes with + and
+    *, so this is the true count clamped, same-length cycles or not."""
+    return _least_solution(g, lambda t: 0, 1, 0, lambda x, y: min(x + y, 2),
+                           lambda x, y: min(x * y, 2))
 
 
 def _validate(g):
@@ -263,24 +194,30 @@ def _validate(g):
         for s in r.rhs:
             if s not in g.terminals and s not in g.nonterminals:
                 raise GrammarError(f"unknown symbol {s!r} in rule {r}")
-    prod = _productive_set(g)
-    missing = g.nonterminals - prod
+    minlen = _min_lengths(g)
+    missing = {nt for nt in g.nonterminals if minlen[nt] == math.inf}
     if missing:
         raise GrammarError(f"unproductive nonterminal(s): {sorted(missing)}")
-    unreachable = g.nonterminals - _reachable_set(g)
+    unreachable = g.nonterminals - _fixed_point({g.axiom}, lambda reach: {
+        s for r in g.rules if r.lhs in reach for s in r.rhs if s in g.nonterminals})
     if unreachable:
         raise GrammarError(f"unreachable nonterminal(s): {sorted(unreachable)}")
-    nullable = nullable_set(g)
-    cyc = _find_cycle(g.nonterminals, _same_length_edges(g, nullable))
-    if cyc is not None:
+    eps = _epsilon_counts(g)
+    # A -> x B y with x and y nullable rewrites A to B at the same length
+    steps = {(r.lhs, s) for r in g.rules for i, s in enumerate(r.rhs)
+             if s in g.nonterminals and all(eps[x] for x in r.rhs[:i] + r.rhs[i + 1:])}
+    closure = _fixed_point(steps, lambda pairs: {
+        (a, c) for a, b in pairs for b2, c in steps if b2 == b})
+    cyclic = sorted(a for a, b in closure if a == b)
+    if cyclic:
         raise GrammarError(
-            f"nonterminal {cyc!r} can rewrite to itself without producing "
+            f"nonterminal {cyclic[0]!r} can rewrite to itself without producing "
             "terminals; such grammars are infinitely ambiguous")
-    for nt, c in _epsilon_derivation_counts(g, nullable).items():
-        if c >= 2:
-            raise GrammarError(
-                f"nonterminal {nt!r} derives the empty word in more than one "
-                "way; the grammar is ambiguous")
+    ambiguous = sorted(nt for nt in g.nonterminals if eps[nt] >= 2)
+    if ambiguous:
+        raise GrammarError(
+            f"nonterminal {ambiguous[0]!r} derives the empty word in more than one "
+            "way; the grammar is ambiguous")
 
 
 # ---------------------------------------------------------------------------
@@ -401,24 +338,11 @@ def parse_grammar(text: str) -> WeightedGrammar:
 # exhaustive enumeration (test oracle and ambiguity probe)
 
 
-def _min_lengths(g):
-    INF = float("inf")
-    minlen = {t: 1 for t in g.terminals}
-    for nt in g.nonterminals:
-        minlen[nt] = INF
-    changed = True
-    while changed:
-        changed = False
-        for r in g.rules:
-            cand = sum(minlen[s] for s in r.rhs)
-            if cand < minlen[r.lhs]:
-                minlen[r.lhs] = cand
-                changed = True
-    return minlen
+# derivation steps `enumerate_words` may take before it gives up
+EXPANSION_CAP = 5_000_000
 
 
-def enumerate_words(g, n: int, *, word_cap: int = 200_000,
-                    expansion_cap: int = 5_000_000) -> list:
+def enumerate_words(g, n: int, *, word_cap: int = 200_000) -> list:
     """All length-n words of g, one entry per derivation (duplicates = ambiguity).
 
     Leftmost expansion with minimal-length pruning; raises EnumerationCap when
@@ -443,7 +367,7 @@ def enumerate_words(g, n: int, *, word_cap: int = 200_000,
             nf = form[:idx] + r.rhs + form[idx + 1:]
             if sum(minlen[s] for s in nf) <= n:
                 expansions += 1
-                if expansions > expansion_cap:
+                if expansions > EXPANSION_CAP:
                     raise EnumerationCap(f"expansion budget exceeded at length {n}")
                 stack.append(nf)
     return out
@@ -458,7 +382,6 @@ class NormalizedRule:
     lhs: str
     kind: str                 # "pair" | "term" | "eps"
     rhs: tuple[str, ...]      # (B, C) | (t,) | ()
-    origin: int | None        # index into the source grammar's rules
 
 
 @dataclass
@@ -467,9 +390,8 @@ class NormalizedGrammar:
 
     Rules are A->BC ("pair"), A->t ("term"), and at most one S0->eps rule at a
     fresh start symbol (present iff the source axiom derives the empty word).
-    Binarization-chain nonterminals have exactly one rule each, with no
-    origin, and no two of them share a right-hand side.  Treat instances as
-    immutable.
+    Binarization-chain nonterminals have exactly one rule each, and no two of
+    them share a right-hand side.  Treat instances as immutable.
     """
 
     original: WeightedGrammar
@@ -494,10 +416,6 @@ class NormalizedGrammar:
 
     def alternatives(self, nt: str) -> tuple[NormalizedRule, ...]:
         return self._by_lhs.get(nt, ())
-
-    def provenance(self) -> dict[int, int | None]:
-        """Normalized rule index -> source rule index (None for plumbing rules)."""
-        return {i: r.origin for i, r in enumerate(self.rules)}
 
 
 def inside(ng: NormalizedGrammar, horizon: int, letter, one, zero, add, dot) -> dict:
@@ -551,19 +469,18 @@ def normalize(g: WeightedGrammar, *, check_depth: int | None = None) -> Normaliz
     derivations stay one to one; terminals inside longer right-hand sides get
     a wrapper nonterminal.  A right-hand side X1..Xk with k >= 3 becomes
     A -> X1 B2, B2 -> X2 B3, ..., Bk-1 -> Xk-1 Xk, where the first rule keeps
-    A and its source `origin` and each chain nonterminal Bi stands for the
-    suffix Xi..Xk.  Chains are built from the end and keyed by (symbol,
-    tail), so every suffix shared by several right-hand sides (the epsilon
-    variants of Motzkin's `( S ) S` or of the RNA pair rules) gets one
-    chain nonterminal, and every table has fewer cells to fill: Motzkin
-    normalizes to 8 nonterminals and 13 pair rules, RNA at theta 1 to 9 and
-    12, at theta 3 to 10 and 14.  Each nonterminal's rules keep the order of
-    the source rules they come from.
+    A and each chain nonterminal Bi stands for the suffix Xi..Xk.  Chains are
+    built from the end and keyed by (symbol, tail), so every suffix shared by
+    several right-hand sides (the epsilon variants of Motzkin's `( S ) S` or
+    of the RNA pair rules) gets one chain nonterminal, and every table has
+    fewer cells to fill: Motzkin normalizes to 8 nonterminals and 13 pair
+    rules, RNA at theta 1 to 9 and 12, at theta 3 to 10 and 14.  Each
+    nonterminal's rules keep the order of the source rules they come from.
 
     With check_depth set, the word multisets of source and normalized grammars
     are compared by exhaustive enumeration for every n <= check_depth.
     """
-    nullable = nullable_set(g)
+    eps = _epsilon_counts(g)
     names = set(g.terminals) | set(g.nonterminals)
 
     # nonterminals that derive at least one non-empty word; occurrences of the
@@ -574,29 +491,25 @@ def normalize(g: WeightedGrammar, *, check_depth: int | None = None) -> Normaliz
 
     # epsilon elimination: every way of dropping nullable occurrences becomes
     # its own variant, keeping a one-to-one mapping of derivations
-    work = []  # (lhs, rhs tuple, origin)
-    for idx, rule in enumerate(g.rules):
-        forced = {i for i, s in enumerate(rule.rhs)
-                  if s in nullable and s not in positive}
-        optional = [i for i, s in enumerate(rule.rhs)
-                    if s in nullable and s in positive]
+    start = _fresh(names, "@S")
+    work = [(start, (g.axiom,))]  # (lhs, rhs tuple)
+    for rule in g.rules:
+        forced = {i for i, s in enumerate(rule.rhs) if eps[s] and s not in positive}
+        optional = [i for i, s in enumerate(rule.rhs) if eps[s] and s in positive]
         for mask in product((False, True), repeat=len(optional)):
             dropped = forced | {i for i, d in zip(optional, mask) if d}
             rhs = tuple(s for i, s in enumerate(rule.rhs) if i not in dropped)
             if rhs:
-                work.append((rule.lhs, rhs, idx))
-
-    start = _fresh(names, "@S")
-    work.insert(0, (start, (g.axiom,), None))
+                work.append((rule.lhs, rhs))
 
     # unit elimination over the (acyclic) unit graph, multiplicities included
     unit_edges = {}
-    nonunit = []
-    for lhs, rhs, origin in work:
+    nonunit_by_lhs = {}
+    for lhs, rhs in work:
         if len(rhs) == 1 and rhs[0] in g.nonterminals:
             unit_edges.setdefault(lhs, []).append(rhs[0])
         else:
-            nonunit.append((lhs, rhs, origin))
+            nonunit_by_lhs.setdefault(lhs, []).append(rhs)
 
     path_memo = {}
 
@@ -610,15 +523,12 @@ def normalize(g: WeightedGrammar, *, check_depth: int | None = None) -> Normaliz
         path_memo[a] = acc
         return acc
 
-    lhss = {lhs for lhs, _, _ in work}
+    lhss = {lhs for lhs, _ in work}
     expanded = []
-    nonunit_by_lhs = {}
-    for lhs, rhs, origin in nonunit:
-        nonunit_by_lhs.setdefault(lhs, []).append((rhs, origin))
     for a in sorted(lhss):
         for c, mult in sorted(unit_paths(a).items()):
-            for rhs, origin in nonunit_by_lhs.get(c, ()):
-                expanded.extend([(a, rhs, origin)] * mult)
+            for rhs in nonunit_by_lhs.get(c, ()):
+                expanded.extend([(a, rhs)] * mult)
 
     # terminal isolation and binarization
     final = []
@@ -627,27 +537,27 @@ def normalize(g: WeightedGrammar, *, check_depth: int | None = None) -> Normaliz
     def wrap_terminal(t):
         if t not in wrapper:
             wrapper[t] = _fresh(names, f"@T{t}")
-            final.append(NormalizedRule(wrapper[t], "term", (t,), None))
+            final.append(NormalizedRule(wrapper[t], "term", (t,)))
         return wrapper[t]
 
     # one chain nonterminal per distinct (symbol, tail) pair
     chains = {}
-    for lhs, rhs, origin in expanded:
+    for lhs, rhs in expanded:
         if len(rhs) == 1:
-            final.append(NormalizedRule(lhs, "term", (rhs[0],), origin))
+            final.append(NormalizedRule(lhs, "term", (rhs[0],)))
             continue
         *head, tail = [wrap_terminal(s) if s in g.terminals else s for s in rhs]
         for sym in reversed(head[1:]):
             key = (sym, tail)
             if key not in chains:
                 chains[key] = _fresh(names, f"@B{len(chains)}")
-                final.append(NormalizedRule(chains[key], "pair", key, None))
+                final.append(NormalizedRule(chains[key], "pair", key))
             tail = chains[key]
-        final.append(NormalizedRule(lhs, "pair", (head[0], tail), origin))
+        final.append(NormalizedRule(lhs, "pair", (head[0], tail)))
 
-    axiom_nullable = g.axiom in nullable
+    axiom_nullable = eps[g.axiom] > 0
     if axiom_nullable:
-        final.append(NormalizedRule(start, "eps", (), None))
+        final.append(NormalizedRule(start, "eps", ()))
 
     nts = []
     for r in final:

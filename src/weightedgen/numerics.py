@@ -89,9 +89,9 @@ def harmonic(hi: int, lo: int = 0):
         return mp.harmonic(to_mpf(hi)) - mp.harmonic(to_mpf(lo))
 
 
-def substream_seed(seed: int, worker: int) -> int:
-    """Derive a deterministic, well-mixed sub-seed for a worker index."""
-    digest = hashlib.sha256(f"{seed}:{worker}".encode()).digest()
+def substream_seed(seed: int) -> int:
+    """Derive a deterministic, well-mixed sub-seed from a user seed."""
+    digest = hashlib.sha256(f"{seed}:0".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

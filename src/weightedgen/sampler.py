@@ -41,7 +41,7 @@ class SamplerState:
     rng: random.Random = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.rng = random.Random(substream_seed(self.seed, 0))
+        self.rng = random.Random(substream_seed(self.seed))
 
 
 def sample_word(state: SamplerState, n: int) -> tuple:

@@ -532,7 +532,7 @@ def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
             raise ValueError(f"statistic {statistic!r} needs k >= 0")
         if k == 0:
             return SimResult(statistic, 0.0, 0.0, trials, 0)
-    sub = substream_seed(DEFAULT_SEED if seed is None else seed, 0)
+    sub = substream_seed(DEFAULT_SEED if seed is None else seed)
     if isinstance(model, UrnModel):
         draw, weight, size = _urn_source(model, sub)
     else:

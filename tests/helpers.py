@@ -26,15 +26,12 @@ from weightedgen.urns import QuadratureError, UrnClass, UrnModel, alpha
 
 
 def assert_chains_shared(ng):
-    """Every pair rule of a source nonterminal or the start keeps its source
-    rule's index; every other pair rule is the one rule of its binarization
-    chain nonterminal, with no origin, and no two of those share a right-hand
-    side."""
+    """A chain rule is a pair rule whose lhs is neither a source nonterminal
+    nor the start symbol; that lhs has exactly one rule, and no two chain
+    rules share a right-hand side."""
     heads = ng.original.nonterminals | {ng.axiom}
-    pairs = [r for r in ng.rules if r.kind == "pair"]
-    chains = [r for r in pairs if r.lhs not in heads]
-    assert all(r.origin is not None for r in pairs if r.lhs in heads)
-    assert all(ng.alternatives(r.lhs) == (r,) and r.origin is None for r in chains)
+    chains = [r for r in ng.rules if r.kind == "pair" and r.lhs not in heads]
+    assert all(ng.alternatives(r.lhs) == (r,) for r in chains)
     assert len({r.rhs for r in chains}) == len(chains)
 
 
@@ -286,21 +283,27 @@ def random_urn_model(rng, max_urns=5):
     return from_weights(weights)
 
 
+def random_candidate(rng):
+    """The rules of a random grammar with axiom S, valid or not:
+    (terminals, nonterminals, rules)."""
+    terminals = rng.sample(["a", "b", "c"], rng.randint(1, 3))
+    nts = ["S", "A", "B"][: rng.randint(1, 3)]
+    rules = []
+    for nt in nts:
+        for _ in range(rng.randint(1, 3)):
+            length = rng.choice((0, 1, 1, 2, 2, 3, 3, 4))
+            rhs = tuple(rng.choice(terminals + nts) for _ in range(length))
+            rules.append(Rule(nt, rhs))
+    return terminals, nts, tuple(rules)
+
+
 def random_valid_grammar(rng):
     """A random valid weighted grammar, possibly ambiguous (rejection sampling)."""
     for _ in range(2000):
-        terminals = rng.sample(["a", "b", "c"], rng.randint(1, 3))
-        nts = ["S", "A", "B"][: rng.randint(1, 3)]
-        rules = []
-        for nt in nts:
-            for _ in range(rng.randint(1, 3)):
-                length = rng.choice((0, 1, 1, 2, 2, 3, 3, 4))
-                rhs = tuple(rng.choice(terminals + nts) for _ in range(length))
-                rules.append(Rule(nt, rhs))
+        terminals, nts, rules = random_candidate(rng)
         weights = {t: rng.choice(WEIGHT_POOL) for t in terminals}
         try:
-            return WeightedGrammar(frozenset(terminals), frozenset(nts),
-                                   tuple(rules), "S", weights)
+            return WeightedGrammar(terminals, nts, rules, "S", weights)
         except GrammarError:
             continue
     raise RuntimeError("could not generate a valid grammar")

@@ -1,9 +1,13 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import weightedgen
 from weightedgen import counting
 from weightedgen.cli import main
 
@@ -187,6 +191,12 @@ def test_rna_report_and_sweep():
     assert len(lines) == 4
 
 
+def test_rna_sweep_refuses_empty_range():
+    code, out, err = run_cli("rna", "--sweep", "5..2", "--k", "10")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--sweep" in err
+
+
 def test_figure1_csv():
     code, out, _ = run_cli("figure", "1", "--W", "2", "--n-max", "10")
     lines = out.strip().splitlines()
@@ -223,6 +233,27 @@ def test_error_exit_codes(tmp_path):
     assert code == 2 and "exactly one" in err
     code, _, err = run_cli("spectrum", "--builtin", "motzkin", "--n", "-1")
     assert code == 2
+
+
+@pytest.mark.parametrize("rules, seeds, named", [
+    # a same-length cycle S -> T -> U -> S
+    ("S -> T | a\nT -> U\nU -> S | a\n", ("1", "3"), "S"),
+    # A and D each derive the empty word twice
+    ("S -> A a | D b\nA -> B | C\nD -> B | C\nB -> _\nC -> _\n", ("1", "6"), "A"),
+], ids=["cycle", "empty-word"])
+def test_validation_error_independent_of_hash_seed(tmp_path, rules, seeds, named):
+    # the error names the first offending nonterminal in sorted order, under
+    # every string-hash seed
+    path = tmp_path / "g.wcfg"
+    path.write_text("axiom S\nterminal a\nterminal b\n" + rules)
+    src = str(Path(weightedgen.__file__).parents[1])
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "weightedgen.cli", "count", "--grammar", str(path),
+             "--n", "3"], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: nonterminal {named!r} "), proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
