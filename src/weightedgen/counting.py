@@ -13,8 +13,10 @@ Fractions.  Fixed-point cells (`precision=p`, for long coefficient tails where
 exactness is pointless) hold floor(value * 2^(q - b*m)) with q = p + 64 and b
 = floor(log2) of the smallest letter weight: every length-m word weighs at
 least 2^(b*m), so every nonempty cell is at least 2^q - 2m, and one
-truncation per cell keeps it within a relative (2m-1) * 2^-q below its value.
-Their `value()` rounds the cell to a p-bit mpf.
+truncation of each cell's own pair sum keeps that part within a relative
+(2m-1) * 2^-q below its value.  A unit rule adds its target's cell, which
+meets the same bound, so the whole cell does too.  Their `value()` rounds
+the cell to a p-bit mpf.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from .grammar import NormalizedGrammar, inside
 
 # bits a fixed-point table keeps beyond its precision
 GUARD_BITS = 64
+
+# weight classes the spectrum DP may hold in one cell before it gives up
+CLASS_CAP = 200_000
 
 
 class EmptyLanguageError(ValueError):
@@ -129,7 +134,10 @@ class CountTable:
         The options of `choices(nt, m)` sum to at least this bound, exactly on
         an exact table and at lengths 0 and 1.  On a fixed-point table a pair
         option is a product of two cells, so it sits 2^q above the cell's
-        scale, and the cell is the floor of the options' sum shifted down by q.
+        scale, and the cell is the floor of its own pair options' sum shifted
+        down by q, plus the cells of its unit rules' targets.  So the options
+        exceed the bound by less than 2^q per unit path out of nt (the empty
+        path included) that ends at a nonterminal with pair rules.
         """
         cell = self.cell(nt, m)
         return cell << self._shift if m >= 2 else cell
@@ -139,10 +147,11 @@ class CountTable:
 
         Weights are ints in the scale of `draw_bound(nt, m)`; a walk that
         subtracts them from a draw below that bound in this order always
-        stops at an option.  `split` is the length of a pair rule's first
-        child.  Split points come from both ends inwards, where these grammars
-        put most of the weight, so a walk that stops at a drawn option
-        computes few products.
+        stops at an option.  A unit rule nt -> B stands, in its place, for
+        B's options in B's order, so `rule` is never a unit rule.  `split` is
+        the length of a pair rule's first child.  Split points come from both
+        ends inwards, where these grammars put most of the weight, so a walk
+        that stops at a drawn option computes few products.
         """
         self.cell(nt, m)
         cells = self._cells
@@ -153,6 +162,8 @@ class CountTable:
             elif r.kind == "eps":
                 if m == 0:
                     yield self._one, r, 0
+            elif r.kind == "unit":
+                yield from self.choices(r.rhs[0], m)
             elif m >= 2:
                 vb, vc = cells[r.rhs[0]], cells[r.rhs[1]]
                 for j in _splits(m):
@@ -226,8 +237,7 @@ class WeightSpectrum:
         return "\n".join(lines) + "\n"
 
 
-def weight_spectra(grammar: NormalizedGrammar, weights=None, n: int = 0, *,
-                   class_cap: int = 200_000) -> list:
+def weight_spectra(grammar: NormalizedGrammar, weights=None, n: int = 0) -> list:
     """WeightSpectrum for every length 0..n (None where the slice is empty).
 
     The semiring values are {composition vector: word count} maps.  Vectors
@@ -244,8 +254,8 @@ def weight_spectra(grammar: NormalizedGrammar, weights=None, n: int = 0, *,
         out = dict(x)
         for comp, count in y.items():
             out[comp] = out.get(comp, 0) + count
-        if len(out) > class_cap:
-            raise ClassCapExceeded(f"more than {class_cap} weight classes")
+        if len(out) > CLASS_CAP:
+            raise ClassCapExceeded(f"more than {CLASS_CAP} weight classes")
         return out
 
     def dot(xs, ys):
@@ -280,10 +290,9 @@ def weight_spectra(grammar: NormalizedGrammar, weights=None, n: int = 0, *,
     return spectra
 
 
-def weight_spectrum(grammar: NormalizedGrammar, weights=None, n: int = 0, *,
-                    class_cap: int = 200_000) -> WeightSpectrum:
+def weight_spectrum(grammar: NormalizedGrammar, weights=None, n: int = 0) -> WeightSpectrum:
     """The weight-class spectrum of the length-n slice (exact)."""
-    sp = weight_spectra(grammar, weights, n, class_cap=class_cap)[n]
+    sp = weight_spectra(grammar, weights, n)[n]
     if sp is None:
         raise EmptyLanguageError(f"no words of length {n}")
     return sp

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 import operator
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import reduce
+from graphlib import TopologicalSorter
 from itertools import product
 
 RESERVED_TOKENS = {"->", "|", "_"}
@@ -76,7 +76,7 @@ class WeightedGrammar:
     nonterminals: frozenset[str]
     rules: tuple[Rule, ...]
     axiom: str
-    weights: dict = field(compare=True)
+    weights: dict = field(compare=True, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "terminals", frozenset(self.terminals))
@@ -380,25 +380,27 @@ def enumerate_words(g, n: int, *, word_cap: int = 200_000) -> list:
 @dataclass(frozen=True)
 class NormalizedRule:
     lhs: str
-    kind: str                 # "pair" | "term" | "eps"
-    rhs: tuple[str, ...]      # (B, C) | (t,) | ()
+    kind: str                 # "pair" | "term" | "unit" | "eps"
+    rhs: tuple[str, ...]      # (B, C) | (t,) | (B,) | ()
 
 
 @dataclass
 class NormalizedGrammar:
     """Binary-form grammar equivalent to its source, derivation for derivation.
 
-    Rules are A->BC ("pair"), A->t ("term"), and at most one S0->eps rule at a
-    fresh start symbol (present iff the source axiom derives the empty word).
-    Binarization-chain nonterminals have exactly one rule each, and no two of
-    them share a right-hand side.  Treat instances as immutable.
+    Rules are A->BC ("pair"), A->t ("term"), A->B ("unit"), and at most one
+    S0->eps rule at a fresh start symbol (present iff the source axiom derives
+    the empty word).  `nonterminals` lists each unit rule's target before its
+    left-hand side, so a pass over them in order at one length can read the
+    target's value at that length.  Binarization-chain nonterminals have
+    exactly one rule each, and no two of them share a right-hand side.  Treat
+    instances as immutable.
     """
 
     original: WeightedGrammar
     axiom: str
     nonterminals: tuple[str, ...]
     rules: tuple[NormalizedRule, ...]
-    axiom_nullable: bool
 
     def __post_init__(self):
         by_lhs = {}
@@ -426,10 +428,11 @@ def inside(ng: NormalizedGrammar, horizon: int, letter, one, zero, add, dot) -> 
     terminal t and `one` for the empty word.  `add(x, y)` is the semiring sum
     and `dot(xs, ys)` the sum of the pairwise products of two equally long
     sequences; for m >= 2 each cell is one `dot` over the split points of all
-    its pair rules, added to `zero`.  `zero` must be the neutral element of
-    `add` and absorb products.  Cost: |nonterminals| * (horizon + 1) cells and
-    O(|pair rules| * horizon^2) products, both kept small by `normalize`
-    sharing its binarization chains.
+    its pair rules, added to `zero`, and a unit rule A -> B adds B's cell at
+    the same length.  `zero` must be the neutral element of `add` and absorb
+    products.  Cost: |nonterminals| * (horizon + 1) cells, O(|pair rules| *
+    horizon^2) products and |unit rules| * (horizon + 1) sums, kept small by
+    `normalize` sharing its binarization chains and keeping unit rules.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -445,6 +448,8 @@ def inside(ng: NormalizedGrammar, horizon: int, letter, one, zero, add, dot) -> 
                 elif r.kind == "eps":
                     if m == 0:
                         cell = add(cell, one)
+                elif r.kind == "unit":
+                    cell = add(cell, vals[r.rhs[0]][m])
                 elif m >= 2:
                     xs += vals[r.rhs[0]][1:m]
                     ys += vals[r.rhs[1]][m - 1:0:-1]
@@ -462,23 +467,24 @@ def _fresh(names: set, base: str) -> str:
     return cand
 
 
-def normalize(g: WeightedGrammar, *, check_depth: int | None = None) -> NormalizedGrammar:
+def normalize(g: WeightedGrammar) -> NormalizedGrammar:
     """Convert to binary form, preserving the (word, weight) multiset per length.
 
-    Epsilon and unit rules are eliminated with their multiplicities, so
-    derivations stay one to one; terminals inside longer right-hand sides get
-    a wrapper nonterminal.  A right-hand side X1..Xk with k >= 3 becomes
-    A -> X1 B2, B2 -> X2 B3, ..., Bk-1 -> Xk-1 Xk, where the first rule keeps
-    A and each chain nonterminal Bi stands for the suffix Xi..Xk.  Chains are
-    built from the end and keyed by (symbol, tail), so every suffix shared by
-    several right-hand sides (the epsilon variants of Motzkin's `( S ) S` or
-    of the RNA pair rules) gets one chain nonterminal, and every table has
-    fewer cells to fill: Motzkin normalizes to 8 nonterminals and 13 pair
-    rules, RNA at theta 1 to 9 and 12, at theta 3 to 10 and 14.  Each
-    nonterminal's rules keep the order of the source rules they come from.
-
-    With check_depth set, the word multisets of source and normalized grammars
-    are compared by exhaustive enumeration for every n <= check_depth.
+    Epsilon rules are eliminated with their multiplicities, so derivations
+    stay one to one.  Unit rules A -> B are kept, the fresh start symbol's
+    S0 -> axiom among them, and the nonterminals are listed so that each unit
+    rule's target comes before its left-hand side: `_validate` rejects
+    same-length rewrite cycles, so such an order exists.  Terminals inside
+    longer right-hand sides get a wrapper nonterminal.  A right-hand side
+    X1..Xk with k >= 3 becomes A -> X1 B2, B2 -> X2 B3, ..., Bk-1 -> Xk-1 Xk,
+    where the first rule keeps A and each chain nonterminal Bi stands for
+    the suffix Xi..Xk.  Chains are built from the end and keyed by (symbol,
+    tail), so every suffix shared by several right-hand sides (the epsilon
+    variants of Motzkin's `( S ) S` or of the RNA pair rules) gets one chain
+    nonterminal, and every table has fewer cells to fill: Motzkin normalizes
+    to 8 nonterminals and 8 pair rules, RNA at theta 1 to 9 and 9, at theta 3
+    to 10 and 11.  Each nonterminal's rules keep the order of the source
+    rules they come from.
     """
     eps = _epsilon_counts(g)
     names = set(g.terminals) | set(g.nonterminals)
@@ -490,9 +496,10 @@ def normalize(g: WeightedGrammar, *, check_depth: int | None = None) -> Normaliz
         if any(s in g.terminals or s in pos for s in r.rhs)})
 
     # epsilon elimination: every way of dropping nullable occurrences becomes
-    # its own variant, keeping a one-to-one mapping of derivations
+    # its own variant, keeping a one-to-one mapping of derivations; an axiom
+    # that derives only the empty word leaves the start symbol only its eps rule
     start = _fresh(names, "@S")
-    work = [(start, (g.axiom,))]  # (lhs, rhs tuple)
+    work = [(start, (g.axiom,))] if g.axiom in positive else []  # (lhs, rhs tuple)
     for rule in g.rules:
         forced = {i for i, s in enumerate(rule.rhs) if eps[s] and s not in positive}
         optional = [i for i, s in enumerate(rule.rhs) if eps[s] and s in positive]
@@ -501,34 +508,6 @@ def normalize(g: WeightedGrammar, *, check_depth: int | None = None) -> Normaliz
             rhs = tuple(s for i, s in enumerate(rule.rhs) if i not in dropped)
             if rhs:
                 work.append((rule.lhs, rhs))
-
-    # unit elimination over the (acyclic) unit graph, multiplicities included
-    unit_edges = {}
-    nonunit_by_lhs = {}
-    for lhs, rhs in work:
-        if len(rhs) == 1 and rhs[0] in g.nonterminals:
-            unit_edges.setdefault(lhs, []).append(rhs[0])
-        else:
-            nonunit_by_lhs.setdefault(lhs, []).append(rhs)
-
-    path_memo = {}
-
-    def unit_paths(a):
-        """Counter of nonterminals reachable from a via unit chains (a included)."""
-        if a in path_memo:
-            return path_memo[a]
-        acc = Counter({a: 1})
-        for b in unit_edges.get(a, ()):
-            acc.update(unit_paths(b))
-        path_memo[a] = acc
-        return acc
-
-    lhss = {lhs for lhs, _ in work}
-    expanded = []
-    for a in sorted(lhss):
-        for c, mult in sorted(unit_paths(a).items()):
-            for rhs in nonunit_by_lhs.get(c, ()):
-                expanded.extend([(a, rhs)] * mult)
 
     # terminal isolation and binarization
     final = []
@@ -542,9 +521,9 @@ def normalize(g: WeightedGrammar, *, check_depth: int | None = None) -> Normaliz
 
     # one chain nonterminal per distinct (symbol, tail) pair
     chains = {}
-    for lhs, rhs in expanded:
+    for lhs, rhs in work:
         if len(rhs) == 1:
-            final.append(NormalizedRule(lhs, "term", (rhs[0],)))
+            final.append(NormalizedRule(lhs, "term" if rhs[0] in g.terminals else "unit", rhs))
             continue
         *head, tail = [wrap_terminal(s) if s in g.terminals else s for s in rhs]
         for sym in reversed(head[1:]):
@@ -555,29 +534,15 @@ def normalize(g: WeightedGrammar, *, check_depth: int | None = None) -> Normaliz
             tail = chains[key]
         final.append(NormalizedRule(lhs, "pair", (head[0], tail)))
 
-    axiom_nullable = eps[g.axiom] > 0
-    if axiom_nullable:
+    if eps[g.axiom]:
         final.append(NormalizedRule(start, "eps", ()))
 
-    nts = []
+    # each nonterminal after the targets of its unit rules
+    targets = {}
     for r in final:
-        if r.lhs not in nts:
-            nts.append(r.lhs)
-    ng = NormalizedGrammar(g, start, tuple(nts), tuple(final), axiom_nullable)
-
-    if check_depth is not None:
-        derived = inside(ng, check_depth, lambda t: [(t,)], [()], [],
-                         operator.add, _concatenations)[ng.axiom]
-        for n in range(check_depth + 1):
-            if Counter(enumerate_words(g, n)) != Counter(derived[n]):
-                raise GrammarError(
-                    f"normalization changed the word multiset at length {n}")
-    return ng
-
-
-def _concatenations(xs, ys):
-    """Derivation-word semiring product: every concatenation, pair by pair."""
-    return [wb + wc for wbs, wcs in zip(xs, ys) for wb in wbs for wc in wcs]
+        targets.setdefault(r.lhs, []).extend(r.rhs if r.kind == "unit" else ())
+    nts = tuple(TopologicalSorter(targets).static_order())
+    return NormalizedGrammar(g, start, nts, tuple(final))
 
 
 # ---------------------------------------------------------------------------

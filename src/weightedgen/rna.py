@@ -25,8 +25,8 @@ from .counting import WeightClass, WeightSpectrum
 from .grammar import Rule, WeightedGrammar, normalize
 from .numerics import rational_from_real
 
-# Gas constant in kcal/(mol*K) and the default RT (310.15 K, i.e. 37 C).
-R_KCAL = 0.0019872
+# The default RT in kcal/mol: the gas constant 0.0019872 kcal/(mol*K) times
+# 310.15 K (37 C).
 DEFAULT_RT = 0.6163
 
 # Significant digits of the rational snapshot of a pair weight.

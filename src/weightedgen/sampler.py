@@ -12,10 +12,17 @@ On an exact table the options sum exactly to the bound, so a word w of
 length n is produced with probability exactly weight(w) / total(n).  On a
 fixed-point table (precision p, q = p + 64 bits; see `counting`) each stored
 cell is within a relative (2m-1) * 2^-q below its value, and the product of
-a word's option probabilities telescopes to its letters over the axiom cell:
-w is produced with probability within a relative 2n * 2^-q of
-weight(w) / total(n), for n <= 2^(q/2 - 2).  `branch_distribution` computes
-those probabilities exactly.
+a word's option probabilities telescopes to its letters over the axiom cell.
+Let U be the most unit paths, the empty one included, that lead from one
+nonterminal to nonterminals with pair rules (U = 1 for the built-in
+grammars).  The axiom cell raises w's probability by at most a relative
+(2n-1) * 2^-q.  Two things lower it: each of its n letters is floored by
+less than a relative 2^-q, and at each of its at most n-1 nodes of length
+m >= 2 the bound cuts less than the slack U * 2^q of `draw_bound` off an
+option of at least (2^q - 2m)^2.  So w is produced with probability within
+a relative (U+1) * n * 2^-q of weight(w) / total(n), for n <= 2^(q/2 - 2);
+that is 2n * 2^-q when U = 1.  `branch_distribution` computes those
+probabilities exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +33,9 @@ from fractions import Fraction
 
 from .counting import CountTable, EmptyLanguageError
 from .numerics import DEFAULT_SEED, substream_seed
+
+# distinct words one node of `branch_distribution` may hold before it gives up
+BRANCH_WORD_CAP = 10_000
 
 
 @dataclass
@@ -93,14 +103,14 @@ def word_probability(word, table: CountTable) -> Fraction:
     return word_weight(word, table.weights) / total
 
 
-def branch_distribution(table: CountTable, n: int, *, word_cap: int = 10_000) -> dict:
+def branch_distribution(table: CountTable, n: int) -> dict:
     """Exact sampling distribution, by walking every branch of the decision tree.
 
     Walks the same `CountTable.choices` below the same `draw_bound` as
     sample_word, symbolically, so it gives each word the exact probability
     the sampler draws it with: weight(w)/total(n) on an exact table, and
     within the bound of the module docstring on a fixed-point one.
-    Exponential in n; guarded by word_cap.
+    Exponential in n; guarded by BRANCH_WORD_CAP.
     """
     memo = {}
 
@@ -123,8 +133,8 @@ def branch_distribution(table: CountTable, n: int, *, word_cap: int = 10_000) ->
                         acc[wb + wc] = acc.get(wb + wc, 0) + p * pb * pc
             else:
                 acc[rule.rhs] = acc.get(rule.rhs, 0) + p
-        if len(acc) > word_cap:
-            raise RuntimeError(f"more than {word_cap} words in branch analysis")
+        if len(acc) > BRANCH_WORD_CAP:
+            raise RuntimeError(f"more than {BRANCH_WORD_CAP} words in branch analysis")
         memo[key] = acc
         return acc
 

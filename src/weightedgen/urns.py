@@ -275,6 +275,10 @@ _BLOCK = 1 << 15
 # Rounding budget of the birthday quadrature, relative to the integral.
 _ROUNDING = 64 * 2.0 ** -52
 
+# Relative error the birthday quadrature must prove; it cannot go much below
+# 1e-14 (see birthday_exact), and `standard_report` quotes it in its note.
+BIRTHDAY_REL_TOL = 1e-9
+
 
 def _h(x):
     """h(x) = (log1p(x) - x) / x^2 for x >= 0, to a few ulp.
@@ -330,7 +334,7 @@ def _sqrt_ratio(num: int, den: int) -> float:
     return math.ldexp(math.sqrt(ratio), half)
 
 
-def birthday_exact(u: UrnModel, *, rel_tol: float = 1e-9) -> float:
+def birthday_exact(u: UrnModel) -> float:
     """E[B] = integral over t >= 0 of e^-t prod (1 + p_i t)^c_i, in double precision.
 
     Rescaling.  With t = s / sqrt(alpha_2) and sum c_i p_i = 1 the integral is
@@ -345,17 +349,18 @@ def birthday_exact(u: UrnModel, *, rel_tol: float = 1e-9) -> float:
     Error bound.  The integral is composite Gauss-Legendre with 32 and 64
     points on the panels [0, 1], [1, 2], [2, 4], ..., [S/2, S]; the 64-point
     sum is returned.  Its error is bounded by err = E_panel + E_tail + E_round,
-    and a QuadratureError is raised unless err <= rel_tol * value:
+    and a QuadratureError is raised unless err <= BIRTHDAY_REL_TOL * value:
     - E_panel = sum |G64 - G32| over the panels.  The branch points
       s = -1/q_i <= -1 of the integrand lie at least three half-widths from
       every panel, so both rules converge geometrically and the 32-point
       error overestimates the 64-point one;
     - E_tail = exp(psi(S)) / |psi'(S)| bounds the integral beyond S, because
       psi is concave; S is the first power of two where it falls below
-      1e-3 * rel_tol (the integral is at least sqrt(pi/2) > 1, as h >= -1/2);
+      1e-3 * BIRTHDAY_REL_TOL (the integral is at least sqrt(pi/2) > 1, as
+      h >= -1/2);
     - E_round = 64 * 2^-52 * value covers rounding: h to a few ulp, b_i, q_i,
       the Gauss weights, the class sums and exp.
-    So rel_tol cannot go much below 1e-14.  Memory stays flat in the number
+    So the tolerance cannot go much below 1e-14.  Memory stays flat in the number
     of classes: the class x node matrix is built in blocks.
     """
     scale, nums = u.denominator, u.numerators
@@ -370,7 +375,7 @@ def birthday_exact(u: UrnModel, *, rel_tol: float = 1e-9) -> float:
     ends = 2.0 ** np.arange(11)
     slopes = ends * _class_sum(b, q, ends, lambda x: 1 / (1 + x))  # |psi'|
     tails = np.exp(ends * ends * _class_sum(b, q, ends, _h)) / slopes
-    hits = np.flatnonzero(tails < 1e-3 * rel_tol)
+    hits = np.flatnonzero(tails < 1e-3 * BIRTHDAY_REL_TOL)
     if not hits.size:
         raise QuadratureError(f"no truncation point up to t={ends[-1] * unscale:.6g}")
     last = hits[0]
@@ -385,7 +390,7 @@ def birthday_exact(u: UrnModel, *, rel_tol: float = 1e-9) -> float:
     g64 = half * (f[:, len(x32):] @ w64)
     value = g64.sum()
     err = np.abs(g64 - g32).sum() + tails[last] + _ROUNDING * value
-    if not err <= rel_tol * value:
+    if not err <= BIRTHDAY_REL_TOL * value:
         raise QuadratureError(
             f"birthday quadrature did not converge: value~{value * unscale:.8g}, "
             f"error~{err * unscale:.3g}, truncation t={ends[last] * unscale:.6g}, "

@@ -8,15 +8,17 @@ oracles: the Fraction count table, the 45-digit birthday quadrature, and the
 40-digit per-class occupancy sums and exponential form.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+import operator
 import random
 
 from mpmath import mp
 
 from weightedgen import (Rule, WeightedGrammar, GrammarError, ambiguity_probe,
-                         enumerate_words, from_weights)
-from weightedgen.grammar import EnumerationCap
+                         enumerate_words, from_weights, normalize, parse_grammar)
+from weightedgen.grammar import EnumerationCap, inside
 from weightedgen.numerics import one_minus_pow, to_mpf
 from weightedgen.urns import QuadratureError, UrnClass, UrnModel, alpha
 
@@ -33,6 +35,44 @@ def assert_chains_shared(ng):
     chains = [r for r in ng.rules if r.kind == "pair" and r.lhs not in heads]
     assert all(ng.alternatives(r.lhs) == (r,) for r in chains)
     assert len({r.rhs for r in chains}) == len(chains)
+
+
+# S and the start symbol reach three nonterminals with pair rules by unit
+# paths; on fixed-point tables their options exceed the draw bound by more
+# than 2^q
+UNIT_CHAIN = parse_grammar(
+    "axiom S\nterminal a weight 3/7\nterminal b weight 9/5\nterminal c weight 13/3\n"
+    "S -> a S | T | c\nT -> b T | U\nU -> c U | b\n")
+
+
+def pair_paths(ng):
+    """{nonterminal: its unit paths, the empty one included, that end at a
+    nonterminal with pair rules}.  On a fixed-point table the options of a
+    cell exceed its draw bound by less than 2^q per such path."""
+    paths = {}
+    for nt in ng.nonterminals:  # unit-rule targets come first
+        rules = ng.alternatives(nt)
+        paths[nt] = any(r.kind == "pair" for r in rules) + sum(
+            paths[r.rhs[0]] for r in rules if r.kind == "unit")
+    return paths
+
+
+def _concatenations(xs, ys):
+    """Derivation-word semiring product: every concatenation, pair by pair."""
+    return [wb + wc for wbs, wcs in zip(xs, ys) for wb in wbs for wc in wcs]
+
+
+def normalize_checked(g, depth):
+    """normalize(g), after asserting that the source and normal forms derive
+    the same word multiset at every length n <= depth (exhaustive
+    enumeration against the derivation-word instance of `inside`)."""
+    ng = normalize(g)
+    derived = inside(ng, depth, lambda t: [(t,)], [()], [],
+                     operator.add, _concatenations)[ng.axiom]
+    for n in range(depth + 1):
+        assert Counter(enumerate_words(g, n)) == Counter(derived[n]), \
+            f"normalization changed the word multiset at length {n}"
+    return ng
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +94,8 @@ def fraction_count_table(ng, weights, horizon):
                 elif r.kind == "eps":
                     if m == 0:
                         acc += 1
+                elif r.kind == "unit":
+                    acc += vals[r.rhs[0]][m]
                 elif m >= 2:
                     b, c = r.rhs
                     for j in range(1, m):

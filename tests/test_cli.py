@@ -346,6 +346,15 @@ def test_figure_outputs_deterministic():
     ("sample_motzkin_w2_n40_k20_float256", ("sample", "--builtin", "motzkin", "--weight",
                                             ".=2", "--n", "40", "--k", "20",
                                             "--precision", "float256")),
+    ("count_rna_t1_e1_n80_csv", ("count", "--builtin", "rna", "--theta", "1", "--energy",
+                                 "-1", "--n", "80", "--format", "csv")),
+    ("spectrum_motzkin_w2_n16_csv", ("spectrum", "--builtin", "motzkin", "--weight",
+                                     ".=2", "--n", "16", "--format", "csv")),
+    # seeded word-level simulation
+    ("simulate_motzkin_w2_n9_coverage_k43_words", ("simulate", "--builtin", "motzkin",
+                                                   "--weight", ".=2", "--n", "9",
+                                                   "--statistic", "coverage", "--k", "43",
+                                                   "--mode", "words", "--trials", "300")),
 ])
 def test_cli_stdout_golden(name, argv):
     code, out, err = run_cli(*argv)

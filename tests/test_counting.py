@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from weightedgen import (ClassCapExceeded, EmptyLanguageError, build_counts,
-                         extreme_weights, moment, normalize,
+                         counting, extreme_weights, moment, normalize,
                          parse_grammar, rna, weight_spectra, weight_spectrum)
-from helpers import random_grammar, spectrum_from_enumeration
+from helpers import UNIT_CHAIN, pair_paths, random_grammar, spectrum_from_enumeration
 
 
 def test_motzkin_totals(motzkin_norm):
@@ -49,7 +49,9 @@ def _rna3(motzkin):
     # one word per length, a^m: its cells grow by only (3/7) / 2^b = 12/7 per
     # length at b = floor(log2 3/7) = -2, and would shrink at any higher slope
     (lambda _: normalize(parse_grammar("axiom S\nterminal a weight 3/7\nS -> a S | a\n")), 256),
-], ids=["motzkin-W2", "rna-theta3-E-3", "min-weight-chain"])
+    # options up to 2.79 * 2^q above the draw bound, below 3 unit paths' worth
+    (lambda _: normalize(UNIT_CHAIN), 256),
+], ids=["motzkin-W2", "rna-theta3-E-3", "min-weight-chain", "unit-chain"])
 def test_fixed_point_table_within_truncation_bound_of_exact(motzkin, build, n):
     # each cell is within a relative (2m-1) * 2^-q below its value, q = p + 64,
     # and value() adds one p-bit rounding
@@ -58,6 +60,7 @@ def test_fixed_point_table_within_truncation_bound_of_exact(motzkin, build, n):
     q = p + 64
     exact = build_counts(g, None, n)
     fixed = build_counts(g, None, n, precision=p)
+    paths = pair_paths(g)
     for nt in g.nonterminals:
         for m in range(n + 1):
             v, x = exact.value(nt, m), fixed.value(nt, m)
@@ -66,9 +69,12 @@ def test_fixed_point_table_within_truncation_bound_of_exact(motzkin, build, n):
             assert abs(x.man * Fraction(2) ** x.exp - v) <= bound, (nt, m)
             assert not v or fixed.cell(nt, m) >= 2 ** q - 2 * m
             if m >= 2:
-                # the sampler's walk stops below the bound within the options
+                # the sampler's walk stops below the bound within the options,
+                # which exceed it by a floor remainder (< 2^q) per path in
+                # `pair_paths`
                 options = sum(w for w, _, _ in fixed.choices(nt, m))
-                assert fixed.draw_bound(nt, m) <= options < fixed.draw_bound(nt, m) + 2 ** q
+                bound = fixed.draw_bound(nt, m)
+                assert bound <= options <= bound + paths[nt] * (2 ** q - 1)
 
 
 def test_moment_normalization(motzkin_h2_norm):
@@ -190,11 +196,12 @@ def test_spectrum_equal_weight_merge_within_length():
     assert sp.weighted_terminals == ("a", "b")
 
 
-def test_spectrum_class_cap():
+def test_spectrum_class_cap(monkeypatch):
     g = normalize(parse_grammar(
         "axiom S\nterminal a weight 2\nterminal b weight 3\nS -> a S | b S | _\n"))
+    monkeypatch.setattr(counting, "CLASS_CAP", 5)
     with pytest.raises(ClassCapExceeded):
-        weight_spectrum(g, None, 12, class_cap=5)
+        weight_spectrum(g, None, 12)
 
 
 def test_spectrum_csv(motzkin_h2_norm):

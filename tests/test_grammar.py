@@ -11,12 +11,13 @@ from weightedgen import (GrammarError, GrammarSyntaxError, WeightedGrammar,
 from weightedgen.cli import motzkin_grammar
 from weightedgen.grammar import _min_lengths, _parse_weight
 from weightedgen.rna import rna_grammar
-from helpers import assert_chains_shared, random_candidate, random_grammar
+from helpers import (assert_chains_shared, normalize_checked, random_candidate,
+                     random_grammar)
 
 
 # sha256 of the lines written by `_verdict` for 3000 seeded candidates,
-# recorded before validation moved to `_least_solution`
-VERDICT_DIGEST = "b1e6f42454ab1d541cf81813cdb3e75d9fc35efe29e2ba71369c7327e01f8b61"
+# recorded while `normalize` still copied the rules of unit-rule targets
+VERDICT_DIGEST = "9811acee83f0ad4a1361f3d2fd029698e5ff63ab7c2f1e0e00f8597c09bc37ca"
 
 
 def test_parse_minimal():
@@ -97,14 +98,15 @@ def test_unit_cycle_rejected():
 
 def test_nullable_siblings_without_cycle_accepted():
     g = parse_grammar("axiom S\nterminal a\nterminal b\nS -> A A | a\nA -> _ | b\n")
-    ng = normalize(g, check_depth=4)
+    ng = normalize_checked(g, 4)
     assert build_counts(ng, None, 2).coefficients() == [1, 3, 1]
 
 
 def _verdict(terminals, nts, rules):
     """(kind, line): the full message of an unproductive or unreachable
     grammar, `cycle` or `empty-word` for the other two rejections, and for an
-    accepted grammar its normal form and minimum lengths."""
+    accepted grammar the nonterminals of its normal form, its totals up to
+    length 10 and its minimum lengths."""
     try:
         g = WeightedGrammar(terminals, nts, rules, "S", {})
     except GrammarError as exc:
@@ -116,14 +118,14 @@ def _verdict(terminals, nts, rules):
         return msg.split(" ", 1)[0], msg
     ng = normalize(g)
     minlen = _min_lengths(g)
-    return "accepted", repr(([(r.lhs, r.kind, r.rhs) for r in ng.rules],
-                             ng.nonterminals,
+    return "accepted", repr((sorted(ng.nonterminals),
+                             build_counts(ng, None, 10).coefficients(),
                              sorted((nt, minlen[nt]) for nt in g.nonterminals)))
 
 
 def test_validation_verdicts_pinned():
-    # 3000 seeded candidate grammars: every verdict, normal form and minimum
-    # length stays as it was when the digest was recorded
+    # 3000 seeded candidate grammars: every verdict, normal-form nonterminal,
+    # total and minimum length stays as it was when the digest was recorded
     rng = random.Random(0)
     verdicts = [_verdict(*random_candidate(rng)) for _ in range(3000)]
     assert Counter(kind for kind, _ in verdicts) == {
@@ -141,6 +143,14 @@ def test_ambiguous_epsilon_rejected():
 
 def test_roundtrip(motzkin_h2):
     assert parse_grammar(motzkin_h2.to_text()) == motzkin_h2
+
+
+def test_equal_grammars_hash_equal(motzkin_h2):
+    copy = parse_grammar(motzkin_h2.to_text())
+    assert hash(copy) == hash(motzkin_h2)
+    assert {motzkin_h2: "h2"}[copy] == "h2"
+    # weights take part in equality, not in the hash
+    assert motzkin_h2.with_weights({".": 3}) != motzkin_h2
 
 
 def test_file_format_matches_builtin(motzkin):
@@ -170,24 +180,27 @@ def test_normalize_motzkin_counts(motzkin_norm):
 
 def test_normalize_epsilon_grammar():
     g = parse_grammar("axiom S\nterminal a weight 2\nS -> a S | _\n")
-    ng = normalize(g, check_depth=6)
-    assert ng.axiom_nullable
+    ng = normalize_checked(g, 6)
+    assert ng.alternatives(ng.axiom)[-1].kind == "eps"
     kinds = {r.kind for r in ng.rules}
-    assert kinds <= {"pair", "term", "eps"}
+    assert kinds <= {"pair", "term", "unit", "eps"}
     table = build_counts(ng, None, 5)
     assert table.coefficients() == [Fraction(2) ** n for n in range(6)]
 
 
 def test_normalize_already_binary():
     g = parse_grammar("axiom S\nterminal a\nterminal b\nS -> a b | a\n")
-    ng = normalize(g, check_depth=4)
-    assert {r.kind for r in ng.rules} <= {"pair", "term"}
+    ng = normalize_checked(g, 4)
+    assert {r.kind for r in ng.rules} <= {"pair", "term", "unit"}
     assert build_counts(ng, None, 2).total(2) == 1
 
 
 def test_normalize_preserves_word_multisets(motzkin):
-    ng = normalize(motzkin, check_depth=7)  # raises on mismatch
-    assert ng.axiom_nullable
+    ng = normalize_checked(motzkin, 7)  # raises on mismatch
+    assert ng.alternatives(ng.axiom)[-1].kind == "eps"
+    # two unit paths from S to B, each of which must count its derivation
+    normalize_checked(parse_grammar(
+        "axiom S\nterminal a\nterminal b\nS -> A | B\nA -> B | a\nB -> b\n"), 3)
 
 
 def test_normalize_preserves_weighted_totals_random_weights(motzkin):
@@ -205,14 +218,15 @@ def test_normalize_preserves_weighted_totals_random_weights(motzkin):
 
 
 @pytest.mark.parametrize("grammar, nonterminals, pairs", [
-    (motzkin_grammar(), 8, 13),
-    (rna_grammar(1), 9, 12),
-    (rna_grammar(3), 10, 14),
+    (motzkin_grammar(), 8, 8),
+    (rna_grammar(1), 9, 9),
+    (rna_grammar(3), 10, 11),
 ])
 def test_normalize_shares_binarization_chains(grammar, nonterminals, pairs):
     # the epsilon-eliminated variants of `( S ) S` and of the RNA pair rules
-    # end in equal suffixes, which share one chain of binary rules
-    ng = normalize(grammar, check_depth=8)
+    # end in equal suffixes, which share one chain of binary rules, and the
+    # start symbol reaches the axiom's rules by a unit rule, not by copies
+    ng = normalize_checked(grammar, 8)
     assert len(ng.nonterminals) == nonterminals
     assert sum(r.kind == "pair" for r in ng.rules) == pairs
     assert_chains_shared(ng)
@@ -249,4 +263,4 @@ def test_random_grammars_normalize_cleanly():
     rng = random.Random(77)
     for _ in range(6):
         g = random_grammar(rng, probe_depth=6)
-        normalize(g, check_depth=5)
+        normalize_checked(g, 5)

@@ -13,7 +13,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from weightedgen import (birthday_exact, branch_distribution, build_counts,
                          enumerate_words, expected_coverage, expected_distinct,
@@ -21,8 +21,9 @@ from weightedgen import (birthday_exact, branch_distribution, build_counts,
                          weight_spectra, word_weight)
 from weightedgen.grammar import EnumerationCap
 from weightedgen.urns import OCCUPANCY_REL_ERROR
-from helpers import (assert_chains_shared, fraction_count_table, mp_birthday,
-                     occupancy_sum_per_class, random_valid_grammar, urn_model)
+from helpers import (UNIT_CHAIN, assert_chains_shared, fraction_count_table, mp_birthday,
+                     normalize_checked, occupancy_sum_per_class, pair_paths,
+                     random_valid_grammar, urn_model)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -53,7 +54,7 @@ def mpf_to_fraction(x):
 @given(weighted_grammars())
 def test_normalize_with_shared_chains_keeps_word_multisets(g):
     try:
-        ng = normalize(g, check_depth=6)  # raises GrammarError on a mismatch
+        ng = normalize_checked(g, 6)  # raises on a mismatch
     except EnumerationCap:
         assume(False)
     assert_chains_shared(ng)
@@ -94,6 +95,7 @@ def test_extreme_weights_are_the_spectrum_ends(g, n):
 
 @PROPERTY
 @given(weighted_grammars(), st.integers(0, 6), st.sampled_from((None, 24, 53)))
+@example(UNIT_CHAIN, 6, 24)
 def test_branch_distribution_is_derivations_times_weight_over_total(g, n, precision):
     ng = normalize(g)
     total = build_counts(ng, None, n).total(n)
@@ -105,8 +107,9 @@ def test_branch_distribution_is_derivations_times_weight_over_total(g, n, precis
     dist = branch_distribution(build_counts(ng, None, n, precision), n)
     expected = {w: c * word_weight(w, g.weights) / total for w, c in derivations.items()}
     assert set(dist) == set(expected) and sum(dist.values()) == 1
-    # the sampler docstring's bound: a relative 2n * 2^-(precision + 64)
-    bound = 0 if precision is None else Fraction(2 * n, 2 ** (precision + 64))
+    # the sampler docstring's bound: a relative (U+1) * n * 2^-(precision + 64)
+    unit_paths = max(pair_paths(ng).values())
+    bound = 0 if precision is None else Fraction((unit_paths + 1) * n, 2 ** (precision + 64))
     for w, p in expected.items():
         assert abs(dist[w] - p) <= bound * p, w
 

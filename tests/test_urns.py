@@ -169,11 +169,12 @@ def test_birthday_exact_matches_mp_oracle(u):
     assert abs(birthday_exact(u) - oracle) <= 1e-12 * oracle
 
 
-def test_birthday_exact_within_its_tolerance():
+def test_birthday_exact_within_its_tolerance(monkeypatch):
     u = urn_model([(1, 7), (5, 2), (40, 1)])
     oracle = mp_birthday(u, rel_tol=1e-14)
     for rel_tol in (1e-3, 1e-6, 1e-9, 1e-12):
-        assert abs(birthday_exact(u, rel_tol=rel_tol) - oracle) <= rel_tol * oracle
+        monkeypatch.setattr(urns_module, "BIRTHDAY_REL_TOL", rel_tol)
+        assert abs(birthday_exact(u) - oracle) <= rel_tol * oracle
 
 
 def test_birthday_exact_beyond_double_range():
@@ -182,9 +183,10 @@ def test_birthday_exact_beyond_double_range():
     assert abs(birthday_exact(u) / (math.sqrt(math.pi / 2) * 1e200) - 1) < 1e-12
 
 
-def test_birthday_exact_refuses_tolerance_beyond_doubles():
+def test_birthday_exact_refuses_tolerance_beyond_doubles(monkeypatch):
+    monkeypatch.setattr(urns_module, "BIRTHDAY_REL_TOL", 1e-20)
     with pytest.raises(QuadratureError, match="did not converge"):
-        birthday_exact(uniform_urns(365), rel_tol=1e-20)
+        birthday_exact(uniform_urns(365))
 
 
 def test_mixed_routes_sum_in_floats():
