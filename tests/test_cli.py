@@ -355,6 +355,15 @@ def test_figure_outputs_deterministic():
                                                    "--weight", ".=2", "--n", "9",
                                                    "--statistic", "coverage", "--k", "43",
                                                    "--mode", "words", "--trials", "300")),
+    # seeded urn-level simulation: the throw stream through the CLI
+    ("simulate_motzkin_n8_first_collision_urns_csv", ("simulate", "--builtin", "motzkin",
+                                                      "--n", "8", "--statistic",
+                                                      "first_collision", "--mode", "urns",
+                                                      "--format", "csv")),
+    ("simulate_motzkin_n8_full_collection_urns_csv", ("simulate", "--builtin", "motzkin",
+                                                      "--n", "8", "--statistic",
+                                                      "full_collection", "--mode", "urns",
+                                                      "--format", "csv")),
 ])
 def test_cli_stdout_golden(name, argv):
     code, out, err = run_cli(*argv)
