@@ -90,9 +90,6 @@ class WeightedGrammar:
 
     # -- accessors ---------------------------------------------------------
 
-    def alternatives(self, nt: str) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if r.lhs == nt)
-
     def with_weights(self, overrides) -> "WeightedGrammar":
         """New grammar with some terminal weights replaced."""
         merged = dict(self.weights)

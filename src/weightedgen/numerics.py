@@ -89,6 +89,20 @@ def harmonic(hi: int, lo: int = 0):
         return mp.harmonic(to_mpf(hi)) - mp.harmonic(to_mpf(lo))
 
 
+def below(getrandbits, n: int) -> int:
+    """A uniform int in [0, n) for n >= 1: draws of n.bit_length() bits from
+    `getrandbits` until one falls below n.
+
+    This defines every seeded stream of the library: a Random seeded alike
+    gives the same ints on any platform.  It is the rejection loop of
+    CPython's randrange(n), so seeds keep the streams they had under it."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def substream_seed(seed: int) -> int:
     """Derive a deterministic, well-mixed sub-seed from a user seed."""
     digest = hashlib.sha256(f"{seed}:0".encode()).digest()

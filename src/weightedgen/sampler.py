@@ -1,12 +1,13 @@
 """Random generation of fixed-length words under the weighted distribution.
 
 Words are drawn top-down by the recursive method: at each node (A, m) an
-integer r is drawn uniformly below `CountTable.draw_bound(A, m)` and the
-options of `CountTable.choices` are subtracted from it until it goes
-negative.  The options always sum to at least the bound, so the walk always
-stops at an option; one that the bound cuts short is taken with the part of
-its weight below the bound.  Every table thus gives each word an exact
-rational probability, a product of ratios of stored integers.
+integer r is drawn uniformly below `CountTable.draw_bound(A, m)` by
+`numerics.below`, and the options of `CountTable.choices` are subtracted
+from it until it goes negative.  The options always sum to at least the
+bound, so the walk always stops at an option; one that the bound cuts short
+is taken with the part of its weight below the bound.  Every table thus
+gives each word an exact rational probability, a product of ratios of
+stored integers.
 
 On an exact table the options sum exactly to the bound, so a word w of
 length n is produced with probability exactly weight(w) / total(n).  On a
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .counting import CountTable, EmptyLanguageError
-from .numerics import DEFAULT_SEED, substream_seed
+from .numerics import DEFAULT_SEED, below, substream_seed
 
 # distinct words one node of `branch_distribution` may hold before it gives up
 BRANCH_WORD_CAP = 10_000
@@ -43,7 +44,8 @@ class SamplerState:
     """Seeded sampling stream over a shared (read-only) count table.
 
     Identical (seed, grammar, weights, n, precision) produce an identical
-    word sequence on any platform.  The stream is substream 0 of the seed.
+    word sequence on any platform: the stream is substream 0 of the seed, and
+    every draw is a `numerics.below` over its bits.
     """
 
     table: CountTable
@@ -62,13 +64,13 @@ def sample_word(state: SamplerState, n: int) -> tuple:
     axiom = table.grammar.axiom
     if not table.cell(axiom, n):
         raise EmptyLanguageError(f"no words of length {n}")
-    rng = state.rng
+    getrandbits = state.rng.getrandbits
 
     out = []
     stack = [(axiom, n)]
     while stack:
         nt, m = stack.pop()
-        r = rng.randrange(table.draw_bound(nt, m))
+        r = below(getrandbits, table.draw_bound(nt, m))
         for weight, rule, j in table.choices(nt, m):
             r -= weight
             if r < 0:

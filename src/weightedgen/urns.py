@@ -482,31 +482,54 @@ _STATISTICS = ("first_collision", "full_collection", "distinct", "coverage")
 # Full collection draws every urn (or word) at least once: larger models are refused.
 FULL_COLLECTION_CAP = 10 ** 7
 
+# Most trials, and for distinct and coverage most trials * k draws, of one run.
+SIMULATE_DRAW_CAP = 10 ** 9
+
 
 def _urn_source(u: UrnModel, seed: int) -> tuple:
-    """(draw, weight, size) for throws into the urns of u.  A ball is
-    (class, index); its weight is the float probability of its class."""
+    """(balls, weight, size) for throws into the urns of u.  `balls` is an
+    endless generator of int ball ids offset_i + index: the class i comes
+    from one float draw against the cumulative class probabilities, the index
+    from `numerics.below`, written out here because a call per throw would
+    make each throw a quarter slower.  A ball's weight is the float
+    probability of its class."""
     rng = random.Random(seed)
     cum = list(itertools.accumulate(float(c.probability) * c.count for c in u.classes))
     cum[-1] = 1.0  # so every draw r < 1 lands in a class
     counts = [c.count for c in u.classes]
+    offsets = list(itertools.accumulate(counts[:-1], initial=0))
+    classes = [(offset, count, count.bit_length())
+               for offset, count in zip(offsets, counts)]
     probs = [float(c.probability) for c in u.classes]
 
-    def draw():
-        i = bisect.bisect_right(cum, rng.random())
-        return i, rng.randrange(counts[i])
+    def balls():
+        rand, getrandbits, find = rng.random, rng.getrandbits, bisect.bisect_right
+        while True:
+            offset, count, bits = classes[find(cum, rand())]
+            r = getrandbits(bits)
+            while r >= count:
+                r = getrandbits(bits)
+            yield offset + r
 
-    return draw, lambda ball: probs[ball[0]], lambda: u.m
+    def weight(ball):
+        return probs[bisect.bisect_right(offsets, ball) - 1]
+
+    return balls(), weight, lambda: u.m
 
 
 def _word_source(state: SamplerState, seed: int, n: int | None) -> tuple:
-    """(draw, weight, size) for words of length n sampled from the table of
-    `state`.  A word's weight is its probability word_weight / total(n)."""
+    """(words, weight, size) for words of length n sampled from the table of
+    `state`: `words` is an endless generator of sample_word draws.  A word's
+    weight is its probability word_weight / total(n)."""
     if n is None:
         raise ValueError("word-level simulation needs n")
     table = state.table
     stream = SamplerState(table, seed)
     total = table.total(n)
+
+    def words():
+        while True:
+            yield sample_word(stream, n)
 
     def weight(word):
         return word_weight(word, table.weights) / total
@@ -515,7 +538,7 @@ def _word_source(state: SamplerState, seed: int, n: int | None) -> tuple:
         ones = {t: Fraction(1) for t in table.grammar.terminals}
         return int(build_counts(table.grammar, ones, n).total(n))
 
-    return lambda: sample_word(stream, n), weight, size
+    return words(), weight, size
 
 
 def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
@@ -524,24 +547,32 @@ def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
 
     `model` is either an UrnModel (urn-level simulation) or a SamplerState
     (word-level simulation over its grammar, at length n); both run the same
-    trial loop over a draw source.  The trials draw from substream 0 of
-    `seed`, so identical calls give identical results.  Full collection
-    refuses models of more than FULL_COLLECTION_CAP urns or words.
+    trial loop over an endless stream of balls.  The trials draw from
+    substream 0 of `seed`, so identical calls give identical results.  k is
+    the number of throws of distinct and coverage, and the other statistics
+    refuse it.  Refused before any draw: more than SIMULATE_DRAW_CAP trials,
+    or trials * k draws; full collection over more than FULL_COLLECTION_CAP
+    urns or words.
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= SIMULATE_DRAW_CAP:
+        raise ValueError(f"trials must lie in [1, {SIMULATE_DRAW_CAP}], got {trials}")
     if statistic in ("distinct", "coverage"):
         if k is None or k < 0:
             raise ValueError(f"statistic {statistic!r} needs k >= 0")
+        if trials * k > SIMULATE_DRAW_CAP:
+            raise ValueError(f"trials * k must be at most {SIMULATE_DRAW_CAP}, "
+                             f"got {trials * k}")
         if k == 0:
             return SimResult(statistic, 0.0, 0.0, trials, 0)
+    elif k is not None:
+        raise ValueError(f"statistic {statistic!r} takes no k")
     sub = substream_seed(DEFAULT_SEED if seed is None else seed)
     if isinstance(model, UrnModel):
-        draw, weight, size = _urn_source(model, sub)
+        stream, weight, size = _urn_source(model, sub)
     else:
-        draw, weight, size = _word_source(model, sub, n)
+        stream, weight, size = _word_source(model, sub, n)
     if statistic == "full_collection":
         balls = size()
         if balls > FULL_COLLECTION_CAP:
@@ -552,25 +583,23 @@ def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
     for _ in range(trials):
         seen = set()
         if statistic == "first_collision":
-            ball = draw()
-            while ball not in seen:
+            for ball in stream:
+                if ball in seen:
+                    break
                 seen.add(ball)
-                ball = draw()
             values.append(len(seen) + 1)
         elif statistic == "full_collection":
-            t = 0
-            while len(seen) < balls:
-                t += 1
-                seen.add(draw())
+            for t, ball in enumerate(stream, 1):
+                seen.add(ball)
+                if len(seen) == balls:
+                    break
             values.append(t)
         elif statistic == "distinct":
-            for _ in range(k):
-                seen.add(draw())
+            seen.update(itertools.islice(stream, k))
             values.append(len(seen))
         else:
             cov = 0
-            for _ in range(k):
-                ball = draw()
+            for ball in itertools.islice(stream, k):
                 if ball not in seen:
                     seen.add(ball)
                     cov += weight(ball)

@@ -4,13 +4,15 @@ Everything here is deliberately independent of the implementation paths it
 checks: expectations are computed by exhaustive enumeration over outcome
 sequences, absorbing-chain linear algebra on subsets, or direct generation
 and filtering of words.  The routes that faster code replaced stay here as
-oracles: the Fraction count table, the 45-digit birthday quadrature, and the
-40-digit per-class occupancy sums and exponential form.
+oracles: the Fraction count table, the 45-digit birthday quadrature, the
+40-digit per-class occupancy sums and exponential form, and the (class,
+index) urn throws.
 """
 
+import bisect
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 import operator
 import random
 
@@ -196,6 +198,22 @@ def exponential_per_class(u, k):
     with mp.workdps(40):
         return mp.fsum(c.count * -mp.expm1(-to_mpf(c.probability) * k)
                        for c in u.classes)
+
+
+def urn_draws(u, seed):
+    """A function returning one urn throw (class, index) per call: the class
+    by Random.random against the cumulative float class probabilities, the
+    index by Random.randrange over the class's urns."""
+    rng = random.Random(seed)
+    cum = list(accumulate(float(c.probability) * c.count for c in u.classes))
+    cum[-1] = 1.0  # so every draw r < 1 lands in a class
+    counts = [c.count for c in u.classes]
+
+    def draw():
+        i = bisect.bisect_right(cum, rng.random())
+        return i, rng.randrange(counts[i])
+
+    return draw
 
 
 def oracle_birthday(u):

@@ -100,6 +100,14 @@ def test_simulate_text():
     assert out.startswith("first_collision: mean=")
 
 
+@pytest.mark.parametrize("statistic", ["first_collision", "full_collection"])
+def test_simulate_refuses_k_it_would_not_use(statistic):
+    code, out, err = run_cli("simulate", "--builtin", "motzkin", "--n", "4",
+                             "--statistic", statistic, "--k", "7", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == f"error: statistic '{statistic}' takes no k\n"
+
+
 def test_asymptotics_text_and_csv():
     code, out, _ = run_cli("asymptotics", "--builtin", "motzkin",
                            "--n-terms", "96")

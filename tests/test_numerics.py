@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from mpmath import mp
 
-from weightedgen.numerics import (HARMONIC_EXACT_LIMIT, harmonic, one_minus_pow,
+from weightedgen.numerics import (HARMONIC_EXACT_LIMIT, below, harmonic, one_minus_pow,
                                   rational_from_real, substream_seed)
 
 
@@ -75,3 +76,14 @@ def test_one_minus_pow_policy_boundary_continuity():
         exact = one_minus_pow(p, k, exact=True)
         approx = one_minus_pow(p, k, exact=False)
         assert abs(float(exact) - float(approx)) < 1e-15
+
+
+# 3^5700 has 9035 bits, near the draw bounds of RNA structures of length 100
+@pytest.mark.parametrize("n", [1, 2, 3, 2 ** 10, 2 ** 10 + 1, 2 ** 64, 2 ** 64 + 1,
+                               3 ** 5700])
+def test_below_draws_what_randrange_draws(n):
+    for seed in range(4):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert [below(ours.getrandbits, n) for _ in range(40)] == \
+            [theirs.randrange(n) for _ in range(40)]
+        assert ours.getstate() == theirs.getstate()

@@ -5,18 +5,18 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from weightedgen import (ReportEntry, SamplerState, UrnClass, UrnModel,
-                         birthday_asymptotic, birthday_exact, build_counts,
+from weightedgen import (EmptyLanguageError, ReportEntry, SamplerState, UrnClass,
+                         UrnModel, birthday_asymptotic, birthday_exact, build_counts,
                          coupon_bounds, coupon_uniform_exact, coverage_first_order,
                          expected_coverage, expected_distinct,
                          expected_occupied_weight, from_spectrum, from_weights,
-                         normalize, occupancy, simulate, standard_report,
-                         uniform_urns, weight_spectrum, xi_estimate)
+                         normalize, occupancy, parse_grammar, simulate,
+                         standard_report, uniform_urns, weight_spectrum, xi_estimate)
 from weightedgen import urns as urns_module
 from weightedgen.numerics import exact_pow_affordable, to_mpf
 from weightedgen.urns import (FULL_COLLECTION_CAP, OCCUPANCY_K_LIMIT,
-                              OCCUPANCY_REL_ERROR, QuadratureError, SimResult,
-                              alpha)
+                              OCCUPANCY_REL_ERROR, SIMULATE_DRAW_CAP, QuadratureError,
+                              SimResult, alpha)
 from helpers import (exponential_per_class, mp_birthday, occupancy_sum_per_class,
                      oracle_birthday, oracle_birthday_uniform, oracle_coupon,
                      oracle_occupancy, expand_urns, random_urn_model, urn_model)
@@ -403,6 +403,36 @@ def test_simulate_full_collection_cap_starts_no_draws(motzkin_norm, monkeypatch)
     state = SamplerState(build_counts(motzkin_norm, None, 30))
     with pytest.raises(ValueError, match=message):
         simulate(state, "full_collection", 1, n=30)
+
+
+@pytest.mark.parametrize("statistic, k", [("first_collision", None),
+                                          ("full_collection", None), ("coverage", 3)])
+def test_simulate_words_at_an_empty_length_raises(statistic, k):
+    g = normalize(parse_grammar("axiom S\nterminal a\nS -> a a T\nT -> a T | _\n"))
+    state = SamplerState(build_counts(g, None, 4))
+    with pytest.raises(EmptyLanguageError, match="no words of length 1"):
+        simulate(state, statistic, 5, k=k, n=1)
+
+
+def test_simulate_draw_cap_starts_no_draws(motzkin_norm, monkeypatch):
+    assert SIMULATE_DRAW_CAP == 10 ** 9
+
+    def no_draw(*args):
+        raise AssertionError("a draw source was used")
+
+    monkeypatch.setattr(urns_module, "sample_word", no_draw)
+    monkeypatch.setattr(urns_module, "_urn_source", no_draw)
+    state = SamplerState(build_counts(motzkin_norm, None, 30))
+    for model in (uniform_urns(5), state):
+        with pytest.raises(ValueError, match=r"trials must lie in \[1, 1000000000\]"):
+            simulate(model, "first_collision", SIMULATE_DRAW_CAP + 1, n=30)
+        for statistic, trials, k in (("distinct", 1000, 10 ** 6 + 1),
+                                     ("coverage", SIMULATE_DRAW_CAP, 2)):
+            with pytest.raises(ValueError, match=r"trials \* k must be at most"):
+                simulate(model, statistic, trials, k=k, n=30)
+        # at the cap, k = 0 draws nothing
+        assert simulate(model, "distinct", SIMULATE_DRAW_CAP, k=0, n=30) == \
+            SimResult("distinct", 0.0, 0.0, SIMULATE_DRAW_CAP, 0)
 
 
 def test_report_structure(motzkin_h2_urns):
