@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 from mpmath import mp
 
 from .counting import _extreme_row, build_counts, extreme_weights, moment
@@ -151,6 +150,7 @@ def estimate_singularity(coeffs) -> SingularityEstimate:
             ys.append(float(mp.log(vals[n]) + n * log_rho))
         rho = float(rho_mp)
 
+    import numpy as np  # only the fits load numpy, not every importer of the package
     design = np.vstack([np.ones(len(xs)), np.asarray(xs)]).T
     sol, *_ = np.linalg.lstsq(design, np.asarray(ys), rcond=None)
     intercept, slope = sol
@@ -274,6 +274,7 @@ def check_conditions(grammar) -> ConditionReport:
     if len(pts) < 2:
         c1 = ConditionProbe(None, "too few nonempty lengths on the ladder", tuple(pts))
     else:
+        import numpy as np  # only the fits load numpy, not every importer of the package
         xs = np.asarray([n for n, _ in pts], dtype=float)
         ys = np.log([p for _, p in pts])
         slope = np.polyfit(xs, ys, 1)[0]

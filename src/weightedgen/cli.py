@@ -240,7 +240,7 @@ def cmd_simulate(args) -> int:
         model = urns.from_spectrum(sp)
     else:
         table = counting.build_counts(g, None, args.n)
-        model = sampler.SamplerState(table, _resolve_seed(args))
+        model = sampler.SamplerState(table)
     result = urns.simulate(model, args.statistic, args.trials,
                            seed=_resolve_seed(args), k=args.k, n=args.n)
     if args.format == "csv":

@@ -77,8 +77,9 @@ class CountTable:
     (2m-1) * 2^-(p+64) + 2^-p of the exact value (see the module docstring).
     Both are built by the same int instance of `grammar.inside`; only the
     letter scale and the shift after each dot differ.  Construction costs
-    O(|rules| * horizon^2) products; completed tables are immutable and safe
-    to share.
+    at most O(|rules| * horizon^2) products, and O(horizon) per pair rule
+    with a child of bounded length (see `grammar.inside`); completed tables
+    are immutable and safe to share.
     """
 
     def __init__(self, grammar: NormalizedGrammar, weights, horizon: int,

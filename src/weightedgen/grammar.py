@@ -426,14 +426,22 @@ def inside(ng: NormalizedGrammar, horizon: int, letter, one, zero, add, dot) -> 
     and `dot(xs, ys)` the sum of the pairwise products of two equally long
     sequences; for m >= 2 each cell is one `dot` over the split points of all
     its pair rules, added to `zero`, and a unit rule A -> B adds B's cell at
-    the same length.  `zero` must be the neutral element of `add` and absorb
-    products.  Cost: |nonterminals| * (horizon + 1) cells, O(|pair rules| *
-    horizon^2) products and |unit rules| * (horizon + 1) sums, kept small by
-    `normalize` sharing its binarization chains and keeping unit rules.
+    the same length.  `zero` must be the neutral element of `add`, absorb
+    products and stand for "no word": a split whose child cell is `zero`
+    adds nothing, so a pair rule A -> B C at length m only dots the splits j
+    with lo(B) <= j <= hi(B) and lo(C) <= m - j <= hi(C), where lo and hi are
+    the first and last lengths below m at which a cell is not `zero`, and a
+    rule with a child that has no such cell yet dots nothing.  Cost:
+    |nonterminals| * (horizon + 1) cells, |unit rules| * (horizon + 1) sums
+    and, per pair rule and cell, one product per split in that range: O(1)
+    when a child has bounded length (the terminal wrappers `@T` have only
+    length 1), at most m - 1 otherwise.  `normalize` keeps the rules few by
+    sharing its binarization chains and keeping unit rules.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     vals = {nt: [] for nt in ng.nonterminals}
+    lo, hi = {}, {}  # first and last length so far whose cell is not zero
     for m in range(horizon + 1):
         for nt in ng.nonterminals:
             cell = zero
@@ -447,12 +455,18 @@ def inside(ng: NormalizedGrammar, horizon: int, letter, one, zero, add, dot) -> 
                         cell = add(cell, one)
                 elif r.kind == "unit":
                     cell = add(cell, vals[r.rhs[0]][m])
-                elif m >= 2:
-                    xs += vals[r.rhs[0]][1:m]
-                    ys += vals[r.rhs[1]][m - 1:0:-1]
+                elif m >= 2 and r.rhs[0] in hi and r.rhs[1] in hi:
+                    b, c = r.rhs
+                    first = max(1, lo[b], m - hi[c])
+                    last = min(m - 1, hi[b], m - lo[c])
+                    xs += vals[b][first:last + 1]
+                    ys += vals[c][m - first:m - last - 1:-1]
             if xs:
                 cell = add(cell, dot(xs, ys))
             vals[nt].append(cell)
+            if cell != zero:
+                lo.setdefault(nt, m)
+                hi[nt] = m
     return vals
 
 

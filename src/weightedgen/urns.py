@@ -30,7 +30,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
 from mpmath import mp
 
 from .counting import build_counts
@@ -288,6 +287,7 @@ def _h(x):
     of the 1 it is taken from.  From 1/2 on, the direct form loses at most a
     factor 6 to cancellation.
     """
+    import numpy as np  # only the birthday quadrature loads numpy
     out = np.empty_like(x)
     small = x < 0.5
     xs = x[small]
@@ -305,6 +305,7 @@ def _h(x):
 
 def _class_sum(b, q, s, f):
     """sum_i b_i f(q_i s) at every node s, over blocks of classes."""
+    import numpy as np  # only the birthday quadrature loads numpy
     out = np.zeros_like(s)
     rows = max(1, _BLOCK // len(s))
     for lo in range(0, len(b), rows):
@@ -317,6 +318,7 @@ def _gauss_legendre(n: int) -> tuple:
     """Gauss-Legendre (nodes, weights) on [-1, 1], by Newton's method on the
     Legendre recurrence.  At 64 points the weights are off by 2e-15 in sum,
     where numpy's leggauss is off by 2e-14 and needs LAPACK workspace."""
+    import numpy as np  # only the birthday quadrature loads numpy
     x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
     for _ in range(8):  # converges quadratically from these starting points
         p0, p1 = np.ones_like(x), x
@@ -361,8 +363,11 @@ def birthday_exact(u: UrnModel) -> float:
     - E_round = 64 * 2^-52 * value covers rounding: h to a few ulp, b_i, q_i,
       the Gauss weights, the class sums and exp.
     So the tolerance cannot go much below 1e-14.  Memory stays flat in the number
-    of classes: the class x node matrix is built in blocks.
+    of classes: the class x node matrix is built in blocks.  numpy is imported
+    here and in the three helpers above, not with the module, so the sampling,
+    counting and simulation routes do not load it.
     """
+    import numpy as np
     scale, nums = u.denominator, u.numerators
     squares = [num * num for num in nums]
     moment2 = sum(c.count * sq for c, sq in zip(u.classes, squares))  # alpha_2 * D^2
@@ -548,7 +553,8 @@ def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
     `model` is either an UrnModel (urn-level simulation) or a SamplerState
     (word-level simulation over its grammar, at length n); both run the same
     trial loop over an endless stream of balls.  The trials draw from
-    substream 0 of `seed`, so identical calls give identical results.  k is
+    substream 0 of `seed`, so identical calls give identical results; a
+    SamplerState contributes only its table, never its own stream.  k is
     the number of throws of distinct and coverage, and the other statistics
     refuse it.  Refused before any draw: more than SIMULATE_DRAW_CAP trials,
     or trials * k draws; full collection over more than FULL_COLLECTION_CAP

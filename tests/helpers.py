@@ -4,9 +4,9 @@ Everything here is deliberately independent of the implementation paths it
 checks: expectations are computed by exhaustive enumeration over outcome
 sequences, absorbing-chain linear algebra on subsets, or direct generation
 and filtering of words.  The routes that faster code replaced stay here as
-oracles: the Fraction count table, the 45-digit birthday quadrature, the
-40-digit per-class occupancy sums and exponential form, and the (class,
-index) urn throws.
+oracles: the Fraction count table, the recursive method over every split,
+the 45-digit birthday quadrature, the 40-digit per-class occupancy sums and
+exponential form, and the (class, index) urn throws.
 """
 
 import bisect
@@ -103,6 +103,33 @@ def fraction_count_table(ng, weights, horizon):
                     for j in range(1, m):
                         acc += vals[b][j] * vals[c][m - j]
             vals[nt][m] = acc
+    return vals
+
+
+def inside_unpruned(ng, horizon, letter, one, zero, add, dot):
+    """`grammar.inside` with every pair rule dotting all m - 1 splits at
+    length m, empty child cells included: the route the pruned loop
+    replaced, and its oracle."""
+    vals = {nt: [] for nt in ng.nonterminals}
+    for m in range(horizon + 1):
+        for nt in ng.nonterminals:
+            cell = zero
+            xs, ys = [], []
+            for r in ng.alternatives(nt):
+                if r.kind == "term":
+                    if m == 1:
+                        cell = add(cell, letter(r.rhs[0]))
+                elif r.kind == "eps":
+                    if m == 0:
+                        cell = add(cell, one)
+                elif r.kind == "unit":
+                    cell = add(cell, vals[r.rhs[0]][m])
+                elif m >= 2:
+                    xs += vals[r.rhs[0]][1:m]
+                    ys += vals[r.rhs[1]][m - 1:0:-1]
+            if xs:
+                cell = add(cell, dot(xs, ys))
+            vals[nt].append(cell)
     return vals
 
 

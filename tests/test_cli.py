@@ -264,6 +264,27 @@ def test_validation_error_independent_of_hash_seed(tmp_path, rules, seeds, named
         assert proc.stderr.startswith(f"error: nonterminal {named!r} "), proc.stderr
 
 
+def test_sampling_counting_and_urn_simulation_leave_numpy_unloaded():
+    # only the birthday quadrature (here reached by `analyze`) and the
+    # asymptotics fits import numpy
+    script = (
+        "import sys\n"
+        "from weightedgen.cli import main\n"
+        "for argv in (['sample', '--builtin', 'rna', '--n', '20', '--k', '3'],\n"
+        "             ['count', '--builtin', 'motzkin', '--n', '10'],\n"
+        "             ['simulate', '--builtin', 'motzkin', '--n', '6', '--mode', 'urns',\n"
+        "              '--statistic', 'distinct', '--k', '5', '--trials', '50']):\n"
+        "    assert main(argv) == 0\n"
+        "before = 'numpy' in sys.modules\n"
+        "assert main(['analyze', '--builtin', 'motzkin', '--n', '6']) == 0\n"
+        "print(before, 'numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(weightedgen.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False True"
+
+
 @pytest.mark.parametrize("argv", [
     ("count", "--builtin", "motzkin", "--n", "3", "--weight", ".=1/0"),
     ("count", "--builtin", "motzkin", "--n", "3", "--weight", ".=abc"),

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ import pytest
 from weightedgen import (ClassCapExceeded, EmptyLanguageError, build_counts,
                          counting, extreme_weights, moment, normalize,
                          parse_grammar, rna, weight_spectra, weight_spectrum)
-from helpers import UNIT_CHAIN, pair_paths, random_grammar, spectrum_from_enumeration
+from weightedgen.grammar import inside
+from helpers import (UNIT_CHAIN, inside_unpruned, pair_paths, random_grammar,
+                     spectrum_from_enumeration)
 
 
 def test_motzkin_totals(motzkin_norm):
@@ -75,6 +78,34 @@ def test_fixed_point_table_within_truncation_bound_of_exact(motzkin, build, n):
                 options = sum(w for w, _, _ in fixed.choices(nt, m))
                 bound = fixed.draw_bound(nt, m)
                 assert bound <= options <= bound + paths[nt] * (2 ** q - 1)
+
+
+def _products(route, ng, horizon):
+    """Products the int instance of `route` dots in a table up to horizon."""
+    count = 0
+
+    def dot(xs, ys):
+        nonlocal count
+        count += len(xs)
+        return sum(map(operator.mul, xs, ys))
+
+    route(ng, horizon, lambda t: 1, 1, 0, operator.add, dot)
+    return count
+
+
+@pytest.mark.parametrize("build,pruned,unpruned", [
+    (lambda motzkin: normalize(motzkin.with_weights({".": Fraction(2)})), 33_912, 261_120),
+    (lambda _: normalize(rna.rna_grammar(1, rna.RnaModel(theta=1, pair_energy=-1.0).w)),
+     34_419, 293_760),
+    (_rna3, 33_902, 359_040),
+], ids=["motzkin-W2", "rna-theta1-E-1", "rna-theta3-E-3"])
+def test_inside_dots_only_the_nonempty_splits(motzkin, build, pruned, unpruned):
+    # a pair rule with a child of bounded length, such as a terminal wrapper,
+    # dots O(1) splits per cell instead of m - 1
+    g = build(motzkin)
+    assert _products(inside, g, 256) == pruned
+    assert _products(inside_unpruned, g, 256) == unpruned
+    assert 7 * pruned <= unpruned
 
 
 def test_moment_normalization(motzkin_h2_norm):

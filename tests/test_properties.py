@@ -14,18 +14,20 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, islice
+from unittest.mock import patch
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from weightedgen import (birthday_exact, branch_distribution, build_counts,
+from weightedgen import (birthday_exact, branch_distribution, build_counts, counting,
                          enumerate_words, expected_coverage, expected_distinct,
                          expected_occupied_weight, extreme_weights, normalize,
-                         weight_spectra, word_weight)
-from weightedgen.grammar import EnumerationCap
+                         parse_grammar, weight_spectra, word_weight)
+from weightedgen.grammar import EnumerationCap, inside
 from weightedgen.urns import OCCUPANCY_REL_ERROR, _urn_source
-from helpers import (UNIT_CHAIN, assert_chains_shared, fraction_count_table, mp_birthday,
-                     normalize_checked, occupancy_sum_per_class, pair_paths,
-                     random_valid_grammar, urn_draws, urn_model)
+from helpers import (UNIT_CHAIN, assert_chains_shared, fraction_count_table,
+                     inside_unpruned, mp_birthday, normalize_checked,
+                     occupancy_sum_per_class, pair_paths, random_valid_grammar,
+                     urn_draws, urn_model)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -96,6 +98,45 @@ def test_mpf_table_within_relative_bound_of_exact(g, horizon, precision):
         for m in range(horizon + 1):
             v, a = exact.value(nt, m), mpf_to_fraction(approx.value(nt, m))
             assert abs(a - v) <= bound * v, (nt, m)
+
+
+def _weighted(text):
+    g = parse_grammar(text)
+    return g.with_weights({t: Fraction(2 + i, 1 + 2 * i)
+                           for i, t in enumerate(sorted(g.terminals))})
+
+
+def _every_inside_instance(ng, horizon, route):
+    """The full {nonterminal: cells} of the exact, fixed-point (p = 24),
+    spectrum, minimal- and maximal-weight instances of `inside`, each
+    computed by `route`."""
+    cells = []
+
+    def record(*args):
+        cells.append(route(*args))
+        return cells[-1]
+
+    with patch.object(counting, "inside", record):
+        build_counts(ng, None, horizon)
+        build_counts(ng, None, horizon, 24)
+        weight_spectra(ng, None, horizon)
+        counting._extreme_row(ng, horizon, largest=False)
+        counting._extreme_row(ng, horizon, largest=True)
+    return cells
+
+
+@PROPERTY
+@given(weighted_grammars(), st.integers(0, 12))
+# lengths 2 mod 4 only, lengths 1 mod 3 only, the empty word only
+@example(_weighted("axiom S\nterminal a\nterminal b\nS -> a S b S | a b\n"), 22)
+@example(_weighted("axiom S\nterminal a\nterminal b\nS -> a S S S | b S S S | a | b\n"), 16)
+@example(_weighted("axiom S\nS -> _\n"), 4)
+@example(UNIT_CHAIN, 12)
+def test_inside_skipping_empty_splits_keeps_every_cell(g, horizon):
+    ng = normalize(g)
+    pruned = _every_inside_instance(ng, horizon, inside)
+    assert len(pruned) == 5
+    assert pruned == _every_inside_instance(ng, horizon, inside_unpruned)
 
 
 @PROPERTY

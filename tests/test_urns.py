@@ -349,6 +349,14 @@ def test_simulate_same_seed_repeats_other_seed_differs():
     assert (a.mean, a.stderr) != (c.mean, c.stderr)
 
 
+def test_simulate_words_reads_only_the_table_of_its_state(motzkin_h2_norm):
+    table = build_counts(motzkin_h2_norm, None, 6)
+    for statistic, k in (("first_collision", None), ("distinct", 4)):
+        a = simulate(SamplerState(table, seed=1), statistic, 200, seed=5, k=k, n=6)
+        b = simulate(SamplerState(table, seed=2), statistic, 200, seed=5, k=k, n=6)
+        assert a == b
+
+
 def test_simulate_words_matches_urn_level(motzkin_h2_norm):
     table = build_counts(motzkin_h2_norm, None, 3)
     state = SamplerState(table, seed=11)
