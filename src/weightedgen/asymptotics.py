@@ -77,12 +77,8 @@ def _neville(points, x0=0.0):
 
 def _ratio_limit(values, indices):
     """Extrapolated limit of c_n / c_{n+2} over the given index subsequence."""
-    pts = []
-    for n in indices:
-        if n == 0:
-            continue
-        pts.append((mp.mpf(1) / n, values[n] / values[n + 2]))
-    pts = pts[-RATIO_DEPTH:]
+    pts = [(mp.mpf(1) / n, values[n] / values[n + 2])
+           for n in [n for n in indices if n][-RATIO_DEPTH:]]
     if len(pts) < 3:
         return None
     return _neville(pts)

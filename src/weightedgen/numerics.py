@@ -84,9 +84,20 @@ def harmonic(hi: int, lo: int = 0):
     if not 0 <= lo <= hi:
         raise ValueError(f"harmonic difference needs 0 <= lo <= hi, got {lo}, {hi}")
     if hi <= HARMONIC_EXACT_LIMIT:
-        return sum((Fraction(1, j) for j in range(lo + 1, hi + 1)), Fraction(0))
+        return Fraction(*_harmonic_split(lo, hi)) if lo < hi else Fraction(0)
     with mp.workdps(FLOAT_DPS):
         return mp.harmonic(to_mpf(hi)) - mp.harmonic(to_mpf(lo))
+
+
+def _harmonic_split(lo: int, hi: int) -> tuple:
+    """(P, Q) with P / Q = sum of 1/j over lo < j <= hi and Q = hi! / lo!, by
+    splitting the range in halves, so the one gcd is taken at the end."""
+    if hi - lo == 1:
+        return 1, hi
+    mid = (lo + hi) // 2
+    p1, q1 = _harmonic_split(lo, mid)
+    p2, q2 = _harmonic_split(mid, hi)
+    return p1 * q2 + p2 * q1, q1 * q2
 
 
 def below(getrandbits, n: int) -> int:

@@ -491,59 +491,118 @@ FULL_COLLECTION_CAP = 10 ** 7
 SIMULATE_DRAW_CAP = 10 ** 9
 
 
-def _urn_source(u: UrnModel, seed: int) -> tuple:
-    """(balls, weight, size) for throws into the urns of u.  `balls` is an
-    endless generator of int ball ids offset_i + index: the class i comes
-    from one float draw against the cumulative class probabilities, the index
-    from `numerics.below`, written out here because a call per throw would
-    make each throw a quarter slower.  A ball's weight is the float
-    probability of its class."""
-    rng = random.Random(seed)
-    cum = list(itertools.accumulate(float(c.probability) * c.count for c in u.classes))
-    cum[-1] = 1.0  # so every draw r < 1 lands in a class
-    counts = [c.count for c in u.classes]
-    offsets = list(itertools.accumulate(counts[:-1], initial=0))
-    classes = [(offset, count, count.bit_length())
-               for offset, count in zip(offsets, counts)]
-    probs = [float(c.probability) for c in u.classes]
+def _urn_trials(u: UrnModel, statistic: str, trials: int, k: int | None,
+                getrandbits) -> list:
+    """One int per trial of `statistic` on u: the throw that first hits an
+    occupied urn, the throw that occupies the last urn, or after k throws
+    the distinct urns or the coverage numerator (coverage times D).
 
-    def balls():
-        rand, getrandbits, find = rng.random, rng.getrandbits, bisect.bisect_right
-        while True:
-            offset, count, bits = classes[find(cum, rand())]
-            r = getrandbits(bits)
-            while r >= count:
+    A throw is one r uniform in [0, D), drawn from `getrandbits` as
+    `numerics.below` draws it, written out here to save a call per throw.
+    Class i owns the values [S_i, S_i + c_i P_i), S_i = sum over l < i of
+    c_l P_l, each of its urns P_i of them.  A trial takes the occ_i occupied
+    urns of class i to be its lowest, which own [S_i, T_i) with
+    T_i = S_i + occ_i P_i.  So j = bisect_right over the sorted
+    [T_0, S_1, T_1, ..., S_{c-1}, T_{c-1}] is even for an occupied urn and
+    odd for a new urn of class j >> 1, whose T_i then moves up by P_i.  Urns
+    of one class are exchangeable, so this relabelling leaves the law of
+    every throw's class and novelty, hence of every statistic, as if each
+    urn were tracked by its own id.  A throw lands in class i with
+    probability exactly c_i P_i / D, and a trial holds 2c - 1 ints whatever
+    m is.
+    """
+    scale, nums = u.denominator, u.numerators
+    bits, find = scale.bit_length(), bisect.bisect_right
+    starts = list(itertools.accumulate(
+        (c.count * num for c, num in zip(u.classes, nums)), initial=0))[:-1]
+    empty = sorted(starts * 2)[1:]  # every T_i = S_i
+    step = [num for num in nums for _ in (0, 1)]  # step[j] = P_(j >> 1)
+    values = []
+    if statistic == "first_collision":
+        for _ in range(trials):
+            t, throws = empty.copy(), 1
+            while True:
                 r = getrandbits(bits)
-            yield offset + r
+                while r >= scale:
+                    r = getrandbits(bits)
+                j = find(t, r)
+                if not j & 1:
+                    break
+                t[j - 1] += step[j]
+                throws += 1
+            values.append(throws)
+    elif statistic == "full_collection":
+        for _ in range(trials):
+            t, throws, left = empty.copy(), 0, u.m
+            while left:
+                throws += 1
+                r = getrandbits(bits)
+                while r >= scale:
+                    r = getrandbits(bits)
+                j = find(t, r)
+                if j & 1:
+                    t[j - 1] += step[j]
+                    left -= 1
+            values.append(throws)
+    else:
+        for _ in range(trials):
+            t = empty.copy()
+            for _ in range(k):
+                r = getrandbits(bits)
+                while r >= scale:
+                    r = getrandbits(bits)
+                j = find(t, r)
+                if j & 1:
+                    t[j - 1] += step[j]
+            held = [hi - lo for hi, lo in zip(t[::2], starts)]  # occ_i P_i
+            values.append(sum(held) if statistic == "coverage" else
+                          sum(h // num for h, num in zip(held, nums)))
+    return values
 
-    def weight(ball):
-        return probs[bisect.bisect_right(offsets, ball) - 1]
 
-    return balls(), weight, lambda: u.m
-
-
-def _word_source(state: SamplerState, seed: int, n: int | None) -> tuple:
-    """(words, weight, size) for words of length n sampled from the table of
-    `state`: `words` is an endless generator of sample_word draws.  A word's
-    weight is its probability word_weight / total(n)."""
+def _word_trials(state: SamplerState, statistic: str, trials: int, k: int | None,
+                 seed: int, n: int | None) -> list:
+    """One value per trial of `statistic` over words of length n sampled from
+    the table of `state`, each word an urn of probability
+    word_weight / total(n), kept in a set of seen words."""
     if n is None:
         raise ValueError("word-level simulation needs n")
     table = state.table
     stream = SamplerState(table, seed)
     total = table.total(n)
-
-    def words():
-        while True:
-            yield sample_word(stream, n)
-
-    def weight(word):
-        return word_weight(word, table.weights) / total
-
-    def size():
+    if statistic == "full_collection":
         ones = {t: Fraction(1) for t in table.grammar.terminals}
-        return int(build_counts(table.grammar, ones, n).total(n))
-
-    return words(), weight, size
+        words = int(build_counts(table.grammar, ones, n).total(n))
+        if words > FULL_COLLECTION_CAP:
+            raise ValueError(f"full collection needs at most {FULL_COLLECTION_CAP} "
+                             f"urns or words, got {words}")
+    draws = iter(lambda: sample_word(stream, n), None)
+    values = []
+    for _ in range(trials):
+        seen = set()
+        if statistic == "first_collision":
+            for word in draws:
+                if word in seen:
+                    break
+                seen.add(word)
+            values.append(len(seen) + 1)
+        elif statistic == "full_collection":
+            for throws, word in enumerate(draws, 1):
+                seen.add(word)
+                if len(seen) == words:
+                    break
+            values.append(throws)
+        elif statistic == "distinct":
+            seen.update(itertools.islice(draws, k))
+            values.append(len(seen))
+        else:
+            cov = 0
+            for word in itertools.islice(draws, k):
+                if word not in seen:
+                    seen.add(word)
+                    cov += word_weight(word, table.weights) / total
+            values.append(float(cov))
+    return values
 
 
 def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
@@ -551,14 +610,24 @@ def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
     """Monte Carlo estimate of a redundancy statistic, with standard error.
 
     `model` is either an UrnModel (urn-level simulation) or a SamplerState
-    (word-level simulation over its grammar, at length n); both run the same
-    trial loop over an endless stream of balls.  The trials draw from
-    substream 0 of `seed`, so identical calls give identical results; a
+    (word-level simulation over its grammar, at length n).  The trials draw
+    from substream 0 of `seed`, so identical calls give identical results; a
     SamplerState contributes only its table, never its own stream.  k is
     the number of throws of distinct and coverage, and the other statistics
-    refuse it.  Refused before any draw: more than SIMULATE_DRAW_CAP trials,
-    or trials * k draws; full collection over more than FULL_COLLECTION_CAP
-    urns or words.
+    refuse it.
+
+    Urn level is exact: each throw is one integer below the common
+    denominator D, placed by one bisect over the class occupancy thresholds
+    (see _urn_trials), with no urn ids and memory linear in the number of
+    classes; coverage is its integer numerator over D, correctly rounded.
+    Word level keeps a set of the sampled words.
+
+    Refused before any draw: more than SIMULATE_DRAW_CAP trials, or
+    trials * k draws; full collection over more than FULL_COLLECTION_CAP
+    urns or words; at urn level, first collision or full collection whose
+    trials times a lower bound on the expected throws of one trial exceeds
+    SIMULATE_DRAW_CAP, the bound being ceil(sqrt(pi / (2 alpha_2))) (see
+    birthday_exact) or ceil(1 / p_min).
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -576,40 +645,24 @@ def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
         raise ValueError(f"statistic {statistic!r} takes no k")
     sub = substream_seed(DEFAULT_SEED if seed is None else seed)
     if isinstance(model, UrnModel):
-        stream, weight, size = _urn_source(model, sub)
-    else:
-        stream, weight, size = _word_source(model, sub, n)
-    if statistic == "full_collection":
-        balls = size()
-        if balls > FULL_COLLECTION_CAP:
+        if statistic == "full_collection" and model.m > FULL_COLLECTION_CAP:
             raise ValueError(f"full collection needs at most {FULL_COLLECTION_CAP} "
-                             f"urns or words, got {balls}")
-
-    values = []
-    for _ in range(trials):
-        seen = set()
-        if statistic == "first_collision":
-            for ball in stream:
-                if ball in seen:
-                    break
-                seen.add(ball)
-            values.append(len(seen) + 1)
-        elif statistic == "full_collection":
-            for t, ball in enumerate(stream, 1):
-                seen.add(ball)
-                if len(seen) == balls:
-                    break
-            values.append(t)
-        elif statistic == "distinct":
-            seen.update(itertools.islice(stream, k))
-            values.append(len(seen))
+                             f"urns or words, got {model.m}")
+        if statistic == "first_collision":  # E[B] is at least the plug-in
+            with mp.workdps(FLOAT_DPS):
+                wait = int(mp.ceil(mp.sqrt(mp.pi / (2 * to_mpf(alpha(model, 2))))))
+        elif statistic == "full_collection":  # the lightest urn alone waits 1/p_min
+            wait = -(-model.denominator // model.numerators[0])
         else:
-            cov = 0
-            for ball in itertools.islice(stream, k):
-                if ball not in seen:
-                    seen.add(ball)
-                    cov += weight(ball)
-            values.append(float(cov))
+            wait = 0
+        if trials * wait > SIMULATE_DRAW_CAP:
+            raise ValueError(f"{statistic} expects at least {wait} throws per trial, "
+                             f"and trials * throws must be at most {SIMULATE_DRAW_CAP}")
+        values = _urn_trials(model, statistic, trials, k, random.Random(sub).getrandbits)
+        if statistic == "coverage":
+            values = [v / model.denominator for v in values]
+    else:
+        values = _word_trials(model, statistic, trials, k, sub, n)
     mean = math.fsum(values) / trials
     if trials > 1:
         var = math.fsum((v - mean) ** 2 for v in values) / (trials - 1)

@@ -6,15 +6,14 @@ sequences, absorbing-chain linear algebra on subsets, or direct generation
 and filtering of words.  The routes that faster code replaced stay here as
 oracles: the Fraction count table, the recursive method over every split,
 the 45-digit birthday quadrature, the 40-digit per-class occupancy sums and
-exponential form, and the (class, index) urn throws.
+exponential form, and the urn throws by explicit urn ids.
 """
 
 import bisect
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, count, product
 import operator
-import random
 
 from mpmath import mp
 
@@ -227,20 +226,27 @@ def exponential_per_class(u, k):
                        for c in u.classes)
 
 
-def urn_draws(u, seed):
-    """A function returning one urn throw (class, index) per call: the class
-    by Random.random against the cumulative float class probabilities, the
-    index by Random.randrange over the class's urns."""
-    rng = random.Random(seed)
-    cum = list(accumulate(float(c.probability) * c.count for c in u.classes))
-    cum[-1] = 1.0  # so every draw r < 1 lands in a class
-    counts = [c.count for c in u.classes]
-
-    def draw():
-        i = bisect.bisect_right(cum, rng.random())
-        return i, rng.randrange(counts[i])
-
-    return draw
+def urn_ball_trial(u, statistic, draws, k=None):
+    """One trial of `statistic` by explicit urn ids, the route the occupancy
+    walk `urns._urn_trials` replaced, in its return convention.  Class i owns
+    the values [S_i, S_i + c_i P_i) of an integer draw r in [0, D), and r
+    there throws into urn O_i + (r - S_i) // P_i, where O_i counts the urns
+    of the classes before i; a seen-set of urn ids tracks the occupied ones.
+    `draws` is an iterator of such r."""
+    nums = u.numerators
+    starts = list(accumulate((c.count * p for c, p in zip(u.classes, nums)), initial=0))
+    offsets = list(accumulate((c.count for c in u.classes), initial=0))
+    seen = {}  # urn id -> P_i
+    for throws in range(1, k + 1) if k is not None else count(1):
+        r = next(draws)
+        i = bisect.bisect_right(starts, r) - 1
+        urn = offsets[i] + (r - starts[i]) // nums[i]
+        if statistic == "first_collision" and urn in seen:
+            return throws
+        seen[urn] = nums[i]
+        if statistic == "full_collection" and len(seen) == u.m:
+            return throws
+    return len(seen) if statistic == "distinct" else sum(seen.values())
 
 
 def oracle_birthday(u):

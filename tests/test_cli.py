@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import weightedgen
-from weightedgen import counting
+from weightedgen import counting, urns
 from weightedgen.cli import main
 
 # stdout of report commands, pinned byte for byte
@@ -98,6 +98,19 @@ def test_simulate_text():
                            "--seed", "3")
     assert code == 0
     assert out.startswith("first_collision: mean=")
+
+
+def test_simulate_refuses_an_urn_first_collision_beyond_the_draw_cap(monkeypatch):
+    # E[B] >= the plug-in 5.3e10 throws: refused before the first throw
+    def no_draw(*args):
+        raise AssertionError("a throw was drawn")
+
+    monkeypatch.setattr(urns, "_urn_trials", no_draw)
+    code, out, err = run_cli("simulate", "--builtin", "rna", "--n", "80",
+                             "--statistic", "first_collision", "--trials", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: first_collision expects at least 53112539681 throws per "
+                   "trial, and trials * throws must be at most 1000000000\n")
 
 
 @pytest.mark.parametrize("statistic", ["first_collision", "full_collection"])

@@ -34,8 +34,11 @@ def test_harmonic_variants_agree():
     assert harmonic(3) == Fraction(11, 6)
     assert harmonic(0) == 0
     assert harmonic(5, 2) == Fraction(1, 3) + Fraction(1, 4) + Fraction(1, 5)
-    assert harmonic(HARMONIC_EXACT_LIMIT, 4990) == \
-        sum(Fraction(1, j) for j in range(4991, HARMONIC_EXACT_LIMIT + 1))
+    # the binary splitting gives the Fractions of the term-by-term sum
+    for hi, lo in ((HARMONIC_EXACT_LIMIT, 4990), (HARMONIC_EXACT_LIMIT, 0),
+                   (HARMONIC_EXACT_LIMIT, 4000), (7, 7), (HARMONIC_EXACT_LIMIT,) * 2):
+        assert harmonic(hi, lo) == sum((Fraction(1, j) for j in range(lo + 1, hi + 1)),
+                                       Fraction(0))
     big = harmonic(10 ** 15 + 10, 10 ** 15)
     assert abs(float(big) - 10 / 10 ** 15) < 1e-25
     # lo <= HARMONIC_EXACT_LIMIT < hi takes the float route, within 10^-39 * H_hi

@@ -4,8 +4,7 @@ Grammars come from `random_valid_grammar` under a drawn seed (ambiguous ones
 included: every route here counts derivations), with letter weights redrawn
 as random positive rationals.  Urn models draw up to five classes with
 weights spread over twelve decades and counts up to 10^45, so they include
-tiny probabilities, astronomical urn counts and dominant urns; the throw models
-add a class of one urn and classes of a power of two urns.  Examples are
+tiny probabilities, astronomical urn counts and dominant urns.  Examples are
 derandomized and few, so the module runs in a few seconds and never changes
 between runs.
 """
@@ -13,7 +12,6 @@ between runs.
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, islice
 from unittest.mock import patch
 
 from hypothesis import assume, example, given, settings, strategies as st
@@ -23,11 +21,12 @@ from weightedgen import (birthday_exact, branch_distribution, build_counts, coun
                          expected_occupied_weight, extreme_weights, normalize,
                          parse_grammar, weight_spectra, word_weight)
 from weightedgen.grammar import EnumerationCap, inside
-from weightedgen.urns import OCCUPANCY_REL_ERROR, _urn_source
+from weightedgen.numerics import below
+from weightedgen.urns import OCCUPANCY_REL_ERROR, _urn_trials
 from helpers import (UNIT_CHAIN, assert_chains_shared, fraction_count_table,
                      inside_unpruned, mp_birthday, normalize_checked,
                      occupancy_sum_per_class, pair_paths, random_valid_grammar,
-                     urn_draws, urn_model)
+                     urn_model)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -48,18 +47,6 @@ def urn_models(draw):
         c = draw(st.one_of(st.integers(1, 50), st.integers(1, 10 ** 45)))
         classes[w] = classes.get(w, 0) + c
     return urn_model(list(classes.items()))
-
-
-@st.composite
-def throw_models(draw):
-    """A class of one urn next to up to four classes whose counts are powers
-    of two or any size up to 10^30.  A count of 1 or 2^j has one bit more than
-    its largest index, so the index draw rejects half of its tries there."""
-    counts = [1] + draw(st.lists(st.one_of(st.sampled_from((2, 4, 2 ** 20, 2 ** 64)),
-                                           st.integers(2, 10 ** 30)), max_size=4))
-    weights = draw(st.lists(st.integers(1, 10 ** 6), min_size=len(counts),
-                            max_size=len(counts), unique=True))
-    return urn_model(list(zip(weights, counts)))
 
 
 def mpf_to_fraction(x):
@@ -192,12 +179,10 @@ def test_occupancy_sums_equal_per_class_oracle(u, k, exact):
 
 
 @PROPERTY
-@given(throw_models(), st.integers(0, 2 ** 64 - 1))
-def test_urn_balls_equal_class_and_index_draws(u, seed):
-    balls, weight, _ = _urn_source(u, seed)
-    draw = urn_draws(u, seed)
-    offsets = list(accumulate((c.count for c in u.classes), initial=0))
-    for ball in islice(balls, 300):
-        i, j = draw()
-        assert ball == offsets[i] + j
-        assert weight(ball) == float(u.classes[i].probability)
+@given(urn_models(), st.integers(0, 2 ** 64 - 1))
+def test_urn_throws_take_the_draws_of_below(u, seed):
+    # the walk writes numerics.below out: it must consume the stream alike
+    rng = random.Random(seed)
+    draws = iter([below(rng.getrandbits, u.denominator) for _ in range(60)])
+    expected = _urn_trials(u, "coverage", 3, 20, lambda bits: next(draws))
+    assert _urn_trials(u, "coverage", 3, 20, random.Random(seed).getrandbits) == expected

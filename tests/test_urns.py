@@ -1,6 +1,8 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from mpmath import mp
@@ -11,7 +13,8 @@ from weightedgen import (EmptyLanguageError, ReportEntry, SamplerState, UrnClass
                          expected_coverage, expected_distinct,
                          expected_occupied_weight, from_spectrum, from_weights,
                          normalize, occupancy, parse_grammar, simulate,
-                         standard_report, uniform_urns, weight_spectrum, xi_estimate)
+                         rna, standard_report, uniform_urns, weight_spectrum,
+                         xi_estimate)
 from weightedgen import urns as urns_module
 from weightedgen.numerics import exact_pow_affordable, to_mpf
 from weightedgen.urns import (FULL_COLLECTION_CAP, OCCUPANCY_K_LIMIT,
@@ -19,7 +22,8 @@ from weightedgen.urns import (FULL_COLLECTION_CAP, OCCUPANCY_K_LIMIT,
                               SimResult, alpha)
 from helpers import (exponential_per_class, mp_birthday, occupancy_sum_per_class,
                      oracle_birthday, oracle_birthday_uniform, oracle_coupon,
-                     oracle_occupancy, expand_urns, random_urn_model, urn_model)
+                     oracle_occupancy, expand_urns, random_urn_model, urn_ball_trial,
+                     urn_model)
 
 
 @pytest.fixture(scope="module")
@@ -372,13 +376,108 @@ def test_simulate_words_matches_urn_level(motzkin_h2_norm):
     assert abs(r.mean - float(expected_coverage(u, 3))) < 4 * r.stderr
 
 
+class _Exhausted(Exception):
+    pass
+
+
+def _scripted(u, draws):
+    """A getrandbits that returns `draws` in order, each below D, and raises
+    _Exhausted after the last."""
+    draws = iter(draws)
+
+    def getrandbits(bits):
+        assert bits == u.denominator.bit_length()
+        for r in draws:
+            return r
+        raise _Exhausted
+
+    return getrandbits
+
+
+def _censored(run):
+    try:
+        return run()
+    except (_Exhausted, StopIteration):
+        return "beyond"
+
+
+# (weights, counts) with D <= 8 in two or three classes; weight w_i is P_i.
+WALK_MODELS = [((1, 2), (2, 1)), ((1, 2), (1, 3)), ((1, 3), (2, 1)), ((1, 5), (1, 1)),
+               ((1, 2, 3), (1, 1, 1)), ((1, 2, 4), (1, 1, 1))]
+
+
+@pytest.mark.parametrize("weights, counts", WALK_MODELS)
+def test_urn_walk_has_the_law_of_urn_ids(weights, counts):
+    # Every sequence in [0, D)^L is equally likely, so equal multisets of the
+    # outcomes over all of them mean equal laws.  The outcome of one sequence
+    # is joint: first collision and full collection ("beyond" when L throws
+    # do not end them), distinct urns and coverage numerator after L throws.
+    u = urn_model(list(zip(weights, counts)))
+    assert u.numerators == weights and u.denominator <= 8
+    statistics = (("first_collision", None), ("full_collection", None))
+    for length in range(u.m + 2):
+        walk, ids = Counter(), Counter()
+        for seq in product(range(u.denominator), repeat=length):
+            cases = statistics + (("distinct", length), ("coverage", length))
+            walk[tuple(_censored(lambda: urns_module._urn_trials(
+                u, statistic, 1, k, _scripted(u, seq))[0]) for statistic, k in cases)] += 1
+            ids[tuple(_censored(lambda: urn_ball_trial(u, statistic, iter(seq), k))
+                      for statistic, k in cases)] += 1
+        assert walk == ids, length
+        # a second trial starts with every urn empty again
+        one = urns_module._urn_trials(u, "coverage", 1, length, _scripted(u, seq))
+        assert urns_module._urn_trials(u, "coverage", 2, length,
+                                       _scripted(u, seq + seq)) == 2 * one
+
+
+@pytest.fixture(scope="module")
+def rna80_urns():
+    """RNA theta=1, E=-1 at n=80: 40 classes, D of 3917 bits."""
+    return from_spectrum(rna.pair_spectrum(80, 1, rna.pair_weight(-1.0, invert_sign=True)))
+
+
+def test_urn_walk_throws_into_every_class_up_to_its_last_value(rna80_urns):
+    # The last of these 40 classes has mass 3.3e-18, below the resolution of
+    # a double next to 1, so a float cumulative class table never reaches it.
+    u = rna80_urns
+    assert len(u.classes) == 40
+    start = 0
+    for c, num in zip(u.classes, u.numerators):
+        for r in (start, start + c.count * num - 1):  # a first throw is always new
+            assert urns_module._urn_trials(u, "coverage", 1, 1, _scripted(u, [r])) == [num]
+        start += c.count * num
+    assert start == u.denominator
+
+
+def test_simulate_refuses_urn_waits_beyond_the_draw_cap(rna80_urns, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a throw was drawn")
+
+    monkeypatch.setattr(urns_module, "_urn_trials", no_draw)
+    # one urn: E[B] = 2 >= ceil(sqrt(pi/2)) = 2; four urns: E[C] >= 1/p_min = 4;
+    # p = 2/5, 3/5: E[C] >= ceil(5/2) = 3
+    for u, statistic, wait in ((uniform_urns(1), "first_collision", 2),
+                               (uniform_urns(4), "full_collection", 4),
+                               (from_weights([2, 3]), "full_collection", 3)):
+        with pytest.raises(ValueError, match=f"{statistic} expects at least {wait} throws"):
+            simulate(u, statistic, SIMULATE_DRAW_CAP // wait + 1)
+        with pytest.raises(AssertionError, match="a throw was drawn"):
+            simulate(u, statistic, SIMULATE_DRAW_CAP // wait)
+    # E[B] >= the plug-in 5.7e13, so one trial is refused
+    with pytest.raises(ValueError, match="first_collision expects at least 57"):
+        simulate(rna80_urns, "first_collision", 1)
+    # two urns, one of probability 1/(10^10 + 1)
+    with pytest.raises(ValueError, match="full_collection expects at least 10000000001"):
+        simulate(from_weights([1, 10 ** 10]), "full_collection", 1)
+
+
 # Pinned SimResults, Motzkin W=2 at n=5 (21 words in 3 weight classes), 50
 # trials, seed 2026: any change to a draw source or the trial loop shows here.
 GOLDEN_SIMULATIONS = {
-    ("urns", "first_collision"): (5.1, 0.2917225408094591),
-    ("urns", "full_collection"): (208.68, 10.923722173437449),
-    ("urns", "distinct"): (7.84, 0.18151291627735533),
-    ("urns", "coverage"): (0.5742424242424241, 0.012184820731634252),
+    ("urns", "first_collision"): (4.84, 0.28336174327354147),
+    ("urns", "full_collection"): (194.58, 11.69807554380512),
+    ("urns", "distinct"): (7.9, 0.19846348556356863),
+    ("urns", "coverage"): (0.5715151515151515, 0.01109644653610012),
     ("words", "first_collision"): (5.12, 0.2468412693309163),
     ("words", "full_collection"): (191.68, 10.186563378754768),
     ("words", "distinct"): (8.32, 0.1967905755168293),
@@ -429,7 +528,7 @@ def test_simulate_draw_cap_starts_no_draws(motzkin_norm, monkeypatch):
         raise AssertionError("a draw source was used")
 
     monkeypatch.setattr(urns_module, "sample_word", no_draw)
-    monkeypatch.setattr(urns_module, "_urn_source", no_draw)
+    monkeypatch.setattr(urns_module, "_urn_trials", no_draw)
     state = SamplerState(build_counts(motzkin_norm, None, 30))
     for model in (uniform_urns(5), state):
         with pytest.raises(ValueError, match=r"trials must lie in \[1, 1000000000\]"):
