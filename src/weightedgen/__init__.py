@@ -2,9 +2,8 @@
 asymptotic analytics for the redundancy of sampled sets: first collision,
 full collection, expected distinct words, and coverage."""
 
-from .grammar import (AmbiguityReport, GrammarError, GrammarSyntaxError,
-                      NormalizedGrammar, Rule, WeightedGrammar,
-                      ambiguity_probe, enumerate_words, normalize, parse_grammar)
+from .grammar import (GrammarError, GrammarSyntaxError, NormalizedGrammar, Rule,
+                      WeightedGrammar, normalize, parse_grammar)
 from .counting import (ClassCapExceeded, CountTable, EmptyLanguageError,
                        WeightClass, WeightSpectrum, build_counts,
                        extreme_weights, moment,
@@ -19,9 +18,8 @@ from .urns import (AnalyticsReport, CouponBounds, Expectation, Occupancy,
                    expected_occupied_weight, from_spectrum, from_weights,
                    occupancy, simulate, standard_report, uniform_urns,
                    xi_estimate)
-from .asymptotics import (CollectionEnvelope, CollisionEstimates,
-                          ConditionReport, GammaEstimate, SingularityEstimate,
-                          check_conditions, collection_envelope,
+from .asymptotics import (CollisionEstimates, ConditionReport, GammaEstimate,
+                          SingularityEstimate, check_conditions,
                           collision_envelope, collision_estimates,
                           estimate_singularity, growth_gamma)
 from .rna import (RnaModel, class_counts_by_pairs, coverage_rows,

@@ -1,5 +1,5 @@
 """Singularity estimation from coefficient tails, growth-condition probes, and
-the finite-n collision/collection envelopes.
+the finite-n first-collision estimates.
 
 Coefficient sequences of the form c_n ~ kappa * rho^(-n) * n^(-k) are fitted
 in two stages: rho from consecutive-ratio extrapolation (separately on the
@@ -11,10 +11,9 @@ on rho that the exponent fit then amplifies by a factor of n.
 
 Every analytic reads the grammar's own weights W (reweight with
 `with_weights` before `normalize`) through `_fit_power`, the fit of the table
-for W^j: j = 1, 2, 3 for the growth base and the condition probes, j = 0 (unit
-weights) for full collection.  Only `growth_gamma` takes a tail length and
-precision; the probes fit CONDITION_TERMS = 160 terms at 192 bits, and the
-collection envelope COLLECTION_TERMS = 320 terms at 256 bits.
+for W^j: j = 1 and 2 for the growth base, j = 1, 2 and 3 for the condition
+probes.  Only `growth_gamma` takes a tail length and precision; the probes fit
+CONDITION_TERMS = 160 terms at 192 bits.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .counting import _extreme_row, build_counts, extreme_weights, moment
+from .counting import _extreme_row, build_counts, moment
 from .numerics import to_mpf
-from .urns import coupon_uniform_exact
 
 
 # tail share of the log-log fit, fewest usable coefficients, ratios per
@@ -42,9 +40,6 @@ MIN_FIT_PRECISION = 128
 LADDER = (8, 16, 32, 64)
 CONDITION_TERMS = 160
 CONDITION_PRECISION = 192
-# tail length and bits of the full-collection fits
-COLLECTION_TERMS = 320
-COLLECTION_PRECISION = 256
 
 
 class InsufficientData(ValueError):
@@ -182,7 +177,7 @@ class GammaEstimate:
 
 def _fit_power(grammar, j: int, n_terms: int, precision: int) -> SingularityEstimate:
     """Singularity fit of the n_terms-term table for the grammar's weights
-    raised to the power j."""
+    raised to the power j = 1, 2 or 3."""
     weights = {t: w ** j for t, w in grammar.weights.items()}
     table = build_counts(grammar, weights, n_terms, precision)
     return estimate_singularity(table.coefficients())
@@ -294,7 +289,7 @@ def check_conditions(grammar) -> ConditionReport:
 
 
 # ---------------------------------------------------------------------------
-# finite-n envelopes
+# finite-n first-collision estimates
 
 
 @dataclass(frozen=True)
@@ -334,41 +329,3 @@ def collision_envelope(grammar, n: int) -> float:
     with mp.workdps(50):
         return float(mp.sqrt(mp.pi / (2 * to_mpf(moment(grammar, 2, n)))))
 
-
-@dataclass(frozen=True)
-class CollectionEnvelope:
-    lower: float
-    upper: float
-    uniform_exact: object | None     # m * H_m when the weights are all 1
-    weighted: SingularityEstimate
-    uniform: SingularityEstimate
-    min_weight: Fraction
-
-
-def collection_envelope(grammar, n: int) -> CollectionEnvelope:
-    """Asymptotic envelope of the full-collection time at length n.
-
-    lower = kappa_W * rho_W^(-n) / (mu_min * n^k_W)
-    upper = 2*log(1/rho_1) * kappa_W * rho_W^(-n) / (mu_min * n^(k_W - 1))
-
-    The logarithmic factor comes from H_{M_n} ~ n*log(1/rho_1), so it uses the
-    singularity of the unweighted counting sequence, not the weighted one.
-    """
-    uniform = all(w == 1 for w in grammar.weights.values())
-    est_w = _fit_power(grammar, 1, COLLECTION_TERMS, COLLECTION_PRECISION)
-    est_1 = (est_w if uniform
-             else _fit_power(grammar, 0, COLLECTION_TERMS, COLLECTION_PRECISION))
-    mu_min = extreme_weights(grammar, n)[0]
-
-    with mp.workdps(40):
-        growth = to_mpf(est_w.kappa) * mp.power(est_w.rho, -n) / to_mpf(mu_min)
-        lower = float(growth / mp.power(n, est_w.k_exp))
-        upper = float(2 * mp.log(1 / mp.mpf(est_1.rho)) * growth
-                      / mp.power(n, est_w.k_exp - 1))
-
-    uniform_exact = None
-    if uniform:
-        m_n = build_counts(grammar, None, n).total(n)
-        if m_n > 0:
-            uniform_exact = coupon_uniform_exact(int(m_n))
-    return CollectionEnvelope(lower, upper, uniform_exact, est_w, est_1, mu_min)

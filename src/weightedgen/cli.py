@@ -21,7 +21,7 @@ from mpmath import mp
 from . import asymptotics, counting, rna, sampler, urns
 from .grammar import (GrammarError, Rule, WeightedGrammar, _parse_weight, normalize,
                       parse_grammar)
-from .numerics import DEFAULT_SEED, to_mpf
+from .numerics import DEFAULT_SEED, _unlimited_digits, to_mpf
 
 BUILTINS = ("motzkin", "rna")
 
@@ -38,7 +38,8 @@ def motzkin_grammar() -> WeightedGrammar:
 
 def _num(x) -> str:
     if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        with _unlimited_digits():
+            return str(x)
     with mp.workdps(30):
         return mp.nstr(to_mpf(x), 12)
 
@@ -206,9 +207,11 @@ def cmd_spectrum(args) -> int:
     if args.format == "csv":
         print(sp.to_csv(), end="")
     else:
-        print(f"n={sp.n}  words={sp.total_count()}  total_weight={_num(sp.total_weight())}")
-        for c in sp.classes:
-            print(f"  weight {c.weight}  multiplicity {c.count}")
+        with _unlimited_digits():
+            print(f"n={sp.n}  words={sp.total_count()}  "
+                  f"total_weight={_num(sp.total_weight())}")
+            for c in sp.classes:
+                print(f"  weight {c.weight}  multiplicity {c.count}")
     return 0
 
 

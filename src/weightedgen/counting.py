@@ -24,11 +24,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import floor, lcm
 
 from mpmath import mp
 
 from .grammar import NormalizedGrammar, inside
+from .numerics import _unlimited_digits
 
 # bits a fixed-point table keeps beyond its precision
 GUARD_BITS = 64
@@ -233,8 +235,9 @@ class WeightSpectrum:
 
     def to_csv(self) -> str:
         lines = ["weight_num,weight_den,multiplicity"]
-        for c in self.classes:
-            lines.append(f"{c.weight.numerator},{c.weight.denominator},{c.count}")
+        with _unlimited_digits():
+            for c in self.classes:
+                lines.append(f"{c.weight.numerator},{c.weight.denominator},{c.count}")
         return "\n".join(lines) + "\n"
 
 
@@ -271,24 +274,25 @@ def weight_spectra(grammar: NormalizedGrammar, weights=None, n: int = 0) -> list
 
     profiles = inside(grammar, n, lambda t: {unit[t]: 1}, {(0,) * len(weighted): 1},
                       {}, add, dot)[grammar.axiom]
-    spectra = []
-    for m, profile in enumerate(profiles):
-        if not profile:
-            spectra.append(None)
-            continue
-        groups = {}
-        for comp, count in profile.items():
-            chi = Fraction(1)
-            for t, e in zip(weighted, comp):
-                chi *= weights[t] ** e
-            entry = groups.setdefault(chi, [0, []])
-            entry[0] += count
-            entry[1].append(comp)
-        classes = tuple(
-            WeightClass(chi, cnt, tuple(sorted(comps)))
-            for chi, (cnt, comps) in sorted(groups.items()))
-        spectra.append(WeightSpectrum(m, weighted, classes))
-    return spectra
+    return [_spectrum(m, weighted, weights, profile) if profile else None
+            for m, profile in enumerate(profiles)]
+
+
+def _spectrum(n: int, weighted: tuple, weights, profile: dict) -> WeightSpectrum:
+    """The length-n spectrum of a {composition vector over `weighted`: word
+    count} map: compositions of equal weight prod(weights[t] ** e), one
+    power per weighted terminal, share a class, and classes are sorted by
+    weight."""
+    bases = [weights[t] for t in weighted]
+    groups = {}
+    for comp, count in profile.items():
+        chi = reduce(operator.mul, map(pow, bases, comp)) if comp else Fraction(1)
+        entry = groups.setdefault(chi, [0, []])
+        entry[0] += count
+        entry[1].append(comp)
+    classes = tuple(WeightClass(chi, cnt, tuple(sorted(comps)))
+                    for chi, (cnt, comps) in sorted(groups.items()))
+    return WeightSpectrum(n, weighted, classes)
 
 
 def weight_spectrum(grammar: NormalizedGrammar, weights=None, n: int = 0) -> WeightSpectrum:

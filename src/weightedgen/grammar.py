@@ -1,4 +1,4 @@
-"""Weighted context-free grammars: parsing, validation, normalization, enumeration.
+"""Weighted context-free grammars: parsing, validation, normalization to binary form.
 
 A grammar file is UTF-8 text, one statement per line::
 
@@ -47,10 +47,6 @@ class GrammarSyntaxError(GrammarError):
             where = f"line {line}" + (f", column {column}" if column is not None else "")
             where += ": "
         super().__init__(where + message)
-
-
-class EnumerationCap(RuntimeError):
-    """Exhaustive enumeration exceeded its configured cap."""
 
 
 @dataclass(frozen=True)
@@ -332,45 +328,6 @@ def parse_grammar(text: str) -> WeightedGrammar:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration (test oracle and ambiguity probe)
-
-
-# derivation steps `enumerate_words` may take before it gives up
-EXPANSION_CAP = 5_000_000
-
-
-def enumerate_words(g, n: int, *, word_cap: int = 200_000) -> list:
-    """All length-n words of g, one entry per derivation (duplicates = ambiguity).
-
-    Leftmost expansion with minimal-length pruning; raises EnumerationCap when
-    either the derivation count or the expansion budget is exceeded.
-    """
-    minlen = _min_lengths(g)
-    out = []
-    expansions = 0
-    stack = [(g.axiom,)]
-    while stack:
-        form = stack.pop()
-        idx = next((i for i, s in enumerate(form) if s in g.nonterminals), None)
-        if idx is None:
-            if len(form) == n:
-                out.append(form)
-                if len(out) > word_cap:
-                    raise EnumerationCap(f"more than {word_cap} derivations at length {n}")
-            continue
-        for r in g.rules:
-            if r.lhs != form[idx]:
-                continue
-            nf = form[:idx] + r.rhs + form[idx + 1:]
-            if sum(minlen[s] for s in nf) <= n:
-                expansions += 1
-                if expansions > EXPANSION_CAP:
-                    raise EnumerationCap(f"expansion budget exceeded at length {n}")
-                stack.append(nf)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # normalization to binary form
 
 
@@ -555,42 +512,3 @@ def normalize(g: WeightedGrammar) -> NormalizedGrammar:
     nts = tuple(TopologicalSorter(targets).static_order())
     return NormalizedGrammar(g, start, nts, tuple(final))
 
-
-# ---------------------------------------------------------------------------
-# ambiguity probe
-
-
-@dataclass(frozen=True)
-class AmbiguityReport:
-    ambiguous: bool
-    n_max: int
-    first_mismatch: int | None = None
-    derivation_count: int | None = None
-    distinct_count: int | None = None
-
-    def __str__(self):
-        if not self.ambiguous:
-            return f"no ambiguity detected up to n={self.n_max}"
-        return (f"ambiguity detected at n={self.first_mismatch}: "
-                f"{self.derivation_count} derivations for "
-                f"{self.distinct_count} distinct words")
-
-
-def ambiguity_probe(g: WeightedGrammar, n_max: int, *,
-                    word_cap: int = 200_000) -> AmbiguityReport:
-    """Compare derivation counts against distinct-word counts for n <= n_max.
-
-    A mismatch is evidence of ambiguity; agreement proves nothing (this is a
-    probe, not a decision procedure).
-    """
-    from .counting import build_counts  # local import to avoid a module cycle
-
-    ng = normalize(g)
-    ones = {t: Fraction(1) for t in g.terminals}
-    table = build_counts(ng, ones, n_max)
-    for n in range(n_max + 1):
-        derivations = table.total(n)
-        distinct = len(set(enumerate_words(g, n, word_cap=word_cap)))
-        if derivations != distinct:
-            return AmbiguityReport(True, n_max, n, int(derivations), distinct)
-    return AmbiguityReport(False, n_max)

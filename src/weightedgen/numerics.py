@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
+from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 
@@ -26,6 +28,20 @@ EXACT_POW_BIT_LIMIT = 200_000
 HARMONIC_EXACT_LIMIT = 5_000
 
 FLOAT_DPS = 40
+
+
+@contextmanager
+def _unlimited_digits():
+    """Lift Python's int-to-str digit limit inside the block, restoring it
+    after.  The limit guards the parsing of input text (`grammar` relies on
+    it to refuse a longer `num/den` weight); an exact int or Fraction turned
+    into output text may have any number of digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def bit_size(q: Fraction) -> int:

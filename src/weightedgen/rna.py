@@ -21,7 +21,7 @@ from math import comb
 from mpmath import mp
 
 from . import asymptotics, urns
-from .counting import WeightClass, WeightSpectrum
+from .counting import WeightSpectrum, _spectrum
 from .grammar import Rule, WeightedGrammar, normalize
 from .numerics import rational_from_real
 
@@ -257,16 +257,10 @@ def pair_spectrum(n: int, theta: int, w) -> WeightSpectrum:
     grammar-DP spectrum of rna_grammar(theta, w).
     """
     w = Fraction(w)
-    weighted = (OPEN,) if w != 1 else ()
-    groups = {}
-    for k, count in class_counts_by_pairs(n, theta):
-        chi = w ** k
-        entry = groups.setdefault(chi, [0, set()])
-        entry[0] += count
-        entry[1].add((k,) if weighted else ())
-    classes = tuple(WeightClass(chi, cnt, tuple(sorted(comps)))
-                    for chi, (cnt, comps) in sorted(groups.items()))
-    return WeightSpectrum(n, weighted, classes)
+    counts = class_counts_by_pairs(n, theta)
+    if w == 1:
+        return _spectrum(n, (), {}, {(): sum(count for _, count in counts)})
+    return _spectrum(n, (OPEN,), {OPEN: w}, {(k,): count for k, count in counts})
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,10 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .counting import build_counts
-from .numerics import (DEFAULT_SEED, FLOAT_DPS, exact_pow_affordable, harmonic,
-                       log2log2, substream_seed, to_mpf)
+from .counting import build_counts, extreme_weights, moment
+from .numerics import (DEFAULT_SEED, FLOAT_DPS, _unlimited_digits,
+                       exact_pow_affordable, harmonic, log2log2, substream_seed,
+                       to_mpf)
 # Unused here; the benchmark's self-test still expects the binding (bench/spans.py
 # traces one_minus_pow in every module that imports it).
 from .numerics import one_minus_pow  # noqa: F401
@@ -491,6 +492,28 @@ FULL_COLLECTION_CAP = 10 ** 7
 SIMULATE_DRAW_CAP = 10 ** 9
 
 
+def _refuse_long_waits(statistic: str, trials: int, alpha_2, p_min) -> None:
+    """Refuse, before any draw, a first collision or full collection whose
+    trials times a lower bound on one trial's expected throws exceeds
+    SIMULATE_DRAW_CAP.  The bound is ceil(sqrt(pi / (2 alpha_2))) for first
+    collision (the plug-in, at most E[B]; see birthday_exact) and
+    ceil(1 / p_min) for full collection (the lightest urn alone waits that
+    long).  `alpha_2` and `p_min` are callables, so only the statistic's own
+    is computed."""
+    if statistic == "first_collision":
+        with mp.workdps(FLOAT_DPS):
+            wait = int(mp.ceil(mp.sqrt(mp.pi / (2 * to_mpf(alpha_2())))))
+    elif statistic == "full_collection":
+        wait = math.ceil(1 / p_min())
+    else:
+        return
+    if trials * wait > SIMULATE_DRAW_CAP:
+        with _unlimited_digits():
+            message = (f"{statistic} expects at least {wait} throws per trial, "
+                       f"and trials * throws must be at most {SIMULATE_DRAW_CAP}")
+        raise ValueError(message)
+
+
 def _urn_trials(u: UrnModel, statistic: str, trials: int, k: int | None,
                 getrandbits) -> list:
     """One int per trial of `statistic` on u: the throw that first hits an
@@ -564,7 +587,10 @@ def _word_trials(state: SamplerState, statistic: str, trials: int, k: int | None
                  seed: int, n: int | None) -> list:
     """One value per trial of `statistic` over words of length n sampled from
     the table of `state`, each word an urn of probability
-    word_weight / total(n), kept in a set of seen words."""
+    word_weight / total(n), kept in a set of seen words.  The wait bound
+    reads alpha_2 and p_min exactly from the grammar's own weights, the law
+    of a table built with them: `moment`, and `extreme_weights` over the
+    exact total."""
     if n is None:
         raise ValueError("word-level simulation needs n")
     table = state.table
@@ -576,6 +602,10 @@ def _word_trials(state: SamplerState, statistic: str, trials: int, k: int | None
         if words > FULL_COLLECTION_CAP:
             raise ValueError(f"full collection needs at most {FULL_COLLECTION_CAP} "
                              f"urns or words, got {words}")
+    grammar = table.grammar
+    _refuse_long_waits(statistic, trials, lambda: moment(grammar, 2, n),
+                       lambda: extreme_weights(grammar, n)[0]
+                       / build_counts(grammar, None, n).total(n))
     draws = iter(lambda: sample_word(stream, n), None)
     values = []
     for _ in range(trials):
@@ -624,10 +654,10 @@ def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
 
     Refused before any draw: more than SIMULATE_DRAW_CAP trials, or
     trials * k draws; full collection over more than FULL_COLLECTION_CAP
-    urns or words; at urn level, first collision or full collection whose
-    trials times a lower bound on the expected throws of one trial exceeds
+    urns or words; first collision or full collection whose trials times a
+    lower bound on the expected throws of one trial exceeds
     SIMULATE_DRAW_CAP, the bound being ceil(sqrt(pi / (2 alpha_2))) (see
-    birthday_exact) or ceil(1 / p_min).
+    birthday_exact) or ceil(1 / p_min), at either level.
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -648,16 +678,8 @@ def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
         if statistic == "full_collection" and model.m > FULL_COLLECTION_CAP:
             raise ValueError(f"full collection needs at most {FULL_COLLECTION_CAP} "
                              f"urns or words, got {model.m}")
-        if statistic == "first_collision":  # E[B] is at least the plug-in
-            with mp.workdps(FLOAT_DPS):
-                wait = int(mp.ceil(mp.sqrt(mp.pi / (2 * to_mpf(alpha(model, 2))))))
-        elif statistic == "full_collection":  # the lightest urn alone waits 1/p_min
-            wait = -(-model.denominator // model.numerators[0])
-        else:
-            wait = 0
-        if trials * wait > SIMULATE_DRAW_CAP:
-            raise ValueError(f"{statistic} expects at least {wait} throws per trial, "
-                             f"and trials * throws must be at most {SIMULATE_DRAW_CAP}")
+        _refuse_long_waits(statistic, trials, lambda: alpha(model, 2),
+                           lambda: model.p_min)
         values = _urn_trials(model, statistic, trials, k, random.Random(sub).getrandbits)
         if statistic == "coverage":
             values = [v / model.denominator for v in values]
@@ -680,7 +702,8 @@ def _fmt_number(x) -> str:
     if x is None:
         return ""
     if isinstance(x, Fraction) and x.denominator == 1:
-        return str(x.numerator)
+        with _unlimited_digits():
+            return str(x.numerator)
     with mp.workdps(30):
         return mp.nstr(to_mpf(x), 12)
 

@@ -6,22 +6,103 @@ sequences, absorbing-chain linear algebra on subsets, or direct generation
 and filtering of words.  The routes that faster code replaced stay here as
 oracles: the Fraction count table, the recursive method over every split,
 the 45-digit birthday quadrature, the 40-digit per-class occupancy sums and
-exponential form, and the urn throws by explicit urn ids.
+exponential form, and the urn throws by explicit urn ids.  Exhaustive
+enumeration of a source grammar's derivations (`enumerate_words`) and the
+ambiguity probe built on it (`ambiguity_probe`) live here too: they are the
+word-level oracle of normalization, counting, sampling and the RNA census.
 """
 
 import bisect
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, product
 import operator
 
 from mpmath import mp
 
-from weightedgen import (Rule, WeightedGrammar, GrammarError, ambiguity_probe,
-                         enumerate_words, from_weights, normalize, parse_grammar)
-from weightedgen.grammar import EnumerationCap, inside
+from weightedgen import (Rule, WeightedGrammar, GrammarError, build_counts,
+                         from_weights, normalize, parse_grammar)
+from weightedgen.grammar import _min_lengths, inside
 from weightedgen.numerics import one_minus_pow, to_mpf
 from weightedgen.urns import QuadratureError, UrnClass, UrnModel, alpha
+
+
+# ---------------------------------------------------------------------------
+# exhaustive enumeration and the ambiguity probe
+
+
+class EnumerationCap(RuntimeError):
+    """Exhaustive enumeration exceeded its configured cap."""
+
+
+# derivation steps `enumerate_words` may take before it gives up
+EXPANSION_CAP = 5_000_000
+
+
+def enumerate_words(g, n: int, *, word_cap: int = 200_000) -> list:
+    """All length-n words of g, one entry per derivation (duplicates = ambiguity).
+
+    Leftmost expansion with minimal-length pruning; raises EnumerationCap when
+    either the derivation count or the expansion budget is exceeded.
+    """
+    minlen = _min_lengths(g)
+    out = []
+    expansions = 0
+    stack = [(g.axiom,)]
+    while stack:
+        form = stack.pop()
+        idx = next((i for i, s in enumerate(form) if s in g.nonterminals), None)
+        if idx is None:
+            if len(form) == n:
+                out.append(form)
+                if len(out) > word_cap:
+                    raise EnumerationCap(f"more than {word_cap} derivations at length {n}")
+            continue
+        for r in g.rules:
+            if r.lhs != form[idx]:
+                continue
+            nf = form[:idx] + r.rhs + form[idx + 1:]
+            if sum(minlen[s] for s in nf) <= n:
+                expansions += 1
+                if expansions > EXPANSION_CAP:
+                    raise EnumerationCap(f"expansion budget exceeded at length {n}")
+                stack.append(nf)
+    return out
+
+
+@dataclass(frozen=True)
+class AmbiguityReport:
+    ambiguous: bool
+    n_max: int
+    first_mismatch: int | None = None
+    derivation_count: int | None = None
+    distinct_count: int | None = None
+
+    def __str__(self):
+        if not self.ambiguous:
+            return f"no ambiguity detected up to n={self.n_max}"
+        return (f"ambiguity detected at n={self.first_mismatch}: "
+                f"{self.derivation_count} derivations for "
+                f"{self.distinct_count} distinct words")
+
+
+def ambiguity_probe(g: WeightedGrammar, n_max: int, *,
+                    word_cap: int = 200_000) -> AmbiguityReport:
+    """Compare derivation counts against distinct-word counts for n <= n_max.
+
+    A mismatch is evidence of ambiguity; agreement proves nothing (this is a
+    probe, not a decision procedure).
+    """
+    ng = normalize(g)
+    ones = {t: Fraction(1) for t in g.terminals}
+    table = build_counts(ng, ones, n_max)
+    for n in range(n_max + 1):
+        derivations = table.total(n)
+        distinct = len(set(enumerate_words(g, n, word_cap=word_cap)))
+        if derivations != distinct:
+            return AmbiguityReport(True, n_max, n, int(derivations), distinct)
+    return AmbiguityReport(False, n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,10 @@ import mpmath as mp
 import pytest
 
 from weightedgen import (birthday_asymptotic, build_counts, check_conditions,
-                         collection_envelope, collision_envelope, collision_estimates,
-                         coupon_bounds, estimate_singularity, extreme_weights,
-                         from_spectrum, growth_gamma, normalize, parse_grammar,
-                         weight_spectrum)
+                         collision_envelope, collision_estimates,
+                         estimate_singularity, extreme_weights, from_spectrum,
+                         growth_gamma, normalize, parse_grammar, weight_spectrum)
 from weightedgen.asymptotics import LADDER, InsufficientData
-from weightedgen.numerics import harmonic
 
 
 def synthetic(a, b, n_terms=512):
@@ -113,22 +111,6 @@ def test_collision_envelope_identity(motzkin_h2_norm):
         assert abs(a - b) / b < 1e-12
 
 
-def test_collection_envelope_uniform(motzkin_norm):
-    env = collection_envelope(motzkin_norm, 6)
-    # enumeration gives 51 words of length 6
-    assert env.uniform_exact == 51 * harmonic(51)
-    assert env.lower <= float(env.uniform_exact) <= env.upper
-
-
-def test_collection_envelope_brackets_rank_estimate(motzkin_h2_norm):
-    for n in (10, 14, 20):
-        env = collection_envelope(motzkin_h2_norm, n)
-        u = from_spectrum(weight_spectrum(motzkin_h2_norm, None, n))
-        xi = float(coupon_bounds(u).estimate)
-        assert env.lower <= xi <= env.upper
-    assert env.min_weight == 1  # even length, no forced horizontal step
-
-
 def test_singularity_with_parity_oscillation():
     # period-2 modulation of the constant: both parity ratio tracks still
     # converge to the same radius
@@ -137,13 +119,6 @@ def test_singularity_with_parity_oscillation():
     est = estimate_singularity(coeffs)
     assert abs(est.rho - 0.5) < 1e-8
     assert est.converged
-
-
-def test_collection_envelope_ratio_scales_linearly(motzkin_norm):
-    envs = {n: collection_envelope(motzkin_norm, n) for n in (10, 20)}
-    for n, env in envs.items():
-        ratio = env.upper / env.lower
-        assert abs(ratio - 2 * math.log(1 / env.uniform.rho) * n) < 1e-6 * ratio
 
 
 def test_gamma_exceeds_one_when_conditions_pass(motzkin_h2_norm):

@@ -113,6 +113,25 @@ def test_simulate_refuses_an_urn_first_collision_beyond_the_draw_cap(monkeypatch
                    "trial, and trials * throws must be at most 1000000000\n")
 
 
+@pytest.mark.parametrize("argv, wait", [
+    (("--builtin", "rna", "--n", "80", "--statistic", "first_collision"), 53112539681),
+    # the all-dots word of Motzkin n = 6 has probability about 2e-73
+    (("--builtin", "motzkin", "--weight", ".=1e-12", "--n", "6",
+      "--statistic", "full_collection"),
+     5000000000000000000000030000000000000000000000015000000000000000000000001),
+], ids=["rna-first-collision", "motzkin-full-collection"])
+def test_simulate_refuses_a_word_wait_beyond_the_draw_cap(monkeypatch, argv, wait):
+    # the urn level's bound, from exact tables, before the first word
+    def no_draw(*args):
+        raise AssertionError("a word was drawn")
+
+    monkeypatch.setattr(urns, "sample_word", no_draw)
+    code, out, err = run_cli("simulate", *argv, "--mode", "words", "--trials", "1")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {argv[-1]} expects at least {wait} throws per "
+                   "trial, and trials * throws must be at most 1000000000\n")
+
+
 @pytest.mark.parametrize("statistic", ["first_collision", "full_collection"])
 def test_simulate_refuses_k_it_would_not_use(statistic):
     code, out, err = run_cli("simulate", "--builtin", "motzkin", "--n", "4",
@@ -310,6 +329,32 @@ def test_bad_weight_literal_is_error(argv):
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "malformed weight" in err
+
+
+# one word per length, of weight 10^(4299 n): totals past Python's int-to-str
+# digit limit of 4300
+HUGE_WEIGHT = "axiom S\nterminal a weight 1e4299\nS -> a S | a\n"
+HUGE_TOTAL = "1" + "0" * 8598
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("count",), f"{HUGE_TOTAL}\n"),
+    (("count", "--format", "csv"),
+     f"n,total_weight\n0,0\n1,1{'0' * 4299}\n2,{HUGE_TOTAL}\n"),
+    (("spectrum",), f"n=2  words=1  total_weight={HUGE_TOTAL}\n"
+                    f"  weight {HUGE_TOTAL}  multiplicity 1\n"),
+    (("spectrum", "--format", "csv"),
+     f"weight_num,weight_den,multiplicity\n{HUGE_TOTAL},1,1\n"),
+    (("analyze", "--k", "2", "--format", "csv"), f"occupied_weight,exact,2,2,{HUGE_TOTAL},,\n"),
+], ids=["count", "count-csv", "spectrum", "spectrum-csv", "analyze-csv"])
+def test_exact_output_past_the_int_digit_limit(tmp_path, argv, expected):
+    path = tmp_path / "huge.wcfg"
+    path.write_text(HUGE_WEIGHT, encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(argv[0], "--grammar", str(path), "--n", "2", *argv[1:])
+    assert (code, err) == (0, "")
+    assert out.endswith(expected)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_weight_override_fraction():

@@ -245,6 +245,8 @@ def test_extreme_weights_match_spectrum(motzkin_h2_norm):
         sp = weight_spectrum(motzkin_h2_norm, None, n)
         assert extreme_weights(motzkin_h2_norm, n) == \
             (sp.min_weight(), sp.max_weight())
+    for n in (10, 14, 20):  # even length: a word with no horizontal step
+        assert extreme_weights(motzkin_h2_norm, n)[0] == 1
 
 
 def test_choices_sum_to_cell(motzkin_h2_norm):

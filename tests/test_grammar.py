@@ -6,13 +6,12 @@ from fractions import Fraction
 import pytest
 
 from weightedgen import (GrammarError, GrammarSyntaxError, WeightedGrammar,
-                         ambiguity_probe, build_counts, enumerate_words,
-                         normalize, parse_grammar)
+                         build_counts, normalize, parse_grammar)
 from weightedgen.cli import motzkin_grammar
 from weightedgen.grammar import _min_lengths, _parse_weight
 from weightedgen.rna import rna_grammar
-from helpers import (assert_chains_shared, normalize_checked, random_candidate,
-                     random_grammar)
+from helpers import (ambiguity_probe, assert_chains_shared, enumerate_words,
+                     normalize_checked, random_candidate, random_grammar)
 
 
 # sha256 of the lines written by `_verdict` for 3000 seeded candidates,

@@ -17,13 +17,14 @@ from unittest.mock import patch
 from hypothesis import assume, example, given, settings, strategies as st
 
 from weightedgen import (birthday_exact, branch_distribution, build_counts, counting,
-                         enumerate_words, expected_coverage, expected_distinct,
+                         expected_coverage, expected_distinct,
                          expected_occupied_weight, extreme_weights, normalize,
                          parse_grammar, weight_spectra, word_weight)
-from weightedgen.grammar import EnumerationCap, inside
+from weightedgen.grammar import inside
 from weightedgen.numerics import below
 from weightedgen.urns import OCCUPANCY_REL_ERROR, _urn_trials
-from helpers import (UNIT_CHAIN, assert_chains_shared, fraction_count_table,
+from helpers import (UNIT_CHAIN, EnumerationCap, assert_chains_shared,
+                     enumerate_words, fraction_count_table,
                      inside_unpruned, mp_birthday, normalize_checked,
                      occupancy_sum_per_class, pair_paths, random_valid_grammar,
                      urn_model)

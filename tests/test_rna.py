@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from weightedgen import (SamplerState, build_counts, enumerate_words,
-                         expected_coverage, expected_distinct, from_spectrum,
-                         normalize, sample_word, weight_spectrum)
+from weightedgen import (SamplerState, build_counts, expected_coverage,
+                         expected_distinct, from_spectrum, normalize,
+                         sample_word, weight_spectrum)
 from weightedgen import rna
 from weightedgen.urns import OCCUPANCY_REL_ERROR
-from helpers import motzkin_words, plateau_profile, secondary_structures
+from helpers import (enumerate_words, motzkin_words, plateau_profile,
+                     secondary_structures)
 
 WATERMAN = [1, 1, 1, 2, 4, 8, 17, 37, 82, 185, 423, 978, 2283]
 
@@ -120,7 +121,7 @@ def test_class_counts_examples():
 
 
 def test_pair_spectrum_matches_grammar_spectrum():
-    cases = [(1, Fraction(2)), (2, Fraction(3)), (3, Fraction(5))]
+    cases = [(1, Fraction(2)), (2, Fraction(3)), (3, Fraction(5)), (1, Fraction(1))]
     for theta, w in cases:
         g = normalize(rna.rna_grammar(theta, w))
         for n in (0, 5, 11, 20):

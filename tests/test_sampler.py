@@ -6,10 +6,9 @@ from fractions import Fraction
 import pytest
 
 from weightedgen import (EmptyLanguageError, SamplerState, branch_distribution,
-                         build_counts, enumerate_words, normalize,
-                         parse_grammar, sample_word,
+                         build_counts, normalize, parse_grammar, sample_word,
                          word_probability, word_weight)
-from helpers import random_grammar
+from helpers import enumerate_words, random_grammar
 
 # chi-square upper quantiles at significance 0.001
 CHI2_CRIT = {1: 10.828, 2: 13.816, 3: 16.266, 5: 20.515, 8: 26.124,

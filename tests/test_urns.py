@@ -16,7 +16,7 @@ from weightedgen import (EmptyLanguageError, ReportEntry, SamplerState, UrnClass
                          rna, standard_report, uniform_urns, weight_spectrum,
                          xi_estimate)
 from weightedgen import urns as urns_module
-from weightedgen.numerics import exact_pow_affordable, to_mpf
+from weightedgen.numerics import exact_pow_affordable, harmonic, to_mpf
 from weightedgen.urns import (FULL_COLLECTION_CAP, OCCUPANCY_K_LIMIT,
                               OCCUPANCY_REL_ERROR, SIMULATE_DRAW_CAP, QuadratureError,
                               SimResult, alpha)
@@ -274,6 +274,7 @@ def test_coupon_uniform_exact():
     assert coupon_uniform_exact(1) == 1
     assert coupon_uniform_exact(3) == Fraction(11, 2)
     assert abs(float(coupon_uniform_exact(365)) - 2364.646) < 5e-3
+    assert coupon_uniform_exact(51) == 51 * harmonic(51)  # Motzkin, n = 6
 
 
 def test_coupon_bounds_uniform3():
@@ -469,6 +470,28 @@ def test_simulate_refuses_urn_waits_beyond_the_draw_cap(rna80_urns, monkeypatch)
     # two urns, one of probability 1/(10^10 + 1)
     with pytest.raises(ValueError, match="full_collection expects at least 10000000001"):
         simulate(from_weights([1, 10 ** 10]), "full_collection", 1)
+    # a wait past Python's int-to-str digit limit is printed in full
+    wait = "1" + "0" * 4399 + "1"
+    with pytest.raises(ValueError, match=f"full_collection expects at least {wait} throws"):
+        simulate(from_weights([1, 10 ** 4400]), "full_collection", 1)
+
+
+def test_simulate_refuses_word_waits_as_at_urn_level(motzkin, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a word was drawn")
+
+    monkeypatch.setattr(urns_module, "sample_word", no_draw)
+    # W=2 at n=2: "()" and ".." with p = 1/5, 4/5; ceil(sqrt(pi/(2*17/25))) = 2
+    g = normalize(motzkin.with_weights({".": 2}))
+    state = SamplerState(build_counts(g, None, 2))
+    u = from_spectrum(weight_spectrum(g, None, 2))
+    for statistic, wait in (("first_collision", 2), ("full_collection", 5)):
+        for model in (state, u):
+            with pytest.raises(ValueError,
+                               match=f"{statistic} expects at least {wait} throws"):
+                simulate(model, statistic, SIMULATE_DRAW_CAP // wait + 1, n=2)
+        with pytest.raises(AssertionError, match="a word was drawn"):
+            simulate(state, statistic, SIMULATE_DRAW_CAP // wait, n=2)
 
 
 # Pinned SimResults, Motzkin W=2 at n=5 (21 words in 3 weight classes), 50
