@@ -24,7 +24,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .counting import _extreme_row, build_counts, moment
-from .numerics import to_mpf
+from .numerics import collision_plug_in, to_mpf
 
 
 # tail share of the log-log fit, fewest usable coefficients, ratios per
@@ -326,6 +326,5 @@ def collision_envelope(grammar, n: int) -> float:
     alpha_2 = total(w^2) / total(w)^2 is the exact second moment of the
     length-n distribution, so the weight spectrum is never materialized.
     """
-    with mp.workdps(50):
-        return float(mp.sqrt(mp.pi / (2 * to_mpf(moment(grammar, 2, n)))))
+    return float(collision_plug_in(moment(grammar, 2, n)))
 

@@ -85,8 +85,7 @@ def _load_grammar(args) -> WeightedGrammar:
 
 
 def _rna_model(args) -> rna.RnaModel:
-    return rna.RnaModel(theta=args.theta, pair_energy=args.energy, rt=args.rt,
-                        invert_sign=(args.energy_sign == "inverted"))
+    return rna.RnaModel(theta=args.theta, pair_energy=args.energy, rt=args.rt)
 
 
 def _emit_csv(header, rows):
@@ -103,10 +102,7 @@ def _add_rna_args(p):
     p.add_argument("--energy", type=float, default=-1.0,
                    help="free energy per pair, kcal/mol (builtin rna)")
     p.add_argument("--rt", type=float, default=rna.DEFAULT_RT,
-                   help="RT in kcal/mol")
-    p.add_argument("--energy-sign", choices=("inverted", "literal"),
-                   default="inverted",
-                   help="pair weight exp(-E/RT) (inverted, calibrated) or exp(E/RT)")
+                   help="RT in kcal/mol; the pair weight is exp(-E/RT)")
 
 
 def _add_grammar_args(p):

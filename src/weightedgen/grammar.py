@@ -19,17 +19,15 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import reduce
 from graphlib import TopologicalSorter
 from itertools import product
 
+from .numerics import decimal_fraction
+
 RESERVED_TOKENS = {"->", "|", "_"}
 EPSILON_MARK = "_"
-# Python's default int-digit limit, which already refuses a longer `num/den`;
-# decimals are held to it before any integer is built (`1e999999999` would hang)
-MAX_WEIGHT_DIGITS = 4300
 
 
 class GrammarError(ValueError):
@@ -225,19 +223,15 @@ def _tokenize(line):
 def _parse_weight(tok, line=None, col=None) -> Fraction:
     """A positive weight literal: an integer, a fraction `3/2` or a decimal
     `0.25` / `1e-3`, with numerator and denominator of at most
-    MAX_WEIGHT_DIGITS digits.  Grammar files and the CLI's --weight share it."""
+    numerics.MAX_WEIGHT_DIGITS digits (`decimal_fraction`).  Grammar files and
+    the CLI's --weight share it."""
     try:
         if "/" in tok:
             num, den = tok.split("/", 1)
             value = Fraction(int(num), int(den))
         else:
-            dec = Decimal(tok)
-            _, digits, exp = dec.as_tuple()
-            if not isinstance(exp, int) or max(len(digits) + max(exp, 0),
-                                               1 - min(exp, 0)) > MAX_WEIGHT_DIGITS:
-                raise ValueError
-            value = Fraction(dec)
-    except (ValueError, ZeroDivisionError, InvalidOperation, OverflowError):
+            value = decimal_fraction(tok)
+    except (ValueError, ZeroDivisionError):
         raise GrammarSyntaxError(f"malformed weight {tok!r}", line, col) from None
     if value <= 0:
         raise GrammarSyntaxError(f"weight must be positive, got {tok!r}", line, col)

@@ -7,7 +7,7 @@ import hashlib
 import math
 import sys
 from contextlib import contextmanager
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from mpmath import mp
@@ -28,6 +28,10 @@ EXACT_POW_BIT_LIMIT = 200_000
 HARMONIC_EXACT_LIMIT = 5_000
 
 FLOAT_DPS = 40
+
+# Python's default int-digit limit, which already refuses a longer `num/den`
+# weight literal; decimal weights are held to it by `decimal_fraction`
+MAX_WEIGHT_DIGITS = 4300
 
 
 @contextmanager
@@ -55,14 +59,39 @@ def to_mpf(x):
     return mp.mpf(x)
 
 
+def decimal_fraction(text: str) -> Fraction:
+    """The decimal literal `text` as a Fraction, refused with a ValueError
+    unless it is finite and its numerator and denominator have at most
+    MAX_WEIGHT_DIGITS digits, before any integer is built (`1e999999999`
+    would hang)."""
+    try:
+        dec = Decimal(text)
+        _, digits, exp = dec.as_tuple()
+    except InvalidOperation:
+        exp = None
+    if not isinstance(exp, int) or max(len(digits) + max(exp, 0),
+                                       1 - min(exp, 0)) > MAX_WEIGHT_DIGITS:
+        raise ValueError(f"{text} is not a finite decimal of at most "
+                         f"{MAX_WEIGHT_DIGITS} digits")
+    return Fraction(dec)
+
+
 def rational_from_real(x, sig_digits: int = 30) -> Fraction:
-    """Round a real number to a rational with `sig_digits` significant digits."""
+    """Round a real number to a rational with `sig_digits` significant digits,
+    held to `decimal_fraction`'s limits."""
     with mp.workdps(sig_digits + 10):
         v = mp.mpf(x)
         if v == 0:
             return Fraction(0)
         s = mp.nstr(v, sig_digits)
-    return Fraction(Decimal(s))
+    return decimal_fraction(s)
+
+
+def collision_plug_in(alpha_2):
+    """The plug-in first-collision time sqrt(pi / (2 * alpha_2)) of a
+    distribution with second moment alpha_2, as a 50-digit mpf."""
+    with mp.workdps(50):
+        return mp.sqrt(mp.pi / (2 * to_mpf(alpha_2)))
 
 
 def exact_pow_affordable(p: Fraction, k: int) -> bool:

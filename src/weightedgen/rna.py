@@ -39,22 +39,24 @@ class RootBracketError(RuntimeError):
     """No sign change of the discriminant was found inside (0, 1)."""
 
 
-def pair_weight(energy: float, rt: float = DEFAULT_RT, *,
-                invert_sign: bool = True) -> Fraction:
-    """Boltzmann weight of one base pair, as a rational snapshot of
-    PAIR_WEIGHT_DIGITS significant digits.
+def pair_weight(energy: float, rt: float = DEFAULT_RT) -> Fraction:
+    """Boltzmann weight exp(-energy/RT) of one base pair, as a rational
+    snapshot of PAIR_WEIGHT_DIGITS significant digits.
 
-    Stabilizing energies are negative; with invert_sign the weight is
-    exp(-energy/RT) > 1, so more stable structures are sampled more often
-    (the calibration test pins this convention).  The literal
-    exp(+energy/RT) < 1 convention remains available behind the flag.
+    Stabilizing energies are negative, so their weight exceeds 1 and more
+    stable structures are sampled more often (the calibration test pins this
+    convention).  A weight that is not finite, or whose snapshot has a
+    numerator or denominator of more than MAX_WEIGHT_DIGITS digits (the limit
+    of weight literals), is refused with a ValueError.
     """
-    if rt <= 0:
-        raise ValueError("RT must be positive")
-    sign = -1 if invert_sign else 1
+    if not rt > 0:
+        raise ValueError(f"RT must be positive, got {rt}")
     with mp.workdps(PAIR_WEIGHT_DIGITS + 15):
-        w = mp.e ** (sign * mp.mpf(repr(energy)) / mp.mpf(repr(rt)))
-    return rational_from_real(w, PAIR_WEIGHT_DIGITS)
+        w = mp.e ** (-mp.mpf(repr(energy)) / mp.mpf(repr(rt)))
+    try:
+        return rational_from_real(w, PAIR_WEIGHT_DIGITS)
+    except ValueError as exc:
+        raise ValueError(f"pair weight exp(-E/RT) at E={energy}, RT={rt}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,6 @@ class RnaModel:
     theta: int = 3
     pair_energy: float = -1.0
     rt: float = DEFAULT_RT
-    invert_sign: bool = True
 
     def __post_init__(self):
         if self.theta < 1:
@@ -70,7 +71,7 @@ class RnaModel:
 
     @property
     def w(self) -> Fraction:
-        return pair_weight(self.pair_energy, self.rt, invert_sign=self.invert_sign)
+        return pair_weight(self.pair_energy, self.rt)
 
 
 def rna_grammar(theta: int, w=Fraction(1)) -> WeightedGrammar:

@@ -1,13 +1,15 @@
 """Non-uniform urn occupancy analytics: first collision, full collection,
 distinct urns, and coverage.
 
-An urn model is a set of m urns grouped into classes of equal probability:
-class i holds c_i urns of probability p_i each (p strictly increasing across
-classes, sum c_i * p_i = 1).  The closed forms implemented here:
+An urn model is a multiset of urn weights, given as its class weights w_i
+(strictly increasing) and their counts c_i: class i holds c_i urns, each of
+probability p_i = w_i / mu, mu = sum c_i * w_i.  `UrnModel` derives once the
+integers D and P_i with p_i = P_i / D that the routes below read.  The closed
+forms implemented here:
 
     distinct urns after k throws   E[N_k] = sum c_i * (1 - (1-p_i)^k)
     coverage after k throws        E[P_k] = sum c_i * p_i * (1 - (1-p_i)^k)
-    occupied weight after k throws E[W_k] = sum c_i * chi_i * (1 - (1-p_i)^k)
+    occupied weight after k throws E[W_k] = sum c_i * w_i * (1 - (1-p_i)^k)
     first collision                E[B]   = integral (1 + p_i t)^c_i e^-t dt
     full collection (uniform)      E[C]   = m * H_m
     full collection (general)      1/p_1 <= E[C] <= 2 * H_m / p_1,
@@ -23,6 +25,7 @@ OCCUPANCY_REL_ERROR = 12 * 2^-53.  H_m is exact or 40-digit as
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import itertools
 import math
@@ -34,8 +37,8 @@ from mpmath import mp
 
 from .counting import build_counts, extreme_weights, moment
 from .numerics import (DEFAULT_SEED, FLOAT_DPS, _unlimited_digits,
-                       exact_pow_affordable, harmonic, log2log2, substream_seed,
-                       to_mpf)
+                       collision_plug_in, exact_pow_affordable, harmonic, log2log2,
+                       substream_seed, to_mpf)
 # Unused here; the benchmark's self-test still expects the binding (bench/spans.py
 # traces one_minus_pow in every module that imports it).
 from .numerics import one_minus_pow  # noqa: F401
@@ -55,72 +58,73 @@ class UrnClass:
 
 @dataclass(frozen=True)
 class UrnModel:
-    classes: tuple          # UrnClass entries, strictly increasing probability
-    m: int                  # total number of urns
-    mu: Fraction            # total unnormalized weight
-    # p_i = numerators[i] / denominator, the lcm of the probability denominators
+    """Urns given by class weights w_i (positive Fractions, strictly
+    increasing) and counts c_i (positive ints), the only inputs.  The rest is
+    derived once, in integers: with L the lcm of the weight denominators,
+    W_i = w_i L and g = gcd(W), P_i = W_i / g and D = sum c_i P_i, so that
+    p_i = P_i / D (D is the lcm of the reduced p_i denominators, as
+    gcd(P) = 1); mu = g D / L is the total weight and m = sum c_i."""
+    weights: tuple
+    counts: tuple
     denominator: int = field(init=False, repr=False, compare=False)
     numerators: tuple = field(init=False, repr=False, compare=False)
+    mu: Fraction = field(init=False, repr=False, compare=False)
+    m: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.classes:
+        if not self.weights:
             raise ValueError("empty urn model")
-        scale = math.lcm(*(c.probability.denominator for c in self.classes))
-        nums = tuple(c.probability.numerator * (scale // c.probability.denominator)
-                     for c in self.classes)
+        if len(self.weights) != len(self.counts):
+            raise ValueError(f"{len(self.weights)} class weights but "
+                             f"{len(self.counts)} counts")
+        scale = math.lcm(*(w.denominator for w in self.weights))
+        scaled = [w.numerator * (scale // w.denominator) for w in self.weights]
         prev = 0
-        for c, num in zip(self.classes, nums):
-            if c.count < 1:
+        for c, w in zip(self.counts, scaled):
+            if c < 1:
                 raise ValueError("class multiplicities must be positive")
-            if not 0 < num <= scale:
-                raise ValueError("urn probabilities must lie in (0, 1]")
-            if num <= prev:
-                raise ValueError("class probabilities must strictly increase")
-            prev = num
-        total = sum(c.count * num for c, num in zip(self.classes, nums))
-        if total != scale:
-            raise ValueError(f"probabilities sum to {Fraction(total, scale)}, not 1")
-        if self.m != sum(c.count for c in self.classes):
-            raise ValueError("urn count does not match class multiplicities")
-        object.__setattr__(self, "denominator", scale)
+            if w <= 0:
+                raise ValueError("urn weights must be positive")
+            if w <= prev:
+                raise ValueError("class weights must strictly increase")
+            prev = w
+        g = math.gcd(*scaled)
+        nums = tuple(w // g for w in scaled)
+        total = sum(c * num for c, num in zip(self.counts, nums))
+        object.__setattr__(self, "denominator", total)
         object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "mu", Fraction(g * total, scale))
+        object.__setattr__(self, "m", sum(self.counts))
+
+    @functools.cached_property
+    def classes(self) -> tuple:
+        """UrnClass(p_i, c_i, w_i) per class, p_i = P_i / D."""
+        return tuple(UrnClass(Fraction(num, self.denominator), c, w)
+                     for num, c, w in zip(self.numerators, self.counts, self.weights))
 
     @property
     def p_min(self) -> Fraction:
-        return self.classes[0].probability
+        return Fraction(self.numerators[0], self.denominator)
 
     @property
     def p_max(self) -> Fraction:
-        return self.classes[-1].probability
+        return Fraction(self.numerators[-1], self.denominator)
 
 
 def from_weights(weights) -> UrnModel:
     """Urn model from unnormalized urn weights (equal weights are merged)."""
-    groups = {}
-    for w in weights:
-        w = Fraction(w)
-        if w <= 0:
-            raise ValueError("urn weights must be positive")
-        groups[w] = groups.get(w, 0) + 1
-    mu = sum((w * c for w, c in groups.items()), Fraction(0))
-    classes = tuple(UrnClass(w / mu, c, w) for w, c in sorted(groups.items()))
-    return UrnModel(classes, sum(groups.values()), mu)
+    groups = sorted(collections.Counter(map(Fraction, weights)).items())
+    return UrnModel(tuple(w for w, _ in groups), tuple(c for _, c in groups))
 
 
 def from_spectrum(spectrum) -> UrnModel:
     """Urn model of a weight spectrum: one urn per word, p proportional to weight."""
-    if not spectrum.classes:
-        raise ValueError("empty spectrum")
-    mu = spectrum.total_weight()
-    classes = tuple(UrnClass(c.weight / mu, c.count, c.weight)
-                    for c in spectrum.classes)
-    return UrnModel(classes, spectrum.total_count(), mu)
+    return UrnModel(tuple(c.weight for c in spectrum.classes),
+                    tuple(c.count for c in spectrum.classes))
 
 
 def uniform_urns(m: int) -> UrnModel:
-    if m < 1:
-        raise ValueError("need at least one urn")
-    return UrnModel((UrnClass(Fraction(1, m), m, Fraction(1)),), m, Fraction(m))
+    return UrnModel((Fraction(1),), (m,))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +133,8 @@ def uniform_urns(m: int) -> UrnModel:
 
 def alpha(u: UrnModel, j: int) -> Fraction:
     """j-th moment of the urn distribution, sum over urns of p^j."""
-    return sum((c.count * c.probability ** j for c in u.classes), Fraction(0))
+    return Fraction(sum(c * num ** j for c, num in zip(u.counts, u.numerators)),
+                    u.denominator ** j)
 
 
 # Relative error bound of the double-precision occupancy pass (see occupancy).
@@ -186,7 +191,7 @@ def occupancy(u: UrnModel, k: int, *, exact: bool | None = None) -> Occupancy:
     if exact is None:
         exact = all(exact_pow_affordable(c.probability, k) for c in u.classes)
     scale, nums = u.denominator, u.numerators
-    counts = [c.count * num for c, num in zip(u.classes, nums)]  # c_i P_i
+    counts = [c * num for c, num in zip(u.counts, nums)]         # c_i P_i
     moment2 = sum(cp * num for cp, num in zip(counts, nums))     # alpha_2 * D^2
     distinct, coverage, exponential = [], [], []
     for cp, num in zip(counts, nums):
@@ -207,9 +212,9 @@ def occupancy(u: UrnModel, k: int, *, exact: bool | None = None) -> Occupancy:
         distinct.append(weight * g)
         coverage.append(cp * num / moment2 * g)
         exponential.append(weight * e)
-    if exact or k == 0 or u.p_max == 1:
+    if exact or k == 0 or nums[-1] == scale:
         hit = scale ** k
-        missed = [c.count * (scale - num) ** k for c, num in zip(u.classes, nums)]
+        missed = [c * (scale - num) ** k for c, num in zip(u.counts, nums)]
         cov = Fraction(scale * hit - sum(cm * num for cm, num in zip(missed, nums)),
                        scale * hit)
         return Occupancy(Fraction(u.m * hit - sum(missed), hit), cov, u.mu * cov,
@@ -371,8 +376,8 @@ def birthday_exact(u: UrnModel) -> float:
     import numpy as np
     scale, nums = u.denominator, u.numerators
     squares = [num * num for num in nums]
-    moment2 = sum(c.count * sq for c, sq in zip(u.classes, squares))  # alpha_2 * D^2
-    b = np.array([c.count * sq / moment2 for c, sq in zip(u.classes, squares)])
+    moment2 = sum(c * sq for c, sq in zip(u.counts, squares))  # alpha_2 * D^2
+    b = np.array([c * sq / moment2 for c, sq in zip(u.counts, squares)])
     q = np.sqrt([sq / moment2 for sq in squares])
     unscale = _sqrt_ratio(scale * scale, moment2)  # 1 / sqrt(alpha_2)
 
@@ -407,8 +412,7 @@ def birthday_exact(u: UrnModel) -> float:
 def birthday_asymptotic(u: UrnModel) -> float:
     """Plug-in estimate sqrt(pi / (2 * alpha_2)); accurate in the many-urn,
     no-dominant-urn regime."""
-    with mp.workdps(50):
-        return float(mp.sqrt(mp.pi / (2 * to_mpf(alpha(u, 2)))))
+    return float(collision_plug_in(alpha(u, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +432,7 @@ def xi_estimate(u: UrnModel):
     Computed per class via harmonic-number differences, so models with
     astronomically many urns never get materialized.  Exact while H_m is.
     """
-    ends = list(itertools.accumulate(c.count for c in u.classes))
+    ends = list(itertools.accumulate(u.counts))
     terms = [(harmonic(end, end - c.count), c.probability)
              for c, end in zip(u.classes, ends)]
     if isinstance(terms[-1][0], Fraction):
@@ -501,8 +505,7 @@ def _refuse_long_waits(statistic: str, trials: int, alpha_2, p_min) -> None:
     long).  `alpha_2` and `p_min` are callables, so only the statistic's own
     is computed."""
     if statistic == "first_collision":
-        with mp.workdps(FLOAT_DPS):
-            wait = int(mp.ceil(mp.sqrt(mp.pi / (2 * to_mpf(alpha_2())))))
+        wait = int(mp.ceil(collision_plug_in(alpha_2()), prec=0))
     elif statistic == "full_collection":
         wait = math.ceil(1 / p_min())
     else:
@@ -537,7 +540,7 @@ def _urn_trials(u: UrnModel, statistic: str, trials: int, k: int | None,
     scale, nums = u.denominator, u.numerators
     bits, find = scale.bit_length(), bisect.bisect_right
     starts = list(itertools.accumulate(
-        (c.count * num for c, num in zip(u.classes, nums)), initial=0))[:-1]
+        (c * num for c, num in zip(u.counts, nums)), initial=0))[:-1]
     empty = sorted(starts * 2)[1:]  # every T_i = S_i
     step = [num for num in nums for _ in (0, 1)]  # step[j] = P_(j >> 1)
     values = []
@@ -769,7 +772,7 @@ def standard_report(u: UrnModel, *, n: int | None = None,
         entries.append(ReportEntry("full_collection", "bound",
                                    lower=cb.berenbrink[0], upper=cb.berenbrink[1],
                                    n=n, note="guaranteed factor around estimate"))
-    if len(u.classes) == 1:  # equal weights: the collection time is exact
+    if len(u.counts) == 1:  # equal weights: the collection time is exact
         entries.append(ReportEntry("full_collection", "exact",
                                    value=coupon_uniform_exact(u.m),
                                    n=n, note="uniform m*H_m"))

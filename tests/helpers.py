@@ -6,7 +6,8 @@ sequences, absorbing-chain linear algebra on subsets, or direct generation
 and filtering of words.  The routes that faster code replaced stay here as
 oracles: the Fraction count table, the recursive method over every split,
 the 45-digit birthday quadrature, the 40-digit per-class occupancy sums and
-exponential form, and the urn throws by explicit urn ids.  Exhaustive
+exponential form, the urn throws by explicit urn ids, and the Fraction route
+to an urn model's probabilities.  Exhaustive
 enumeration of a source grammar's derivations (`enumerate_words`) and the
 ambiguity probe built on it (`ambiguity_probe`) live here too: they are the
 word-level oracle of normalization, counting, sampling and the RNA census.
@@ -17,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, product
+import math
 import operator
 
 from mpmath import mp
@@ -284,10 +286,21 @@ def mp_birthday(u, rel_tol=1e-9):
 
 def urn_model(classes):
     """UrnModel from (weight, count) pairs, counts of any size."""
-    mu = sum((Fraction(w) * c for w, c in classes), Fraction(0))
-    return UrnModel(tuple(UrnClass(Fraction(w) / mu, c, Fraction(w))
-                          for w, c in sorted(classes)),
-                    sum(c for _, c in classes), mu)
+    classes = sorted((Fraction(w), c) for w, c in classes)
+    return UrnModel(tuple(w for w, _ in classes), tuple(c for _, c in classes))
+
+
+def fraction_route_urn_model(weights, counts):
+    """(denominator, numerators, mu, m, classes) of an urn model by the
+    Fraction route: mu = sum c_i w_i, p_i = w_i / mu, D the lcm of the
+    reduced p_i denominators and P_i = p_i D.  The reference for `UrnModel`,
+    which derives them from integers."""
+    mu = sum((w * c for w, c in zip(weights, counts)), Fraction(0))
+    probs = [w / mu for w in weights]
+    scale = math.lcm(*(p.denominator for p in probs))
+    return (scale, tuple(p.numerator * (scale // p.denominator) for p in probs),
+            mu, sum(counts),
+            tuple(UrnClass(p, c, w) for p, c, w in zip(probs, counts, weights)))
 
 
 def occupancy_sum_per_class(u, k, coeff, exact=None):

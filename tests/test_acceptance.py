@@ -124,8 +124,8 @@ def test_criterion_06_rna_growth_constants():
     with criterion(6, "secondary-structure collision growth bases", 30):
         # Weight convention fixed by this calibration: w = exp(-E/RT) at
         # RT = 0.6163 kcal/mol, so stabilizing (negative) energies give w > 1.
-        model1 = rna.RnaModel(theta=1, pair_energy=-1.0, invert_sign=True)
-        model3 = rna.RnaModel(theta=3, pair_energy=-3.0, invert_sign=True)
+        model1 = rna.RnaModel(theta=1, pair_energy=-1.0)
+        model3 = rna.RnaModel(theta=3, pair_energy=-3.0)
         assert model1.w > 1 and model3.w > 1
         g1 = rna.gamma_from_rho(model1)
         g3 = rna.gamma_from_rho(model3)
@@ -154,7 +154,7 @@ def test_criterion_07_rna_first_collision_at_80():
                       "published figures explained", 30):
         plug_in, urns = {}, {}
         for theta, energy in ((3, -3.0), (1, -1.0)):
-            w = rna.pair_weight(energy, invert_sign=True)
+            w = rna.pair_weight(energy)
             g = normalize(rna.rna_grammar(theta, w))
             plug_in[theta] = collision_envelope(g, 80)
             urns[theta] = from_spectrum(rna.pair_spectrum(80, theta, w))
@@ -197,11 +197,11 @@ def test_criterion_08_structure_census():
 
 def test_criterion_09_coverage_spot_checks():
     with criterion(9, "coverage after 1000 draws across model strengths", 60):
-        w3 = rna.pair_weight(-3.0, invert_sign=True)
+        w3 = rna.pair_weight(-3.0)
         for n in range(29):
             u = from_spectrum(rna.pair_spectrum(n, 3, w3))
             assert float(expected_coverage(u, 1000)) >= 0.40, n
-        w1 = rna.pair_weight(-1.0, invert_sign=True)
+        w1 = rna.pair_weight(-1.0)
         u = from_spectrum(rna.pair_spectrum(28, 1, w1))
         assert float(expected_coverage(u, 1000)) < 0.10
 

@@ -155,7 +155,7 @@ def test_collision_estimates_refuse_length_below_one(motzkin_h2_norm, n):
 
 def test_growth_gamma_series_route_matches_root_route():
     from weightedgen import rna
-    w = rna.pair_weight(-3.0, invert_sign=True)
+    w = rna.pair_weight(-3.0)
     series_gamma = growth_gamma(normalize(rna.rna_grammar(3, w)),
                                 n_terms=192, precision=256).gamma
     root_gamma = rna.gamma_from_rho(rna.RnaModel(theta=3, pair_energy=-3.0))

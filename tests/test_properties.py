@@ -26,8 +26,8 @@ from weightedgen.urns import OCCUPANCY_REL_ERROR, _urn_trials
 from helpers import (UNIT_CHAIN, EnumerationCap, assert_chains_shared,
                      enumerate_words, fraction_count_table,
                      inside_unpruned, mp_birthday, normalize_checked,
-                     occupancy_sum_per_class, pair_paths, random_valid_grammar,
-                     urn_model)
+                     fraction_route_urn_model, occupancy_sum_per_class, pair_paths,
+                     random_valid_grammar, urn_model)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -155,6 +155,16 @@ def test_branch_distribution_is_derivations_times_weight_over_total(g, n, precis
     bound = 0 if precision is None else Fraction((unit_paths + 1) * n, 2 ** (precision + 64))
     for w, p in expected.items():
         assert abs(dist[w] - p) <= bound * p, w
+
+
+@PROPERTY
+@given(urn_models())
+@example(urn_model([(6, 1), (10, 2), (14, 3)]))  # weights with a common factor
+@example(urn_model([(Fraction(1, 6), 2), (Fraction(3, 4), 1), (Fraction(5, 2), 7)]))
+@example(urn_model([(Fraction(4, 9), 3), (Fraction(8, 3), 1), (12, 5)]))  # both
+def test_urn_model_integers_equal_the_fraction_route(u):
+    assert (u.denominator, u.numerators, u.mu, u.m, u.classes) == \
+        fraction_route_urn_model(u.weights, u.counts)
 
 
 @settings(PROPERTY, max_examples=20)

@@ -8,8 +8,8 @@ from weightedgen import (SamplerState, build_counts, expected_coverage,
                          sample_word, weight_spectrum)
 from weightedgen import rna
 from weightedgen.urns import OCCUPANCY_REL_ERROR
-from helpers import (enumerate_words, motzkin_words, plateau_profile,
-                     secondary_structures)
+from helpers import (enumerate_words, fraction_route_urn_model, motzkin_words,
+                     plateau_profile, secondary_structures)
 
 WATERMAN = [1, 1, 1, 2, 4, 8, 17, 37, 82, 185, 423, 978, 2283]
 
@@ -144,9 +144,9 @@ def test_pair_spectrum_matches_grammar_spectrum_n60():
 def test_collection_growth_bases():
     # the full-collection time grows like (1/rho_w)^n: the minimal word weight
     # is 1 at every length (the all-dots structure), so only rho_w enters
-    w1 = rna.pair_weight(-1.0, invert_sign=True)
+    w1 = rna.pair_weight(-1.0)
     assert abs(1 / rna.rna_rho(w1, 1) - 4.33) < 5e-3
-    w3 = rna.pair_weight(-3.0, invert_sign=True)
+    w3 = rna.pair_weight(-3.0)
     assert abs(1 / rna.rna_rho(w3, 3) - 12.65) < 1e-2
     from weightedgen import extreme_weights
     g = normalize(rna.rna_grammar(3, w3))
@@ -203,11 +203,29 @@ def test_sampled_structures_respect_theta():
 
 
 def test_pair_weight_conventions():
-    w_inv = rna.pair_weight(-1.0, 0.6163, invert_sign=True)
-    w_lit = rna.pair_weight(-1.0, 0.6163, invert_sign=False)
+    w_inv = rna.pair_weight(-1.0, 0.6163)
+    w_lit = rna.pair_weight(1.0, 0.6163)
     assert w_inv > 1 > w_lit
     assert abs(w_inv * w_lit - 1) < Fraction(1, 10 ** 25)
     assert abs(float(w_inv) - 5.06617) < 1e-4
+
+
+def test_pair_weight_digit_limit():
+    # the largest snapshots a weight literal may have: 4300 digits above, below 1
+    assert len(str(rna.pair_weight(-6102.0).numerator)) == 4300
+    assert len(str(rna.pair_weight(6059.0).denominator)) == 4300
+    for energy in (-6103.0, 6060.0):
+        with pytest.raises(ValueError, match="not a finite decimal of at most 4300"):
+            rna.pair_weight(energy)
+
+
+@pytest.mark.parametrize("theta, energy", [(1, -1.0), (1, -3.0), (3, -1.0), (3, -3.0)])
+def test_pair_spectrum_urn_models_equal_the_fraction_route(theta, energy):
+    w = rna.pair_weight(energy)
+    for n in range(2, 61):
+        u = from_spectrum(rna.pair_spectrum(n, theta, w))
+        assert (u.denominator, u.numerators, u.mu, u.m, u.classes) == \
+            fraction_route_urn_model(u.weights, u.counts), n
 
 
 def test_model_gamma_values():
