@@ -45,18 +45,21 @@ def pair_weight(energy: float, rt: float = DEFAULT_RT) -> Fraction:
 
     Stabilizing energies are negative, so their weight exceeds 1 and more
     stable structures are sampled more often (the calibration test pins this
-    convention).  A weight that is not finite, or whose snapshot has a
-    numerator or denominator of more than MAX_WEIGHT_DIGITS digits (the limit
-    of weight literals), is refused with a ValueError.
+    convention).  A weight that is not finite and positive, or whose snapshot
+    has a numerator or denominator of more than MAX_WEIGHT_DIGITS digits (the
+    limit of weight literals), is refused with a ValueError.
     """
     if not rt > 0:
         raise ValueError(f"RT must be positive, got {rt}")
     with mp.workdps(PAIR_WEIGHT_DIGITS + 15):
         w = mp.e ** (-mp.mpf(repr(energy)) / mp.mpf(repr(rt)))
     try:
-        return rational_from_real(w, PAIR_WEIGHT_DIGITS)
+        weight = rational_from_real(w, PAIR_WEIGHT_DIGITS)
+        if not weight > 0:
+            raise ValueError("it is not positive")
     except ValueError as exc:
         raise ValueError(f"pair weight exp(-E/RT) at E={energy}, RT={rt}: {exc}") from None
+    return weight
 
 
 @dataclass(frozen=True)

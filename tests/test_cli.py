@@ -150,7 +150,7 @@ def test_asymptotics_text_and_csv():
                            "--n-terms", "8", "--format", "csv")
     lines = out.strip().splitlines()
     assert lines[0] == "n,coefficient"
-    assert lines
+    assert len(lines) == 10
 
 
 def test_asymptotics_refuses_exact_precision():
@@ -379,13 +379,14 @@ def test_rna_energy_sign_flag():
 
 @pytest.mark.parametrize("argv", [
     ("count", "--builtin", "rna", "--n", "2", "--energy=-inf"),
+    ("count", "--builtin", "rna", "--n", "2", "--energy=inf"),
     ("count", "--builtin", "rna", "--n", "2", "--energy=1e308"),
     ("count", "--builtin", "rna", "--n", "2", "--energy", "nan"),
     ("count", "--builtin", "rna", "--n", "2", "--rt", "nan"),
     ("rna", "--n", "10", "--energy=2e4"),
     ("rna", "--n", "10", "--energy=1e5"),
-], ids=["energy-minus-inf", "energy-1e308", "energy-nan", "rt-nan", "energy-2e4",
-        "energy-1e5"])
+], ids=["energy-minus-inf", "energy-inf", "energy-1e308", "energy-nan", "rt-nan",
+        "energy-2e4", "energy-1e5"])
 def test_rna_refuses_pair_weights_past_the_digit_limit(argv, monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("a table was built")
