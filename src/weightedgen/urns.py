@@ -36,9 +36,8 @@ from fractions import Fraction
 from mpmath import mp
 
 from .counting import build_counts, extreme_weights, moment
-from .numerics import (DEFAULT_SEED, FLOAT_DPS, _unlimited_digits,
-                       collision_plug_in, exact_pow_affordable, harmonic, log2log2,
-                       substream_seed, to_mpf)
+from .numerics import (DEFAULT_SEED, EXACT_POW_BIT_LIMIT, FLOAT_DPS, _unlimited_digits,
+                       collision_plug_in, harmonic, log2log2, substream_seed, to_mpf)
 # Unused here; the benchmark's self-test still expects the binding (bench/spans.py
 # traces one_minus_pow in every module that imports it).
 from .numerics import one_minus_pow  # noqa: F401
@@ -147,6 +146,18 @@ OCCUPANCY_K_LIMIT = 2 ** 53
 _FIRST_ORDER_P = 2.0 ** -1000
 
 
+def _exact_route(u: UrnModel, k: int) -> bool:
+    """Whether every (1-p_i)^k fits EXACT_POW_BIT_LIMIT, read from integers:
+    with g = gcd(P_i, D), 1 - p_i is (D - P_i)/g over D/g in lowest terms."""
+    scale = u.denominator
+    for num in u.numerators:
+        g = math.gcd(num, scale)
+        if k * (((scale - num) // g).bit_length() + (scale // g).bit_length()) \
+                > EXACT_POW_BIT_LIMIT:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Occupancy:
     distinct: object         # E[N_k]: Fraction on the exact route, else an mpf of a double
@@ -189,7 +200,7 @@ def occupancy(u: UrnModel, k: int, *, exact: bool | None = None) -> Occupancy:
     if not 0 <= k <= OCCUPANCY_K_LIMIT:
         raise ValueError(f"k must lie in [0, 2^53] for the occupancy pass, got {k}")
     if exact is None:
-        exact = all(exact_pow_affordable(c.probability, k) for c in u.classes)
+        exact = _exact_route(u, k)
     scale, nums = u.denominator, u.numerators
     counts = [c * num for c, num in zip(u.counts, nums)]         # c_i P_i
     moment2 = sum(cp * num for cp, num in zip(counts, nums))     # alpha_2 * D^2
@@ -433,14 +444,14 @@ def xi_estimate(u: UrnModel):
     astronomically many urns never get materialized.  Exact while H_m is.
     """
     ends = list(itertools.accumulate(u.counts))
-    terms = [(harmonic(end, end - c.count), c.probability)
-             for c, end in zip(u.classes, ends)]
+    terms = [(harmonic(end, end - c), Fraction(u.denominator, num))
+             for c, num, end in zip(u.counts, u.numerators, ends)]
     if isinstance(terms[-1][0], Fraction):
-        return sum((h / p for h, p in terms), Fraction(0))
+        return sum((h * inv for h, inv in terms), Fraction(0))
     total = mp.mpf(0)
     with mp.workdps(FLOAT_DPS):
-        for h, p in terms:
-            total = total + to_mpf(h) / to_mpf(p)
+        for h, inv in terms:
+            total = total + to_mpf(h) * to_mpf(inv)
     return total
 
 

@@ -48,6 +48,14 @@ def test_spectrum_csv():
         ["weight_num,weight_den,multiplicity", "2,1,3", "8,1,1"]
 
 
+def test_spectrum_refuses_an_oversized_packed_table():
+    # three weighted terminals at n = 200: 8 * 201^4 * 312 bits, refused at once
+    code, out, err = run_cli("spectrum", "--builtin", "motzkin", "--weight", ".=2",
+                             "--weight", "(=3", "--weight", ")=5", "--n", "200")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "packed spectrum table" in err
+
+
 def test_sample_deterministic_and_sep():
     args = ("sample", "--builtin", "motzkin", "--n", "5", "--k", "4",
             "--seed", "11", "--sep", "")
@@ -483,6 +491,9 @@ def test_figure_outputs_deterministic():
                                                       "--n", "8", "--statistic",
                                                       "full_collection", "--mode", "urns",
                                                       "--format", "csv")),
+    # two weighted terminals: two digit blocks in the packed table
+    ("spectrum_motzkin_w2_open3_n24", ("spectrum", "--builtin", "motzkin", "--weight",
+                                       ".=2", "--weight", "(=3", "--n", "24")),
 ])
 def test_cli_stdout_golden(name, argv):
     code, out, err = run_cli(*argv)

@@ -230,9 +230,19 @@ def test_spectrum_equal_weight_merge_within_length():
 def test_spectrum_class_cap(monkeypatch):
     g = normalize(parse_grammar(
         "axiom S\nterminal a weight 2\nterminal b weight 3\nS -> a S | b S | _\n"))
-    monkeypatch.setattr(counting, "CLASS_CAP", 5)
+    monkeypatch.setattr(counting, "SPECTRUM_BIT_CAP", 5)
+    built = []
+    table = counting.CountTable
+
+    def record(grammar, weights, horizon, precision=None):
+        built.append(dict(weights))
+        return table(grammar, weights, horizon, precision)
+
+    monkeypatch.setattr(counting, "CountTable", record)
     with pytest.raises(ClassCapExceeded):
         weight_spectrum(g, None, 12)
+    # refused after the unweighted table, before the packed one
+    assert built == [{"a": 1, "b": 1}]
 
 
 def test_spectrum_csv(motzkin_h2_norm):
@@ -254,6 +264,14 @@ def test_choices_sum_to_cell(motzkin_h2_norm):
     for nt in motzkin_h2_norm.nonterminals:
         for m in range(7):
             assert sum(w for w, _, _ in table.choices(nt, m)) == table.cell(nt, m)
+
+
+@pytest.mark.parametrize("entry", [build_counts, weight_spectrum],
+                         ids=["build_counts", "weight_spectrum"])
+def test_missing_terminal_weight_is_a_value_error(entry):
+    g = normalize(parse_grammar("axiom S\nterminal a\nterminal b\nS -> a S | b\n"))
+    with pytest.raises(ValueError, match="missing weight for terminal 'b'"):
+        entry(g, {"a": 2}, 3)
 
 
 @pytest.mark.parametrize("entry", [

@@ -21,10 +21,10 @@ from weightedgen import (birthday_exact, branch_distribution, build_counts, coun
                          expected_occupied_weight, extreme_weights, normalize,
                          parse_grammar, weight_spectra, word_weight)
 from weightedgen.grammar import inside
-from weightedgen.numerics import below
-from weightedgen.urns import OCCUPANCY_REL_ERROR, _urn_trials
+from weightedgen.numerics import EXACT_POW_BIT_LIMIT, below, bit_size, exact_pow_affordable
+from weightedgen.urns import OCCUPANCY_REL_ERROR, _exact_route, _urn_trials
 from helpers import (UNIT_CHAIN, EnumerationCap, assert_chains_shared,
-                     enumerate_words, fraction_count_table,
+                     dict_weight_spectra, enumerate_words, fraction_count_table,
                      inside_unpruned, mp_birthday, normalize_checked,
                      fraction_route_urn_model, occupancy_sum_per_class, pair_paths,
                      random_valid_grammar, urn_model)
@@ -123,7 +123,8 @@ def _every_inside_instance(ng, horizon, route):
 def test_inside_skipping_empty_splits_keeps_every_cell(g, horizon):
     ng = normalize(g)
     pruned = _every_inside_instance(ng, horizon, inside)
-    assert len(pruned) == 5
+    # the spectrum is one table, or two with a weight other than 1
+    assert len(pruned) == 5 + any(ng.weights[t] != 1 for t in ng.terminals)
     assert pruned == _every_inside_instance(ng, horizon, inside_unpruned)
 
 
@@ -134,6 +135,26 @@ def test_extreme_weights_are_the_spectrum_ends(g, n):
     spectrum = weight_spectra(ng, None, n)[n]
     assume(spectrum is not None)
     assert extreme_weights(ng, n) == (spectrum.min_weight(), spectrum.max_weight())
+
+
+@PROPERTY
+@given(weighted_grammars(), st.integers(0, 10))
+# all weights 1: t = 0, the unweighted table alone
+@example(parse_grammar("axiom S\nterminal a\nterminal b\nS -> a S | b S S | _\n"), 10)
+# every word of a length has one 'a': the axiom cell at length 8 is the
+# largest cell, 128 = 2^7, and one digit holds all of it
+@example(parse_grammar("axiom S\nterminal a weight 2\nterminal b\nterminal c\n"
+                       "S -> b S | c S | a\n"), 8)
+# t = 3
+@example(parse_grammar("axiom S\nterminal a weight 2\nterminal b weight 3\n"
+                       "terminal c weight 1/2\nterminal d\n"
+                       "S -> a S | b S c | c S d S | _\n"), 9)
+# scaled weights: every terminal of non-unit weight
+@example(parse_grammar("axiom S\nterminal a weight 6/7\nterminal b weight 3/7\n"
+                       "terminal c weight 3/7\nS -> a S b S | c S | _\n"), 10)
+def test_packed_spectra_equal_dict_oracle(g, horizon):
+    ng = normalize(g)
+    assert weight_spectra(ng, None, horizon) == dict_weight_spectra(ng, g.weights, horizon)
 
 
 @PROPERTY
@@ -187,6 +208,18 @@ def test_occupancy_sums_equal_per_class_oracle(u, k, exact):
         else:
             assert abs(mpf_to_fraction(value()) - mpf_to_fraction(oracle)) \
                 <= Fraction(OCCUPANCY_REL_ERROR) * mpf_to_fraction(oracle)
+
+
+@PROPERTY
+@given(urn_models())
+@example(urn_model([(1, 1)]))  # p = 1: 1 - p = 0
+def test_exact_route_decision_from_integers_equals_fraction_test(u):
+    # the last k each class affords, and the first it does not
+    ends = {EXACT_POW_BIT_LIMIT // bit_size(1 - c.probability) for c in u.classes}
+    for k in sorted(ends | {e + 1 for e in ends}):
+        assert _exact_route(u, k) == all(exact_pow_affordable(c.probability, k)
+                                         for c in u.classes), k
+    assert _exact_route(u, min(ends)) and not _exact_route(u, min(ends) + 1)
 
 
 @PROPERTY
