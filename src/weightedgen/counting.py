@@ -18,16 +18,18 @@ truncation of each cell's own pair sum keeps that part within a relative
 meets the same bound, so the whole cell does too.  Their `value()` rounds
 the cell to a p-bit mpf.
 
-A weight spectrum is an exact table too, over packed letters (Kronecker
-substitution).  With t terminals of non-unit weight, up to horizon n, the
-j-th of them gets the letter 2^(B (n+1)^j) and every other terminal the
-letter 1, where B is the bit length of the largest cell of the unweighted
-table rounded up to whole bytes.  A cell is then the polynomial, evaluated
-at 2^B, whose coefficient at d = sum_j e_j (n+1)^j counts the words with
-e_j letters of weighted terminal j: no count reaches 2^B, so no digit
-carries into the next, and e_j <= n, so each d names one composition.  The
-table is refused up front, by `SPECTRUM_BIT_CAP`, when its size bound is
-too large.
+A weight spectrum counts the words of each composition: how many letters of
+each of the t terminals of non-unit weight a word has.  With t <= 1 it is an
+exact table too, over a packed letter (Kronecker substitution): the weighted
+terminal gets the letter 2^B and every other terminal the letter 1, where B
+is the bit length of the largest axiom cell of the unweighted table, rounded
+up to whole bytes.  An axiom cell is then the polynomial, evaluated at 2^B,
+whose coefficient at e counts the words with e weighted letters; no such
+count reaches 2^B, so the cell's B-bit digits are the coefficients.  The
+packed layout has one digit per composition only for t <= 1: (n+1)^t digits
+against C(n+t, t) compositions.  With t >= 2 the spectrum is an instance of
+`inside` over {composition vector: word count} dicts, which hold only the
+compositions that occur, and `CLASS_CAP` bounds them.
 """
 
 from __future__ import annotations
@@ -46,9 +48,8 @@ from .numerics import _unlimited_digits
 # bits a fixed-point table keeps beyond its precision
 GUARD_BITS = 64
 
-# bits the packed spectrum table may take, |nonterminals| * (n+1)^(t+1) * B:
-# 256 MiB
-SPECTRUM_BIT_CAP = 2 ** 31
+# weight classes the spectrum DP may hold in one cell before it gives up
+CLASS_CAP = 200_000
 
 
 class EmptyLanguageError(ValueError):
@@ -56,7 +57,7 @@ class EmptyLanguageError(ValueError):
 
 
 class ClassCapExceeded(RuntimeError):
-    """The packed spectrum table would exceed SPECTRUM_BIT_CAP."""
+    """The weight-class DP grew past its configured cap."""
 
 
 def _fractions(grammar: NormalizedGrammar, weights) -> dict:
@@ -259,68 +260,68 @@ class WeightSpectrum:
         return "\n".join(lines) + "\n"
 
 
-def _packed(grammar: NormalizedGrammar, weights, n: int) -> tuple:
-    """(weights, weighted terminals, digit width in bytes, packed exact
-    table up to length n), per the module docstring.  Weighted terminals
-    are the sorted terminals of non-unit weight; with none, the unweighted
-    table is the packed one."""
-    weights = _fractions(grammar, grammar.weights if weights is None else weights)
-    weighted = tuple(sorted(t for t in grammar.terminals if weights[t] != 1))
+def _packed_profiles(grammar: NormalizedGrammar, weighted: tuple, n: int) -> list:
+    """The axiom's {composition: word count} maps at lengths 0..n over at most
+    one weighted terminal, unpacked from exact count tables (see the module
+    docstring).  With none, the unweighted table alone holds the counts."""
     ones = dict.fromkeys(grammar.terminals, 1)
-    table = CountTable(grammar, ones, n)
-    largest = max(max(cells) for cells in table._cells.values())
-    width = -(-largest.bit_length() // 8)
-    bits = len(grammar.nonterminals) * (n + 1) ** (len(weighted) + 1) * 8 * width
-    if bits > SPECTRUM_BIT_CAP:
-        raise ClassCapExceeded(f"the packed spectrum table may take {bits} bits, "
-                               f"more than {SPECTRUM_BIT_CAP}")
-    if weighted:
-        letters = {t: 1 << 8 * width * (n + 1) ** j for j, t in enumerate(weighted)}
-        table = CountTable(grammar, {**ones, **letters}, n)
-    return weights, weighted, width, table
+    row = CountTable(grammar, ones, n)._cells[grammar.axiom]
+    if not weighted:
+        return [{(): count} if count else {} for count in row]
+    width = -(-max(row).bit_length() // 8) or 1
+    (t,) = weighted
+    profiles = []
+    for cell in CountTable(grammar, {**ones, t: 1 << 8 * width}, n)._cells[grammar.axiom]:
+        raw = cell.to_bytes(-(-cell.bit_length() // 8), "little")
+        digits = (int.from_bytes(raw[i:i + width], "little")
+                  for i in range(0, len(raw), width))
+        profiles.append({(e,): count for e, count in enumerate(digits) if count})
+    return profiles
 
 
-def _compositions(t: int, m: int) -> list:
-    """Every vector of t nonnegative ints with sum at most m."""
-    if not t:
-        return [()]
-    return [(e, *rest) for e in range(m + 1) for rest in _compositions(t - 1, m - e)]
+def _dict_profiles(grammar: NormalizedGrammar, weighted: tuple, n: int) -> list:
+    """The axiom's {composition: word count} maps at lengths 0..n, by `inside`
+    over {composition: word count} dicts; raises ClassCapExceeded when a
+    merge holds more than CLASS_CAP compositions."""
+    unit = {t: tuple(int(t == u) for u in weighted) for t in grammar.terminals}
 
+    def add(x, y):
+        out = dict(x)
+        for comp, count in y.items():
+            out[comp] = out.get(comp, 0) + count
+        if len(out) > CLASS_CAP:
+            raise ClassCapExceeded(f"more than {CLASS_CAP} weight classes")
+        return out
 
-def _unpacked(m: int, packed: tuple):
-    """The length-m spectrum of a `_packed` tuple (None where the slice is
-    empty): digit d of the axiom cell, `width` bytes long, counts the words
-    whose composition has base-(n+1) digits d.  Only the digits of
-    compositions with at most m letters can be nonzero, and only they are
-    read."""
-    weights, weighted, width, table = packed
-    cell = table.cell(table.grammar.axiom, m)
-    if not cell:
-        return None
-    raw = cell.to_bytes(-(-cell.bit_length() // 8), "little")
-    steps = [width * (table.horizon + 1) ** j for j in range(len(weighted))]
-    profile = {}
-    for comp in _compositions(len(weighted), m):
-        i = sum(map(operator.mul, comp, steps))
-        count = int.from_bytes(raw[i:i + width], "little")
-        if count:
-            profile[comp] = count
-    return _spectrum(m, weighted, weights, profile)
+    def dot(xs, ys):
+        out = {}
+        for px, py in zip(xs, ys):
+            if px and py:
+                for cx, nx in px.items():
+                    for cy, ny in py.items():
+                        comp = tuple(map(operator.add, cx, cy))
+                        out[comp] = out.get(comp, 0) + nx * ny
+        return out
+
+    return inside(grammar, n, lambda t: {unit[t]: 1}, {(0,) * len(weighted): 1},
+                  {}, add, dot)[grammar.axiom]
 
 
 def weight_spectra(grammar: NormalizedGrammar, weights=None, n: int = 0) -> list:
     """WeightSpectrum for every length 0..n (None where the slice is empty).
 
-    One exact count table over packed letters holds every composition
-    count (see the module docstring).  Compositions only track terminals
-    with non-unit weight: t of them give (n+1)^t digits of B bits per
-    cell, and all weights 1 take the unweighted table alone.  Raises
-    ClassCapExceeded, after the unweighted table and before the packed
-    one, when |nonterminals| * (n+1)^(t+1) * B exceeds SPECTRUM_BIT_CAP,
-    and ValueError when a terminal has no weight.
+    Compositions only track the t terminals with non-unit weight, which
+    keeps the class count at (n+1)^t instead of (n+1)^|V|.  With t <= 1
+    they come from exact count tables over a packed letter, with t >= 2
+    from a dict DP (see the module docstring).  Raises ClassCapExceeded
+    when a cell of the dict DP holds more than CLASS_CAP compositions, and
+    ValueError when a terminal has no weight.
     """
-    packed = _packed(grammar, weights, n)
-    return [_unpacked(m, packed) for m in range(n + 1)]
+    weights = _fractions(grammar, grammar.weights if weights is None else weights)
+    weighted = tuple(sorted(t for t in grammar.terminals if weights[t] != 1))
+    route = _packed_profiles if len(weighted) <= 1 else _dict_profiles
+    return [_spectrum(m, weighted, weights, profile) if profile else None
+            for m, profile in enumerate(route(grammar, weighted, n))]
 
 
 def _spectrum(n: int, weighted: tuple, weights, profile: dict) -> WeightSpectrum:
@@ -341,9 +342,8 @@ def _spectrum(n: int, weighted: tuple, weights, profile: dict) -> WeightSpectrum
 
 
 def weight_spectrum(grammar: NormalizedGrammar, weights=None, n: int = 0) -> WeightSpectrum:
-    """The weight-class spectrum of the length-n slice (exact); only its
-    cell of the packed table is unpacked."""
-    sp = _unpacked(n, _packed(grammar, weights, n))
+    """The weight-class spectrum of the length-n slice (exact)."""
+    sp = weight_spectra(grammar, weights, n)[n]
     if sp is None:
         raise EmptyLanguageError(f"no words of length {n}")
     return sp

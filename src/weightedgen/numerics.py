@@ -48,10 +48,6 @@ def _unlimited_digits():
         sys.set_int_max_str_digits(limit)
 
 
-def bit_size(q: Fraction) -> int:
-    return q.numerator.bit_length() + q.denominator.bit_length()
-
-
 def to_mpf(x):
     """Convert int/Fraction/float to an mpf at the current working precision."""
     if isinstance(x, Fraction):
@@ -96,7 +92,15 @@ def collision_plug_in(alpha_2):
 
 def exact_pow_affordable(p: Fraction, k: int) -> bool:
     """Whether (1-p)^k fits the bit-size budget of the exact route."""
-    return k * bit_size(1 - p) <= EXACT_POW_BIT_LIMIT
+    return _ratio_pow_affordable(p.numerator, p.denominator, k)
+
+
+def _ratio_pow_affordable(num: int, den: int, k: int) -> bool:
+    """exact_pow_affordable(num/den, k) without the Fraction: with g =
+    gcd(num, den), 1 - num/den is (den - num)/g over den/g in lowest terms."""
+    g = math.gcd(num, den)
+    return k * (((den - num) // g).bit_length() + (den // g).bit_length()) \
+        <= EXACT_POW_BIT_LIMIT
 
 
 def one_minus_pow(p: Fraction, k: int, exact: bool | None = None):

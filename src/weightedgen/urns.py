@@ -36,7 +36,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .counting import build_counts, extreme_weights, moment
-from .numerics import (DEFAULT_SEED, EXACT_POW_BIT_LIMIT, FLOAT_DPS, _unlimited_digits,
+from .numerics import (DEFAULT_SEED, FLOAT_DPS, _ratio_pow_affordable, _unlimited_digits,
                        collision_plug_in, harmonic, log2log2, substream_seed, to_mpf)
 # Unused here; the benchmark's self-test still expects the binding (bench/spans.py
 # traces one_minus_pow in every module that imports it).
@@ -146,18 +146,6 @@ OCCUPANCY_K_LIMIT = 2 ** 53
 _FIRST_ORDER_P = 2.0 ** -1000
 
 
-def _exact_route(u: UrnModel, k: int) -> bool:
-    """Whether every (1-p_i)^k fits EXACT_POW_BIT_LIMIT, read from integers:
-    with g = gcd(P_i, D), 1 - p_i is (D - P_i)/g over D/g in lowest terms."""
-    scale = u.denominator
-    for num in u.numerators:
-        g = math.gcd(num, scale)
-        if k * (((scale - num) // g).bit_length() + (scale // g).bit_length()) \
-                > EXACT_POW_BIT_LIMIT:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class Occupancy:
     distinct: object         # E[N_k]: Fraction on the exact route, else an mpf of a double
@@ -200,7 +188,7 @@ def occupancy(u: UrnModel, k: int, *, exact: bool | None = None) -> Occupancy:
     if not 0 <= k <= OCCUPANCY_K_LIMIT:
         raise ValueError(f"k must lie in [0, 2^53] for the occupancy pass, got {k}")
     if exact is None:
-        exact = _exact_route(u, k)
+        exact = all(_ratio_pow_affordable(num, u.denominator, k) for num in u.numerators)
     scale, nums = u.denominator, u.numerators
     counts = [c * num for c, num in zip(u.counts, nums)]         # c_i P_i
     moment2 = sum(cp * num for cp, num in zip(counts, nums))     # alpha_2 * D^2

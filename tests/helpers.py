@@ -5,14 +5,12 @@ checks: expectations are computed by exhaustive enumeration over outcome
 sequences, absorbing-chain linear algebra on subsets, or direct generation
 and filtering of words.  The routes that faster code replaced stay here as
 oracles: the Fraction count table, the recursive method over every split,
-the weight spectrum by a {composition vector: word count} dict semiring
-(`dict_weight_spectra`), the 45-digit birthday quadrature, the 40-digit
-per-class occupancy sums and exponential form, the urn throws by explicit
-urn ids, and the Fraction route to an urn model's probabilities.
-Exhaustive enumeration of a source grammar's derivations (`enumerate_words`)
-and the ambiguity probe built on it (`ambiguity_probe`) live here too: they
-are the word-level oracle of normalization, counting, sampling and the RNA
-census.
+the 45-digit birthday quadrature, the 40-digit per-class occupancy sums and
+exponential form, the urn throws by explicit urn ids, and the Fraction route
+to an urn model's probabilities.  Exhaustive
+enumeration of a source grammar's derivations (`enumerate_words`) and the
+ambiguity probe built on it (`ambiguity_probe`) live here too: they are the
+word-level oracle of normalization, counting, sampling and the RNA census.
 """
 
 import bisect
@@ -25,7 +23,7 @@ import operator
 
 from mpmath import mp
 
-from weightedgen import (Rule, WeightedGrammar, GrammarError, build_counts, counting,
+from weightedgen import (Rule, WeightedGrammar, GrammarError, build_counts,
                          from_weights, normalize, parse_grammar)
 from weightedgen.grammar import _min_lengths, inside
 from weightedgen.numerics import one_minus_pow, to_mpf
@@ -215,35 +213,6 @@ def inside_unpruned(ng, horizon, letter, one, zero, add, dot):
                 cell = add(cell, dot(xs, ys))
             vals[nt].append(cell)
     return vals
-
-
-def dict_weight_spectra(ng, weights, horizon):
-    """`counting.weight_spectra` by the route the packed table replaced:
-    `inside` over {composition vector: word count} dicts, where a vector
-    counts the letters of each sorted terminal of non-unit weight."""
-    weights = {t: Fraction(w) for t, w in weights.items()}
-    weighted = tuple(sorted(t for t in ng.terminals if weights[t] != 1))
-    unit = {t: tuple(int(t == u) for u in weighted) for t in ng.terminals}
-
-    def add(x, y):
-        out = dict(x)
-        for comp, n in y.items():
-            out[comp] = out.get(comp, 0) + n
-        return out
-
-    def dot(xs, ys):
-        out = {}
-        for px, py in zip(xs, ys):
-            for cx, nx in px.items():
-                for cy, ny in py.items():
-                    comp = tuple(map(operator.add, cx, cy))
-                    out[comp] = out.get(comp, 0) + nx * ny
-        return out
-
-    profiles = inside(ng, horizon, lambda t: {unit[t]: 1}, {(0,) * len(weighted): 1},
-                      {}, add, dot)[ng.axiom]
-    return [counting._spectrum(m, weighted, weights, profile) if profile else None
-            for m, profile in enumerate(profiles)]
 
 
 def expand_urns(u):

@@ -48,12 +48,12 @@ def test_spectrum_csv():
         ["weight_num,weight_den,multiplicity", "2,1,3", "8,1,1"]
 
 
-def test_spectrum_refuses_an_oversized_packed_table():
-    # three weighted terminals at n = 200: 8 * 201^4 * 312 bits, refused at once
+def test_spectrum_class_cap_exits_2(monkeypatch):
+    monkeypatch.setattr(counting, "CLASS_CAP", 5)
     code, out, err = run_cli("spectrum", "--builtin", "motzkin", "--weight", ".=2",
-                             "--weight", "(=3", "--weight", ")=5", "--n", "200")
+                             "--weight", "(=3", "--n", "12")
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "packed spectrum table" in err
+    assert err.startswith("error:") and "weight classes" in err
 
 
 def test_sample_deterministic_and_sep():

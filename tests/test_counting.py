@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -230,19 +231,25 @@ def test_spectrum_equal_weight_merge_within_length():
 def test_spectrum_class_cap(monkeypatch):
     g = normalize(parse_grammar(
         "axiom S\nterminal a weight 2\nterminal b weight 3\nS -> a S | b S | _\n"))
-    monkeypatch.setattr(counting, "SPECTRUM_BIT_CAP", 5)
-    built = []
-    table = counting.CountTable
-
-    def record(grammar, weights, horizon, precision=None):
-        built.append(dict(weights))
-        return table(grammar, weights, horizon, precision)
-
-    monkeypatch.setattr(counting, "CountTable", record)
+    monkeypatch.setattr(counting, "CLASS_CAP", 5)
     with pytest.raises(ClassCapExceeded):
         weight_spectrum(g, None, 12)
-    # refused after the unweighted table, before the packed one
-    assert built == [{"a": 1, "b": 1}]
+
+
+def test_spectrum_of_eight_weighted_letters():
+    # t = 8 at n = 6: a packed cell would hold 7^8 digits, for the C(13, 7) =
+    # 1716 compositions of length 6.  Distinct primes give each composition its
+    # own weight, and the words of composition e number 6! / prod(e_j!).
+    primes = dict(zip("abcdefgh", (2, 3, 5, 7, 11, 13, 17, 19)))
+    g = normalize(parse_grammar(
+        "axiom S\n" + "".join(f"terminal {t} weight {p}\n" for t, p in primes.items())
+        + "S -> " + " | ".join(f"{t} S" for t in primes) + " | _\n"))
+    sp = weight_spectrum(g, None, 6)
+    assert len(sp.classes) == math.comb(6 + 7, 7)
+    for c in sp.classes:
+        (comp,) = c.compositions
+        assert c.weight == math.prod(p ** e for p, e in zip(primes.values(), comp))
+        assert c.count == math.factorial(6) // math.prod(map(math.factorial, comp))
 
 
 def test_spectrum_csv(motzkin_h2_norm):

@@ -21,10 +21,10 @@ from weightedgen import (birthday_exact, branch_distribution, build_counts, coun
                          expected_occupied_weight, extreme_weights, normalize,
                          parse_grammar, weight_spectra, word_weight)
 from weightedgen.grammar import inside
-from weightedgen.numerics import EXACT_POW_BIT_LIMIT, below, bit_size, exact_pow_affordable
-from weightedgen.urns import OCCUPANCY_REL_ERROR, _exact_route, _urn_trials
+from weightedgen.numerics import EXACT_POW_BIT_LIMIT, _ratio_pow_affordable, below
+from weightedgen.urns import OCCUPANCY_REL_ERROR, _urn_trials
 from helpers import (UNIT_CHAIN, EnumerationCap, assert_chains_shared,
-                     dict_weight_spectra, enumerate_words, fraction_count_table,
+                     enumerate_words, fraction_count_table,
                      inside_unpruned, mp_birthday, normalize_checked,
                      fraction_route_urn_model, occupancy_sum_per_class, pair_paths,
                      random_valid_grammar, urn_model)
@@ -123,8 +123,8 @@ def _every_inside_instance(ng, horizon, route):
 def test_inside_skipping_empty_splits_keeps_every_cell(g, horizon):
     ng = normalize(g)
     pruned = _every_inside_instance(ng, horizon, inside)
-    # the spectrum is one table, or two with a weight other than 1
-    assert len(pruned) == 5 + any(ng.weights[t] != 1 for t in ng.terminals)
+    # the spectrum is one table, or two with exactly one weight other than 1
+    assert len(pruned) == 5 + (sum(ng.weights[t] != 1 for t in ng.terminals) == 1)
     assert pruned == _every_inside_instance(ng, horizon, inside_unpruned)
 
 
@@ -139,22 +139,15 @@ def test_extreme_weights_are_the_spectrum_ends(g, n):
 
 @PROPERTY
 @given(weighted_grammars(), st.integers(0, 10))
-# all weights 1: t = 0, the unweighted table alone
-@example(parse_grammar("axiom S\nterminal a\nterminal b\nS -> a S | b S S | _\n"), 10)
 # every word of a length has one 'a': the axiom cell at length 8 is the
-# largest cell, 128 = 2^7, and one digit holds all of it
-@example(parse_grammar("axiom S\nterminal a weight 2\nterminal b\nterminal c\n"
+# largest, 128 = 2^7, and its digit at e = 1 holds all of it
+@example(parse_grammar("axiom S\nterminal a\nterminal b\nterminal c\n"
                        "S -> b S | c S | a\n"), 8)
-# t = 3
-@example(parse_grammar("axiom S\nterminal a weight 2\nterminal b weight 3\n"
-                       "terminal c weight 1/2\nterminal d\n"
-                       "S -> a S | b S c | c S d S | _\n"), 9)
-# scaled weights: every terminal of non-unit weight
-@example(parse_grammar("axiom S\nterminal a weight 6/7\nterminal b weight 3/7\n"
-                       "terminal c weight 3/7\nS -> a S b S | c S | _\n"), 10)
-def test_packed_spectra_equal_dict_oracle(g, horizon):
+def test_packed_profiles_equal_dict_profiles(g, horizon):
     ng = normalize(g)
-    assert weight_spectra(ng, None, horizon) == dict_weight_spectra(ng, g.weights, horizon)
+    for weighted in [(), *((t,) for t in sorted(ng.terminals))]:
+        assert counting._packed_profiles(ng, weighted, horizon) \
+            == counting._dict_profiles(ng, weighted, horizon), weighted
 
 
 @PROPERTY
@@ -213,13 +206,13 @@ def test_occupancy_sums_equal_per_class_oracle(u, k, exact):
 @PROPERTY
 @given(urn_models())
 @example(urn_model([(1, 1)]))  # p = 1: 1 - p = 0
-def test_exact_route_decision_from_integers_equals_fraction_test(u):
-    # the last k each class affords, and the first it does not
-    ends = {EXACT_POW_BIT_LIMIT // bit_size(1 - c.probability) for c in u.classes}
-    for k in sorted(ends | {e + 1 for e in ends}):
-        assert _exact_route(u, k) == all(exact_pow_affordable(c.probability, k)
-                                         for c in u.classes), k
-    assert _exact_route(u, min(ends)) and not _exact_route(u, min(ends) + 1)
+def test_pow_affordable_from_integers_equals_fraction_rule(u):
+    # with P_i / D not in lowest terms, the budget is still k * bit size of 1 - p_i
+    for c, num in zip(u.classes, u.numerators):
+        q = 1 - c.probability
+        last = EXACT_POW_BIT_LIMIT // (q.numerator.bit_length() + q.denominator.bit_length())
+        assert _ratio_pow_affordable(num, u.denominator, last)
+        assert not _ratio_pow_affordable(num, u.denominator, last + 1)
 
 
 @PROPERTY
