@@ -2,12 +2,26 @@
 
 Words are drawn top-down by the recursive method: at each node (A, m) an
 integer r is drawn uniformly below `CountTable.draw_bound(A, m)` by
-`numerics.below`, and the options of `CountTable.choices` are subtracted
-from it until it goes negative.  The options always sum to at least the
-bound, so the walk always stops at an option; one that the bound cuts short
-is taken with the part of its weight below the bound.  Every table thus
-gives each word an exact rational probability, a product of ratios of
-stored integers.
+`numerics.below`, and the pick is the first option of `CountTable.choices`
+whose prefix sum exceeds r: the option at which subtracting the options
+from r in order makes it negative.  The options always sum to at least the
+bound, so there always is one; an option that the bound cuts short is taken
+with the part of its weight below the bound.  Every table thus gives each
+word an exact rational probability, a product of ratios of stored integers.
+
+The pick is found by bisection over the node that `CountTable.node`
+memoises on its first visit: with s = max(0, bound.bit_length() - 64), it
+keeps hi[i] = (sum of the first i + 1 options) >> s for the options summed
+so far, and the exact last of those sums.  With t = r >> s, i =
+bisect_right(hi, t) is the pick, except in two cases that exact arithmetic
+settles.  If hi[i - 1] == t and s > 0, the top bits tie and cannot tell
+whether that sum exceeds r, so `CountTable.walk` subtracts the exact
+options from r; that happens with probability about 2^-63 per draw.  If r
+reaches past every known sum (or ties the last, which the exact last sum
+settles), `CountTable.extend` adds the next options' weights to the last
+sum until it exceeds r.  So a node computes each option's weight at most
+once, and on its first visit no more than the walk would, and every seeded
+stream is the walk's, on exact and fixed-point tables alike.
 
 On an exact table the options sum exactly to the bound, so a word w of
 length n is produced with probability exactly weight(w) / total(n).  On a
@@ -29,6 +43,7 @@ probabilities exactly.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,7 +56,7 @@ BRANCH_WORD_CAP = 10_000
 
 @dataclass
 class SamplerState:
-    """Seeded sampling stream over a shared (read-only) count table.
+    """Seeded sampling stream over a count table that any number may share.
 
     Identical (seed, grammar, weights, n, precision) produce an identical
     word sequence on any platform: the stream is substream 0 of the seed, and
@@ -65,21 +80,30 @@ def sample_word(state: SamplerState, n: int) -> tuple:
     if not table.cell(axiom, n):
         raise EmptyLanguageError(f"no words of length {n}")
     getrandbits = state.rng.getrandbits
+    node_at = table.node
 
     out = []
     stack = [(axiom, n)]
     while stack:
-        nt, m = stack.pop()
-        r = below(getrandbits, table.draw_bound(nt, m))
-        for weight, rule, j in table.choices(nt, m):
-            r -= weight
-            if r < 0:
-                break
+        node = node_at(*stack.pop())
+        r = below(getrandbits, node.bound)
+        hi, last = node.known
+        top = r >> node.shift
+        i = bisect_right(hi, top)
+        if i == len(hi) and last <= r:
+            i = table.extend(node, r)
+        else:
+            if i == len(hi):
+                i -= 1  # the last known sum exceeds r: a tie settled by `last`
+            if i and hi[i - 1] == top and node.shift:
+                i = table.walk(node, r)
+        rule = node.rules[i]
         if rule.kind == "term":
             out.append(rule.rhs[0])
         elif rule.kind == "pair":
             b, c = rule.rhs
-            stack.append((c, m - j))
+            j = node.splits[i]
+            stack.append((c, node.m - j))
             stack.append((b, j))
     return tuple(out)
 

@@ -5,9 +5,10 @@ checks: expectations are computed by exhaustive enumeration over outcome
 sequences, absorbing-chain linear algebra on subsets, or direct generation
 and filtering of words.  The routes that faster code replaced stay here as
 oracles: the Fraction count table, the recursive method over every split,
-the 45-digit birthday quadrature, the 40-digit per-class occupancy sums and
-exponential form, the urn throws by explicit urn ids, and the Fraction route
-to an urn model's probabilities.  Exhaustive
+the sampler's subtraction walk, the Fraction-power weight classes of a
+spectrum, the 45-digit birthday quadrature, the 40-digit per-class
+occupancy sums and exponential form, the urn throws by explicit urn ids,
+and the Fraction route to an urn model's probabilities.  Exhaustive
 enumeration of a source grammar's derivations (`enumerate_words`) and the
 ambiguity probe built on it (`ambiguity_probe`) live here too: they are the
 word-level oracle of normalization, counting, sampling and the RNA census.
@@ -23,10 +24,11 @@ import operator
 
 from mpmath import mp
 
-from weightedgen import (Rule, WeightedGrammar, GrammarError, build_counts,
-                         from_weights, normalize, parse_grammar)
+from weightedgen import (Rule, WeightClass, WeightedGrammar, WeightSpectrum,
+                         GrammarError, build_counts, from_weights, normalize,
+                         parse_grammar)
 from weightedgen.grammar import _min_lengths, inside
-from weightedgen.numerics import one_minus_pow, to_mpf
+from weightedgen.numerics import below, one_minus_pow, to_mpf
 from weightedgen.urns import QuadratureError, UrnClass, UrnModel, alpha
 
 
@@ -160,7 +162,7 @@ def normalize_checked(g, depth):
 
 
 # ---------------------------------------------------------------------------
-# count-table oracle
+# count-table, sampler and spectrum oracles
 
 
 def fraction_count_table(ng, weights, horizon):
@@ -213,6 +215,48 @@ def inside_unpruned(ng, horizon, letter, one, zero, add, dot):
                 cell = add(cell, dot(xs, ys))
             vals[nt].append(cell)
     return vals
+
+
+def walk_sample_word(state, n):
+    """One word of length n by the subtraction walk, the route the memoised
+    bisect of `sample_word` replaced: at each node a draw r below the draw
+    bound, minus the options of `CountTable.choices` in order until it goes
+    negative.  It consumes the stream alike, so it is the oracle of every
+    seeded sampler stream."""
+    table = state.table
+    getrandbits = state.rng.getrandbits
+    out = []
+    stack = [(table.grammar.axiom, n)]
+    while stack:
+        nt, m = stack.pop()
+        r = below(getrandbits, table.draw_bound(nt, m))
+        for weight, rule, j in table.choices(nt, m):
+            r -= weight
+            if r < 0:
+                break
+        if rule.kind == "term":
+            out.append(rule.rhs[0])
+        elif rule.kind == "pair":
+            b, c = rule.rhs
+            stack.append((c, m - j))
+            stack.append((b, j))
+    return tuple(out)
+
+
+def fraction_route_spectrum(n, weighted, weights, profile):
+    """The length-n WeightSpectrum of a {composition: word count} map with
+    each composition's weight a product of Fraction powers, one per
+    weighted terminal: the route `counting._spectrum` replaced."""
+    bases = [weights[t] for t in weighted]
+    groups = {}
+    for comp, count in profile.items():
+        chi = math.prod(map(pow, bases, comp), start=Fraction(1))
+        entry = groups.setdefault(chi, [0, []])
+        entry[0] += count
+        entry[1].append(comp)
+    classes = tuple(WeightClass(chi, cnt, tuple(sorted(comps)))
+                    for chi, (cnt, comps) in sorted(groups.items()))
+    return WeightSpectrum(n, weighted, classes)
 
 
 def expand_urns(u):

@@ -16,18 +16,18 @@ from unittest.mock import patch
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from weightedgen import (birthday_exact, branch_distribution, build_counts, counting,
-                         expected_coverage, expected_distinct,
+from weightedgen import (SamplerState, birthday_exact, branch_distribution,
+                         build_counts, counting, expected_coverage, expected_distinct,
                          expected_occupied_weight, extreme_weights, normalize,
-                         parse_grammar, weight_spectra, word_weight)
+                         parse_grammar, sample_word, weight_spectra, word_weight)
 from weightedgen.grammar import inside
 from weightedgen.numerics import EXACT_POW_BIT_LIMIT, _ratio_pow_affordable, below
 from weightedgen.urns import OCCUPANCY_REL_ERROR, _urn_trials
 from helpers import (UNIT_CHAIN, EnumerationCap, assert_chains_shared,
-                     enumerate_words, fraction_count_table,
+                     enumerate_words, fraction_count_table, fraction_route_spectrum,
                      inside_unpruned, mp_birthday, normalize_checked,
                      fraction_route_urn_model, occupancy_sum_per_class, pair_paths,
-                     random_valid_grammar, urn_model)
+                     random_valid_grammar, urn_model, walk_sample_word)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -148,6 +148,49 @@ def test_packed_profiles_equal_dict_profiles(g, horizon):
     for weighted in [(), *((t,) for t in sorted(ng.terminals))]:
         assert counting._packed_profiles(ng, weighted, horizon) \
             == counting._dict_profiles(ng, weighted, horizon), weighted
+
+
+EIGHT_PRIMES = parse_grammar(
+    "axiom S\n" + "".join(f"terminal {t} weight {p}\n"
+                          for t, p in zip("abcdefgh", (2, 3, 5, 7, 11, 13, 17, 19)))
+    + "S -> " + " | ".join(f"{t} S" for t in "abcdefgh") + " | _\n")
+
+
+@PROPERTY
+@given(weighted_grammars(), st.integers(0, 8))
+# one weighted letter, two, three with a weight below 1, and eight
+@example(parse_grammar("axiom S\nterminal a weight 3\nterminal b\nS -> a S b | b S | _\n"), 8)
+@example(parse_grammar("axiom S\nterminal a weight 4\nterminal b weight 2\nterminal c\n"
+                       "S -> a S | b S | c S | _\n"), 6)
+@example(parse_grammar("axiom S\nterminal a weight 2\nterminal b weight 3\n"
+                       "terminal c weight 1/2\nterminal d\nS -> a S | b S | c S | d S | _\n"), 8)
+@example(EIGHT_PRIMES, 6)
+def test_spectrum_integer_keys_equal_the_fraction_power_route(g, n):
+    ng = normalize(g)
+    weights = counting._fractions(ng, ng.weights)
+    weighted = tuple(sorted(t for t in ng.terminals if weights[t] != 1))
+    expected = [fraction_route_spectrum(m, weighted, weights, profile) if profile else None
+                for m, profile in enumerate(counting._dict_profiles(ng, weighted, n))]
+    assert weight_spectra(ng, None, n) == expected
+
+
+@PROPERTY
+@given(weighted_grammars(), st.integers(0, 10), st.sampled_from((None, 24)),
+       st.integers(0, 2 ** 32), st.lists(st.booleans(), min_size=1, max_size=40))
+@example(UNIT_CHAIN, 10, 24, 7, [False, True] * 20)
+def test_sample_word_streams_equal_the_subtraction_walk(g, n, precision, seed, turns):
+    # exact tables and p = 24 ones, where the last option of a pair node is cut
+    # short at the bound; two streams interleave their draws on one table
+    ng = normalize(g)
+    table = build_counts(ng, None, n, precision)
+    assume(table.cell(ng.axiom, n))
+    states = [SamplerState(table, seed + k) for k in (0, 1)]
+    words = [[], []]
+    for turn in turns:
+        words[turn].append(sample_word(states[turn], n))
+    for k, drawn in enumerate(words):
+        oracle = SamplerState(build_counts(ng, None, n, precision), seed + k)
+        assert drawn == [walk_sample_word(oracle, n) for _ in drawn]
 
 
 @PROPERTY

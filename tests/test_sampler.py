@@ -1,18 +1,25 @@
+import hashlib
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
-from weightedgen import (EmptyLanguageError, SamplerState, branch_distribution,
-                         build_counts, normalize, parse_grammar, sample_word,
+from weightedgen import (EmptyLanguageError, RnaModel, SamplerState,
+                         branch_distribution, build_counts, normalize,
+                         parse_grammar, rna_grammar, sample_word,
                          word_probability, word_weight)
-from helpers import enumerate_words, random_grammar
+from helpers import enumerate_words, random_grammar, walk_sample_word
 
 # chi-square upper quantiles at significance 0.001
 CHI2_CRIT = {1: 10.828, 2: 13.816, 3: 16.266, 5: 20.515, 8: 26.124,
              13: 34.528, 20: 45.315}
+
+# one node of five options at length 1
+FIVE_LETTERS = ("axiom S\nterminal a weight 1/3\nterminal b weight 7\nterminal c weight 5/11\n"
+                "terminal d weight 2\nterminal e weight 13/3\nS -> a | b | c | d | e\n")
 
 
 def test_branch_distribution_weighted(motzkin_h2_norm):
@@ -126,9 +133,7 @@ def test_fixed_point_node_probabilities_are_exact_ratios():
     # node's bound, so each option's probability is its stored weight over
     # that bound, within the sampler docstring's 2n * 2^-(p+64) (n = 1) of
     # its exact share.
-    g = normalize(parse_grammar(
-        "axiom S\nterminal a weight 1/3\nterminal b weight 7\nterminal c weight 5/11\n"
-        "terminal d weight 2\nterminal e weight 13/3\nS -> a | b | c | d | e\n"))
+    g = normalize(parse_grammar(FIVE_LETTERS))
     p = 24
     table = build_counts(g, None, 1, precision=p)
     options = list(table.choices(g.axiom, 1))
@@ -140,3 +145,134 @@ def test_fixed_point_node_probabilities_are_exact_ratios():
     for word, probability in dist.items():
         share = word_probability(word, exact)
         assert abs(probability - share) <= Fraction(2, 2 ** (p + 64)) * share
+
+
+# ---------------------------------------------------------------------------
+# the memoised pick: every branch gives the subtraction walk's word
+
+
+class Scripted:
+    """A stand-in for `random.Random` whose getrandbits returns the scripted
+    draws in turn, then zeros."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def getrandbits(self, k):
+        return next(self.draws, 0)
+
+
+def scripted_words(table, draws, count):
+    """`count` words of sample_word on `table` and of the subtraction walk on a
+    fresh table alike, from one script each; asserts they agree."""
+    n = table.horizon
+    state, oracle = SamplerState(table), SamplerState(
+        build_counts(table.grammar, None, n, table.precision))
+    state.rng, oracle.rng = Scripted(draws), Scripted(draws)
+    words = [sample_word(state, n) for _ in range(count)]
+    assert words == [walk_sample_word(oracle, n) for _ in range(count)]
+    return words
+
+
+@pytest.fixture
+def five_letters(monkeypatch):
+    """(table, node, exact prefix sums, walk calls) at the one node of a
+    p = 24 table with five letters, whose prefix sums are not multiples of
+    2^s, so a draw just below one shares its top bits."""
+    g = normalize(parse_grammar(FIVE_LETTERS))
+    table = build_counts(g, None, 1, precision=24)
+    sums = list(accumulate(w for w, _, _ in table.choices(g.axiom, 1)))
+    node = table.node(g.axiom, 1)
+    assert node.shift > 0 and all((x - 1) >> node.shift == x >> node.shift for x in sums)
+    walks = []
+    walk = table.walk
+    monkeypatch.setattr(table, "walk", lambda node, r: walks.append(r) or walk(node, r))
+    return table, node, sums, walks
+
+
+def test_cold_node_is_extended_across_draws(five_letters):
+    table, node, sums, walks = five_letters
+    state = SamplerState(table)
+    state.rng = Scripted([0, sums[1], sums[3]])
+    for letter, known in (("a", 1), ("c", 3), ("e", 5)):
+        assert sample_word(state, 1) == (letter,)
+        assert len(node.known[0]) == known
+    assert node.known[1] == sums[-1] and not walks
+
+
+def test_tie_at_the_last_known_sum_is_settled_exactly(five_letters):
+    # r = sums[0] - 1 shares the top bits of the only known sum, which exceeds
+    # it: option 0, with no walk and no product; r = sums[0] extends the node
+    table, node, sums, walks = five_letters
+    words = scripted_words(table, [0, sums[0] - 1, sums[0]], 3)
+    assert words == [("a",), ("a",), ("b",)]
+    assert len(node.known[0]) == 2 and not walks
+
+
+def test_tie_inside_the_known_sums_walks(five_letters):
+    # with every sum known, r just below sums[1] and r = sums[1] share its
+    # top bits: only the exact walk tells option 1 from option 2
+    table, node, sums, walks = five_letters
+    middle = (sums[2] + sums[3]) // 2
+    words = scripted_words(table, [sums[-1] - 1, sums[1] - 1, sums[1], middle], 4)
+    assert words == [("e",), ("b",), ("c",), ("d",)]
+    assert walks == [sums[1] - 1, sums[1]]
+
+
+def test_extend_past_a_draw_gives_the_walks_pick(five_letters):
+    # a thread sharing the table may extend a node between another's bisect
+    # and its call to extend
+    table, node, sums, _ = five_letters
+    assert table.extend(node, sums[3]) == 4
+    assert table.extend(node, sums[1]) == table.walk(node, sums[1]) == 2
+
+
+def test_clipped_last_option_on_a_fixed_point_table(motzkin):
+    # with '.' weighing 5/3 the pair options at the axiom sum to more than the
+    # bound, and the last one is cut short: r = bound - 1 is the last draw
+    # that reaches it
+    g = normalize(motzkin.with_weights({".": Fraction(5, 3)}))
+    table = build_counts(g, None, 6, precision=24)
+    axiom = g.axiom
+    sums = list(accumulate(w for w, _, _ in table.choices(axiom, 6)))
+    bound = table.draw_bound(axiom, 6)
+    assert sums[-2] < bound < sums[-1]
+    scripted_words(table, [bound - 1], 1)
+    assert len(table.node(axiom, 6).known[0]) == len(sums)
+
+
+def test_each_option_weight_is_computed_once_and_never_more_than_the_walk(monkeypatch):
+    # a cold first word computes no more option weights than the walk, so a
+    # short run cannot get slower; later words reuse the memoised sums
+    g = normalize(rna_grammar(3, RnaModel(theta=3, pair_energy=-3.0).w))
+    table, oracle = build_counts(g, None, 60), build_counts(g, None, 60)
+    counts = Counter()
+
+    def count_weights(t, name):
+        weight = t._weight
+
+        def counted(*args):
+            counts[name] += 1
+            return weight(*args)
+        monkeypatch.setattr(t, "_weight", counted)
+
+    count_weights(table, "memo")
+    count_weights(oracle, "walk")
+    state, walked = SamplerState(table, seed=3), SamplerState(oracle, seed=3)
+    for _ in range(40):
+        assert sample_word(state, 60) == walk_sample_word(walked, 60)
+        assert counts["memo"] <= counts["walk"]
+    nodes = table._nodes.values()
+    assert counts["memo"] == sum(len(node.known[0]) for node in nodes) \
+        <= sum(len(node.rules) for node in nodes)
+    assert counts["memo"] * 10 < counts["walk"]
+
+
+def test_warm_rna_stream_is_pinned():
+    # 1000 words of RNA theta=3, E=-3 at n=100 from seed 1, most drawn at
+    # warm nodes; the hash is that of the subtraction walk's stream
+    g = normalize(rna_grammar(3, RnaModel(theta=3, pair_energy=-3.0).w))
+    state = SamplerState(build_counts(g, None, 100), seed=1)
+    text = "".join("".join(sample_word(state, 100)) + "\n" for _ in range(1000))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "341a7ee9af9ad68455e0ed19a86a1f95ecb9df8c767cf697986bd4b804f9a311"
