@@ -1,5 +1,6 @@
-"""Singularity estimation from coefficient tails, growth-condition probes, and
-the finite-n first-collision estimates.
+"""Singularity estimation from coefficient tails and from the grammar's
+polynomial system, growth-condition probes, and the finite-n first-collision
+estimates.
 
 Coefficient sequences of the form c_n ~ kappa * rho^(-n) * n^(-k) are fitted
 in two stages: rho from consecutive-ratio extrapolation (separately on the
@@ -9,17 +10,27 @@ decay like 1/n, so the extrapolation is Richardson/Neville in 1/n rather than
 Aitken (geometric-error) acceleration; anything cruder leaks an O(1/n) bias
 on rho that the exponent fit then amplifies by a factor of n.
 
+`system_rho` reads rho from the source grammar's polynomial system
+y = F(z, y) instead: Newton iteration from y = 0 converges exactly below rho
+(the oracle of Pivoteau, Salvy and Soria, "Algorithms for combinatorial
+structures: well-founded systems and Newton iterations", JCTA 119, 2012), and
+Newton on {y = F(z, y), det(I - J) = 0} polishes the bracket.  The oracle
+certifies each result within a relative CERTIFY = 1e-10.
+
 Every analytic reads the grammar's own weights W (reweight with
-`with_weights` before `normalize`) through `_fit_power`, the fit of the table
-for W^j: j = 1 and 2 for the growth base, j = 1, 2 and 3 for the condition
-probes.  Only `growth_gamma` takes a tail length and precision; the probes fit
-CONDITION_TERMS = 160 terms at 192 bits.
+`with_weights` before `normalize`): `growth_gamma` through `_fit_power`, the
+fit of the table for W^j at j = 1 and 2, with the tail length and precision
+it is given; the condition probes through `system_rho` at j = 1, 2 and 3,
+which builds no table.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 
 from mpmath import mp
 
@@ -36,10 +47,22 @@ RATIO_DEPTH = 10
 SEPARATION_MARGIN = 1e-3
 # fewest bits of coefficient precision the ratio extrapolation can carry
 MIN_FIT_PRECISION = 128
-# lengths of the diversity probe; tail length and bits of the separation fits
+# lengths of the diversity probe
 LADDER = (8, 16, 32, 64)
-CONDITION_TERMS = 160
-CONDITION_PRECISION = 192
+# Newton steps per oracle call; a step below CONVERGED times |y| has
+# converged, and one that stops shrinking below STALL times |y| has stalled
+ORACLE_STEPS = 200
+CONVERGED = 1e-14
+STALL = 1e-6
+# relative bracket width at the first polish, its shrink factor between
+# polishes, Newton steps per polish, and the relative offset of the two
+# probes that certify a polished rho
+POLISH_WIDTH = 3e-2
+POLISH_RETRY = 1e-2
+POLISH_STEPS = 12
+CERTIFY = 1e-10
+# the bracket search probes z = 2^e and 2^-e times the first probe, z = 1
+SEARCH_EXPONENTS = (1, 3, 7, 15, 31, 63, 127, 255, 511, 1023)
 
 
 class InsufficientData(ValueError):
@@ -206,7 +229,262 @@ def growth_gamma(grammar, *, n_terms: int = 256, precision: int = 256) -> GammaE
 
 
 # ---------------------------------------------------------------------------
-# growth-condition probes (heuristic by construction)
+# the dominant singularity from the grammar's polynomial system
+
+
+def _finite(g) -> bool:
+    """True when no nonterminal of g reaches itself.  Validation rejects
+    same-length rewrite cycles, so every cycle adds letters: the language is
+    finite exactly when there is none."""
+    graph = {nt: {s for r in g.rules if r.lhs == nt for s in r.rhs if s in g.nonterminals}
+             for nt in g.nonterminals}
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError:
+        return False
+    return True
+
+
+def _system(g, power: int):
+    """The system y = F(z, y) of the source grammar g for the weights w^power,
+    with z scaled by the largest of them, W: (unknowns, terms, W).
+
+    Each rule is one term (lhs, c, d, children), the monomial
+    c * z^d * prod(y[b] for b in children) of y[lhs], where d counts the
+    rule's letters and c is the product of their weights over W.  The scaled
+    system's rho is W times the grammar's.
+    """
+    index = {nt: i for i, nt in enumerate(sorted(g.nonterminals))}
+    weights = {t: w ** power for t, w in g.weights.items()}
+    top = max(weights.values())
+    terms = []
+    for r in g.rules:
+        c, d, children = Fraction(1), 0, []
+        for s in r.rhs:
+            if s in index:
+                children.append(index[s])
+            else:
+                c *= weights[s] / top
+                d += 1
+        terms.append((index[r.lhs], c, d, tuple(children)))
+    return len(index), terms, top
+
+
+def _evaluate(terms, n: int, z, y, u=None):
+    """F(z, y) and the Jacobian J = dF/dy; given a vector u, also dF/dz,
+    (dJ/dz) u and the matrix sum_b u_b dJ[.][b]/dy, which the polish needs.
+    Works on any number type: z and y are floats or mpfs."""
+    zero = z - z
+    f = [zero] * n
+    jac = [[zero] * n for _ in range(n)]
+    if u is not None:
+        fz, jzu, hess = [zero] * n, [zero] * n, [[zero] * n for _ in range(n)]
+    for a, c, d, children in terms:
+        base = c
+        for _ in range(d):  # z^d may overflow where c * z^d does not
+            base *= z
+        # pre[i] = base * y[children[0]] * ... * y[children[i - 1]]
+        pre = [base]
+        for b in children:
+            pre.append(pre[-1] * y[b])
+        f[a] += pre[-1]
+        after = 1
+        for i in range(len(children) - 1, -1, -1):
+            jac[a][children[i]] += pre[i] * after
+            after *= y[children[i]]
+        if u is None:
+            continue
+        if d:
+            fz[a] += pre[-1] * d / z
+        for i, b in enumerate(children):
+            if d:
+                jzu[a] += base * d / z * u[b] * math.prod(
+                    y[e] for m, e in enumerate(children) if m != i)
+            for k, e in enumerate(children):
+                if k != i:
+                    hess[a][e] += base * u[b] * math.prod(
+                        y[x] for m, x in enumerate(children) if m not in (i, k))
+    if u is None:
+        return f, jac
+    return f, jac, fz, jzu, hess
+
+
+def _solve(a, b, m_matrix: bool):
+    """x with a x = b by Gaussian elimination, or None.
+
+    With m_matrix, no rows are swapped and a pivot <= 0 gives None: for a
+    matrix I - J with J >= 0 that happens exactly when the spectral radius of
+    J is 1 or more, i.e. unless I - J is a nonsingular M-matrix.  Otherwise
+    rows are swapped for the largest pivot and only a zero pivot gives None.
+    """
+    n = len(b)
+    a = [row[:] + [v] for row, v in zip(a, b)]
+    for col in range(n):
+        if not m_matrix:
+            best = max(range(col, n), key=lambda r: abs(a[r][col]))
+            a[col], a[best] = a[best], a[col]
+        pivot = a[col][col]
+        if pivot <= 0 if m_matrix else pivot == 0:
+            return None
+        for r in range(col + 1, n):
+            factor = a[r][col] / pivot
+            if factor:
+                for k in range(col, n + 1):
+                    a[r][k] -= factor * a[col][k]
+    x = [None] * n
+    for r in range(n - 1, -1, -1):
+        x[r] = (a[r][n] - sum(a[r][k] * x[k] for k in range(r + 1, n))) / a[r][r]
+    return x
+
+
+def _identity_minus(jac):
+    return [[(i == j) - v for j, v in enumerate(row)] for i, row in enumerate(jac)]
+
+
+def _oracle(terms, n: int, z, y):
+    """Newton iteration for y = F(z, y) from y: its limit when z is below rho,
+    None when z is above.
+
+    y must be 0 or the solution at a smaller z.  Below rho the iterates rise
+    monotonically to the solution; above it there is none, and they rise
+    until I - J stops being a nonsingular M-matrix (det(I - J) <= 0 when
+    there is one unknown), or overflow.  Only that decides "above": near rho
+    the rounding of F(y) - y is amplified by 1/det(I - J), so a step that
+    stops shrinking at rounding level means "converged", not "diverged".
+    """
+    prev = move = math.inf
+    size = 0
+    for _ in range(ORACLE_STEPS):
+        f, jac = _evaluate(terms, n, z, y)
+        step = _solve(_identity_minus(jac), [a - b for a, b in zip(f, y)], True)
+        if step is None:
+            return None
+        # judged only once I - J has passed at the point the step reached
+        if move <= CONVERGED * size or prev <= move <= STALL * size:
+            return y
+        y = [a + s for a, s in zip(y, step)]
+        prev, move = move, max(abs(s) for s in step)
+        size = max(abs(v) for v in y)
+        if move - move != 0:  # overflowed to inf or nan
+            return None
+    return y
+
+
+def _polish(terms, n: int, lo, hi, y):
+    """Newton on y = F(z, y), (I - J) u = 0 and sum(u) = 1 from z = lo, the
+    oracle's solution y there and u from (I - J) u = 1: the z it converges
+    to within [lo, hi], else None.
+
+    u is the Perron vector of J at rho, where det(I - J) = 0.  An iterate
+    with a negative component of y has left the combinatorial branch for a
+    spurious fold, and a pole (y infinite at rho) has no solution at all.
+    """
+    z = lo
+    _, jac = _evaluate(terms, n, z, y)
+    u = _solve(_identity_minus(jac), [z - z + 1] * n, True)
+    if u is None:
+        return None
+    total = sum(u)
+    u = [v / total for v in u]
+    for _ in range(POLISH_STEPS):
+        f, jac, fz, jzu, hess = _evaluate(terms, n, z, y, u)
+        m = _identity_minus(jac)
+        rows = ([[-fz[a]] + m[a] + [0] * n for a in range(n)]
+                + [[-jzu[a]] + [-v for v in hess[a]] + m[a] for a in range(n)]
+                + [[0] * (n + 1) + [1] * n])
+        rhs = ([f[a] - y[a] for a in range(n)]
+               + [-sum(v * w for v, w in zip(m[a], u)) for a in range(n)]
+               + [1 - sum(u)])
+        dx = _solve(rows, rhs, False)
+        if dx is None:
+            return None
+        z += dx[0]
+        y = [a + s for a, s in zip(y, dx[1:n + 1])]
+        u = [a + s for a, s in zip(u, dx[n + 1:])]
+        if min(y) < 0 or z - z != 0:
+            return None
+        if abs(dx[0]) <= CONVERGED * abs(z):
+            return z if lo <= z <= hi else None
+    return None
+
+
+def _scaled_rho(terms, n: int, num):
+    """rho of the scaled system in the number type num (float or to_mpf).
+
+    The oracle brackets rho, first by z = 2^(+-e) from z = 1, then by
+    geometric bisection.  Once the bracket is within POLISH_WIDTH, and again
+    each time it shrinks by POLISH_RETRY more, the polish proposes a z; it is
+    returned if the oracle puts z (1 - CERTIFY) below rho and z (1 + CERTIFY)
+    above.  Without one (a pole, say) bisection runs to the last bit.
+    """
+    terms = [(a, num(c), d, children) for a, c, d, children in terms]
+    one = num(1)
+    zeros = [one - one] * n
+    lo = hi = y_lo = None
+
+    def probe(z):
+        nonlocal lo, hi, y_lo
+        y = _oracle(terms, n, z, zeros if lo is None or z < lo else y_lo)
+        if y is None:
+            hi = z
+        else:
+            lo, y_lo = z, y
+        return y is not None
+
+    up = probe(one)
+    for e in SEARCH_EXPONENTS:
+        if lo is not None and hi is not None:
+            break
+        probe(one * 2 ** e if up else one / 2 ** e)
+    if lo is None or hi is None:
+        raise OverflowError("no singularity within a factor 2^1023 of the largest weight")
+    width = POLISH_WIDTH
+    while True:
+        if hi <= lo * (1 + width):
+            width = (hi / lo - 1) * POLISH_RETRY
+            z = _polish(terms, n, lo, hi, y_lo)
+            if z is not None:
+                below, above = z * (1 - CERTIFY), z * (1 + CERTIFY)
+                if (below <= lo or probe(below)) and (above >= hi or not probe(above)):
+                    return z
+        mid = (lo ** 0.5) * (hi ** 0.5)
+        if not lo < mid < hi:
+            return (lo + hi) / 2
+        probe(mid)
+
+
+def system_rho(grammar, power: int = 1) -> float:
+    """The dominant singularity rho (the radius of convergence of the
+    generating function) for the grammar's weights raised to `power`, read
+    from the polynomial system of its source grammar.
+
+    In doubles, on the system scaled by the largest weight; on 53-bit mpfs
+    when a scaled term coefficient leaves the normal double range, since
+    their exponents do not overflow.  The oracle certifies the result within
+    a relative CERTIFY = 1e-10; the tests hold it to 1e-10 of the closed
+    forms, and the polish usually lands within a few units of the last
+    place.  A finite language has no singularity (InsufficientData), and a
+    rho outside the normal double range raises OverflowError.
+    """
+    g = grammar.original
+    if _finite(g):
+        raise InsufficientData("a finite language has no singularity")
+    n, terms, top = _system(g, power)
+    if all(c >= sys.float_info.min for _, c, _, _ in terms):
+        scaled = _scaled_rho(terms, n, float)
+        with mp.workprec(53):
+            rho = float(mp.mpf(scaled) / to_mpf(top))
+    else:
+        with mp.workprec(53):
+            rho = float(_scaled_rho(terms, n, to_mpf) / to_mpf(top))
+    if not sys.float_info.min <= rho < math.inf:
+        raise OverflowError(f"rho for the weights to the power {power} is outside "
+                            "the double range")
+    return rho
+
+
+# ---------------------------------------------------------------------------
+# growth-condition probes
 
 
 @dataclass(frozen=True)
@@ -241,8 +519,12 @@ class ConditionReport:
 def check_conditions(grammar) -> ConditionReport:
     """Probe the three growth conditions behind the collision asymptotics.
 
-    Only the weight positivity check is exact; the exponential-decay and
-    singularity-separation probes are finite-n heuristics and labeled so.
+    The weight positivity check is exact, and the exponential-decay probe is
+    a finite-n heuristic, labeled so.  The singularity-separation probe
+    compares rho_W^k with rho_{W^k} for k = 2, 3, each from `system_rho`
+    (certified within a relative CERTIFY = 1e-10), with a relative slack of
+    SEPARATION_MARGIN; it builds no count table.  It is inconclusive for a
+    finite language and for a rho outside the double range.
     """
     weights = grammar.weights
     below = sorted(t for t, w in weights.items() if w < 1)
@@ -275,14 +557,13 @@ def check_conditions(grammar) -> ConditionReport:
                             tuple(pts))
 
     try:
-        rho = {j: _fit_power(grammar, j, CONDITION_TERMS, CONDITION_PRECISION).rho
-               for j in (1, 2, 3)}
+        rho = {j: system_rho(grammar, j) for j in (1, 2, 3)}
         checks = [(k, rho[1] ** k < rho[k] * (1 + SEPARATION_MARGIN), rho[1] ** k, rho[k])
                   for k in (2, 3)]
         ok = all(c[1] for c in checks)
         detail = "; ".join(f"rho^{k}={a:.6g} vs rho_k={b:.6g}" for k, _, a, b in checks)
         c3 = ConditionProbe(ok, detail, tuple(checks))
-    except InsufficientData as exc:
+    except (InsufficientData, OverflowError) as exc:
         c3 = ConditionProbe(None, str(exc))
 
     return ConditionReport(c1, c2, c3)

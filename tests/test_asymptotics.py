@@ -1,14 +1,20 @@
 import math
 from fractions import Fraction
 
+import random
+
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from weightedgen import (birthday_asymptotic, build_counts, check_conditions,
-                         collision_envelope, collision_estimates,
+from weightedgen import (asymptotics, birthday_asymptotic, build_counts,
+                         check_conditions, collision_envelope, collision_estimates, counting,
                          estimate_singularity, extreme_weights, from_spectrum,
-                         growth_gamma, normalize, parse_grammar, weight_spectrum)
-from weightedgen.asymptotics import LADDER, InsufficientData
+                         growth_gamma, normalize, parse_grammar, rna, weight_spectrum)
+from weightedgen.asymptotics import (LADDER, InsufficientData, _fit_power,
+                                     system_rho)
+from weightedgen.cli import motzkin_grammar
+from helpers import random_valid_grammar
 
 
 def synthetic(a, b, n_terms=512):
@@ -160,3 +166,98 @@ def test_growth_gamma_series_route_matches_root_route():
                                 n_terms=192, precision=256).gamma
     root_gamma = rna.gamma_from_rho(rna.RnaModel(theta=3, pair_energy=-3.0))
     assert abs(series_gamma - root_gamma) < 5e-3
+
+
+# ---------------------------------------------------------------------------
+# rho from the polynomial system
+
+
+@pytest.mark.parametrize("W", [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)])
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_system_rho_matches_motzkin_closed_form(W, j):
+    g = normalize(motzkin_grammar().with_weights({".": W}))
+    expected = 1 / (float(W) ** j + 2)
+    assert abs(system_rho(g, j) - expected) <= 1e-10 * expected
+
+
+@pytest.mark.parametrize("theta, energy", [(1, -1.0), (1, -3.0), (3, -1.0), (3, -3.0)])
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_system_rho_matches_rna_discriminant_root(theta, energy, j):
+    w = rna.RnaModel(theta=theta, pair_energy=energy).w
+    expected = rna.rna_rho(w ** j, theta)
+    assert abs(system_rho(normalize(rna.rna_grammar(theta, w)), j) - expected) \
+        <= 1e-10 * expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    # a pole: y = 3zy + z
+    ("axiom S\nterminal a weight 3\nterminal b\nS -> a S | b\n", 1 / 3),
+    # Dyck words, even lengths only: y = z^2 y^2 + 1
+    ("axiom S\nterminal (\nterminal )\nS -> ( S ) S | _\n", 1 / 2),
+], ids=["pole", "dyck"])
+def test_system_rho_of_pole_and_periodic_languages(text, expected):
+    assert abs(system_rho(normalize(parse_grammar(text))) - expected) <= 1e-10 * expected
+
+
+def test_a_polished_z_off_rho_fails_certification(monkeypatch):
+    polish = asymptotics._polish
+
+    def off(terms, n, lo, hi, y):
+        z = polish(terms, n, lo, hi, y)
+        return None if z is None else min(hi, z * (1 + 1e-7))
+
+    monkeypatch.setattr(asymptotics, "_polish", off)
+    g = normalize(motzkin_grammar().with_weights({".": Fraction(2)}))
+    assert abs(system_rho(g, 2) * 6 - 1) <= 1e-10
+
+
+def test_finite_language_leaves_the_separation_probe_inconclusive():
+    g = normalize(parse_grammar("axiom S\nterminal a\nterminal b\nS -> a b\n"))
+    with pytest.raises(InsufficientData):
+        system_rho(g)
+    probe = check_conditions(g).bounded_dependency
+    assert probe.holds is None and probe.data == ()
+
+
+@pytest.mark.parametrize("W", [Fraction(10) ** 150, Fraction(1, 10 ** 150)])
+def test_system_rho_at_extreme_weights_is_right_or_refused(W):
+    g = normalize(motzkin_grammar().with_weights({".": W}))
+    answered = 0
+    for j in (1, 2, 3):
+        try:
+            rho = system_rho(g, j)
+        except OverflowError:
+            continue
+        answered += 1
+        assert abs(rho * (W ** j + 2) - 1) <= 1e-10
+    assert answered >= 2
+    probe = check_conditions(g).bounded_dependency
+    assert probe.holds in (True, None)
+
+
+def test_check_conditions_builds_no_fixed_point_table(motzkin_h2_norm, monkeypatch):
+    built = []
+    init = counting.CountTable.__init__
+
+    def record(self, grammar, weights, horizon, precision=None):
+        built.append(precision)
+        init(self, grammar, weights, horizon, precision)
+
+    monkeypatch.setattr(counting.CountTable, "__init__", record)
+    assert check_conditions(motzkin_h2_norm).all_pass
+    assert built and all(p is None for p in built)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3),
+       st.lists(st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8),
+                min_size=3, max_size=3))
+def test_system_rho_agrees_with_converged_fits(seed, j, weights):
+    grammar = random_valid_grammar(random.Random(seed))
+    g = normalize(grammar.with_weights(dict(zip(sorted(grammar.terminals), weights))))
+    try:
+        fit = _fit_power(g, j, 256, 256)
+    except InsufficientData:
+        return
+    if fit.converged:
+        assert abs(system_rho(g, j) - fit.rho) <= 1e-3 * fit.rho

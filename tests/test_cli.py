@@ -223,9 +223,9 @@ def test_asymptotics_builds_each_table_once(monkeypatch):
     code, _, _ = run_cli("asymptotics", "--builtin", "motzkin", "--weight", ".=2",
                          "--collision-n", "40")
     assert code == 0
-    # W and W^2 fitted at 256 terms, the condition probes' exact ladder table
-    # and W, W^2, W^3 fits at 160 terms, and the exact W and W^2 tables at n=40
-    assert len(built) == len(set(built)) == 8
+    # W and W^2 fitted at 256 terms, the diversity probe's exact ladder table,
+    # and the exact W and W^2 tables at n=40; the separation probe builds none
+    assert len(built) == len(set(built)) == 5
 
 
 def test_rna_report_and_sweep():
