@@ -1,16 +1,16 @@
 import math
-from fractions import Fraction
-
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightedgen import (asymptotics, birthday_asymptotic, build_counts,
-                         check_conditions, collision_envelope, collision_estimates, counting,
-                         estimate_singularity, extreme_weights, from_spectrum,
-                         growth_gamma, normalize, parse_grammar, rna, weight_spectrum)
+                         check_conditions, collision_envelope,
+                         collision_estimates, counting, estimate_singularity,
+                         extreme_weights, from_spectrum, growth_gamma,
+                         normalize, parse_grammar, rna, weight_spectrum)
 from weightedgen.asymptotics import (LADDER, InsufficientData, _fit_power,
                                      system_rho)
 from weightedgen.cli import motzkin_grammar
