@@ -21,11 +21,11 @@ from .urns import (AnalyticsReport, CouponBounds, Expectation, Occupancy,
 from .asymptotics import (CollisionEstimates, ConditionReport, GammaEstimate,
                           SingularityEstimate, check_conditions,
                           collision_envelope, collision_estimates,
-                          estimate_singularity, growth_gamma)
+                          collision_growth_base, estimate_singularity,
+                          growth_gamma)
 from .rna import (RnaModel, class_counts_by_pairs, coverage_rows,
-                  gamma_from_rho, pair_spectrum, pair_weight, rna_delta,
-                  rna_grammar, rna_report, rna_rho, rna_series,
-                  structure_counts)
+                  pair_spectrum, pair_weight, rna_grammar, rna_report, rna_rho,
+                  rna_series, structure_counts)
 from .numerics import DEFAULT_SEED
 
 __version__ = "0.1.0"

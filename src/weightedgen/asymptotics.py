@@ -20,21 +20,22 @@ certifies each result within a relative CERTIFY = 1e-10.
 Every analytic reads the grammar's own weights W (reweight with
 `with_weights` before `normalize`): `growth_gamma` through `_fit_power`, the
 fit of the table for W^j at j = 1 and 2, with the tail length and precision
-it is given; the condition probes through `system_rho` at j = 1, 2 and 3,
-which builds no table.
+it is given; the condition probes and `collision_growth_base` through
+`system_rho` and `max_weight_growth`, which build no table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from graphlib import CycleError, TopologicalSorter
 
 from mpmath import mp
 
-from .counting import _extreme_row, build_counts, moment
+from .counting import build_counts, moment
+from .grammar import has_positive_pump
 from .numerics import collision_plug_in, to_mpf
 
 
@@ -47,8 +48,8 @@ RATIO_DEPTH = 10
 SEPARATION_MARGIN = 1e-3
 # fewest bits of coefficient precision the ratio extrapolation can carry
 MIN_FIT_PRECISION = 128
-# lengths of the diversity probe
-LADDER = (8, 16, 32, 64)
+# relative width at which the bisection for log M stops
+GROWTH_TOLERANCE = 1e-15
 # Newton steps per oracle call; a step below CONVERGED times |y| has
 # converged, and one that stops shrinking below STALL times |y| has stalled
 ORACLE_STEPS = 200
@@ -61,8 +62,9 @@ POLISH_WIDTH = 3e-2
 POLISH_RETRY = 1e-2
 POLISH_STEPS = 12
 CERTIFY = 1e-10
-# the bracket search probes z = 2^e and 2^-e times the first probe, z = 1
-SEARCH_EXPONENTS = (1, 3, 7, 15, 31, 63, 127, 255, 511, 1023)
+# the bracket search probes z = 2^e and 2^-e times the first probe, z = 1;
+# doubles stop at 2^1023, mpfs go on to cover weights of 4300 digits
+SEARCH_EXPONENTS = tuple(2 ** k - 1 for k in range(1, 18))
 
 
 class InsufficientData(ValueError):
@@ -230,19 +232,6 @@ def growth_gamma(grammar, *, n_terms: int = 256, precision: int = 256) -> GammaE
 
 # ---------------------------------------------------------------------------
 # the dominant singularity from the grammar's polynomial system
-
-
-def _finite(g) -> bool:
-    """True when no nonterminal of g reaches itself.  Validation rejects
-    same-length rewrite cycles, so every cycle adds letters: the language is
-    finite exactly when there is none."""
-    graph = {nt: {s for r in g.rules if r.lhs == nt for s in r.rhs if s in g.nonterminals}
-             for nt in g.nonterminals}
-    try:
-        TopologicalSorter(graph).prepare()
-    except CycleError:
-        return False
-    return True
 
 
 def _system(g, power: int):
@@ -431,13 +420,15 @@ def _scaled_rho(terms, n: int, num):
             lo, y_lo = z, y
         return y is not None
 
+    exponents = [e for e in SEARCH_EXPONENTS if num is not float or e < sys.float_info.max_exp]
     up = probe(one)
-    for e in SEARCH_EXPONENTS:
+    for e in exponents:
         if lo is not None and hi is not None:
             break
         probe(one * 2 ** e if up else one / 2 ** e)
     if lo is None or hi is None:
-        raise OverflowError("no singularity within a factor 2^1023 of the largest weight")
+        raise OverflowError(f"no singularity within a factor 2^{exponents[-1]} of the "
+                            "largest weight")
     width = POLISH_WIDTH
     while True:
         if hi <= lo * (1 + width):
@@ -453,34 +444,79 @@ def _scaled_rho(terms, n: int, num):
         probe(mid)
 
 
+def _infinite(g):
+    if not has_positive_pump(g, lambda t: 1.0):
+        raise InsufficientData("a finite language has no singularity")
+
+
+def _system_rho_scaled(g, power: int):
+    """(rho_s, W): rho = rho_s / W for the source grammar g and the weights
+    w^power, whose largest is W.  In doubles; on 53-bit mpfs, whose exponents
+    do not overflow, when a scaled term coefficient leaves the double range."""
+    _infinite(g)
+    n, terms, top = _system(g, power)
+    num = float if all(c >= sys.float_info.min for _, c, _, _ in terms) else to_mpf
+    with mp.workprec(53):
+        return _scaled_rho(terms, n, num), top
+
+
 def system_rho(grammar, power: int = 1) -> float:
     """The dominant singularity rho (the radius of convergence of the
     generating function) for the grammar's weights raised to `power`, read
     from the polynomial system of its source grammar.
 
-    In doubles, on the system scaled by the largest weight; on 53-bit mpfs
-    when a scaled term coefficient leaves the normal double range, since
-    their exponents do not overflow.  The oracle certifies the result within
-    a relative CERTIFY = 1e-10; the tests hold it to 1e-10 of the closed
-    forms, and the polish usually lands within a few units of the last
-    place.  A finite language has no singularity (InsufficientData), and a
-    rho outside the normal double range raises OverflowError.
+    The oracle certifies the result within a relative CERTIFY = 1e-10; the
+    tests hold it to 1e-10 of the closed forms, and the polish usually lands
+    within a few units of the last place.  A finite language has no
+    singularity (InsufficientData), and a rho outside the normal double range
+    raises OverflowError.
     """
-    g = grammar.original
-    if _finite(g):
-        raise InsufficientData("a finite language has no singularity")
-    n, terms, top = _system(g, power)
-    if all(c >= sys.float_info.min for _, c, _, _ in terms):
-        scaled = _scaled_rho(terms, n, float)
-        with mp.workprec(53):
-            rho = float(mp.mpf(scaled) / to_mpf(top))
-    else:
-        with mp.workprec(53):
-            rho = float(_scaled_rho(terms, n, to_mpf) / to_mpf(top))
+    scaled, top = _system_rho_scaled(grammar.original, power)
+    with mp.workprec(53):
+        rho = float(to_mpf(scaled) / to_mpf(top))
     if not sys.float_info.min <= rho < math.inf:
         raise OverflowError(f"rho for the weights to the power {power} is outside "
                             "the double range")
     return rho
+
+
+def max_weight_growth(grammar) -> float:
+    """M = lim maxweight(n)^(1/n): log M is the largest mean log weight per
+    letter over the pumps A =>* uAv, a maximum cycle mean in the (max, +)
+    semiring (Karp, Discrete Math. 23, 1978).  With letters worth
+    log w_t - lam, `has_positive_pump` tells lam < log M from lam >= log M;
+    M is the upper end of the bracket that bisection of [min log w, max log w]
+    leaves at a width of GROWTH_TOLERANCE * max(1, |log M|).  A finite
+    language has none (InsufficientData).
+    """
+    g = grammar.original
+    _infinite(g)
+    logs = {t: math.log(w.numerator) - math.log(w.denominator) for t, w in g.weights.items()}
+    lo, hi = min(logs.values()), max(logs.values())
+    while hi - lo > GROWTH_TOLERANCE * max(1.0, abs(hi)):
+        mid = (lo + hi) / 2
+        if has_positive_pump(g, lambda t: logs[t] - mid):
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(hi)
+
+
+def collision_growth_base(grammar) -> float:
+    """gamma = sqrt(rho_{W^2}) / rho_W >= 1, the per-length factor of the
+    expected first-collision time total * sqrt(pi/2) / sqrt(total_sq), since
+    the totals grow like rho^(-n).  Memoised per source grammar, and read as
+    sqrt(rho_s2) / rho_s1 (`_system_rho_scaled`), which stays in range where
+    the rho do not."""
+    return _growth_base(grammar.original)
+
+
+@functools.lru_cache(maxsize=256)
+def _growth_base(g) -> float:
+    rho_s1, _ = _system_rho_scaled(g, 1)
+    rho_s2, _ = _system_rho_scaled(g, 2)
+    with mp.workprec(53):
+        return float(mp.sqrt(to_mpf(rho_s2)) / to_mpf(rho_s1))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +532,7 @@ class ConditionProbe:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    diversity: ConditionProbe        # max word probability decays exponentially
+    diversity: ConditionProbe        # max word probability decays exponentially: rho * M < 1
     log_positive: ConditionProbe     # all weights > 1 (checked exactly)
     bounded_dependency: ConditionProbe  # rho_W^k < rho_{W^k} for k = 2, 3
 
@@ -509,9 +545,9 @@ class ConditionReport:
         def tag(p):
             return {True: "pass", False: "FAIL", None: "inconclusive"}[p.holds]
         return "\n".join([
-            f"diversity (heuristic probe): {tag(self.diversity)} - {self.diversity.detail}",
+            f"diversity (rho*M < 1, certified): {tag(self.diversity)} - {self.diversity.detail}",
             f"log-positive weights (exact): {tag(self.log_positive)} - {self.log_positive.detail}",
-            f"bounded dependency (heuristic probe): {tag(self.bounded_dependency)} - "
+            f"bounded dependency (rho^k < rho_k, certified): {tag(self.bounded_dependency)} - "
             f"{self.bounded_dependency.detail}",
         ])
 
@@ -519,12 +555,15 @@ class ConditionReport:
 def check_conditions(grammar) -> ConditionReport:
     """Probe the three growth conditions behind the collision asymptotics.
 
-    The weight positivity check is exact, and the exponential-decay probe is
-    a finite-n heuristic, labeled so.  The singularity-separation probe
-    compares rho_W^k with rho_{W^k} for k = 2, 3, each from `system_rho`
-    (certified within a relative CERTIFY = 1e-10), with a relative slack of
-    SEPARATION_MARGIN; it builds no count table.  It is inconclusive for a
-    finite language and for a rho outside the double range.
+    None builds a count table.  The weight positivity check is exact.  The
+    largest word probability maxweight(n) / total(n) behaves like (rho * M)^n
+    up to subexponential factors: it decays exponentially, with base
+    beta = 1 / (rho * M), exactly when rho * M < 1, and as rho * M <= 1 the
+    probe passes when rho * M < 1 - 2 * CERTIFY.  The singularity-separation
+    probe compares rho_W^k with rho_{W^k} for k = 2, 3, with a relative slack
+    of SEPARATION_MARGIN.  Each rho is certified within a relative CERTIFY
+    (`system_rho`).  Both probes are inconclusive for a finite language and
+    for a rho outside the double range.
     """
     weights = grammar.weights
     below = sorted(t for t, w in weights.items() if w < 1)
@@ -535,35 +574,24 @@ def check_conditions(grammar) -> ConditionReport:
     else:
         c2 = ConditionProbe(False, "all weights equal 1 (uniform distribution)")
 
-    # max word probability along a geometric ladder of lengths
-    pts = []
-    table = build_counts(grammar, None, LADDER[-1])
-    scale, highs = _extreme_row(grammar, LADDER[-1], largest=True)
-    for n in LADDER:
-        total = table.total(n)
-        if total == 0:
-            continue
-        pts.append((n, float(Fraction(highs[n], scale ** n) / total)))
-    if len(pts) < 2:
-        c1 = ConditionProbe(None, "too few nonempty lengths on the ladder", tuple(pts))
-    else:
-        import numpy as np  # only the fits load numpy, not every importer of the package
-        xs = np.asarray([n for n, _ in pts], dtype=float)
-        ys = np.log([p for _, p in pts])
-        slope = np.polyfit(xs, ys, 1)[0]
-        beta = float(np.exp(-slope))
-        c1 = ConditionProbe(beta > 1.01,
-                            f"fitted decay base beta~{beta:.4g} over n={list(int(x) for x in xs)}",
-                            tuple(pts))
+    try:
+        rho = {1: system_rho(grammar, 1)}
+    except (InsufficientData, OverflowError) as exc:
+        probe = ConditionProbe(None, str(exc))
+        return ConditionReport(probe, c2, probe)
+    m = max_weight_growth(grammar)
+    c1 = ConditionProbe(rho[1] * m < 1 - 2 * CERTIFY,
+                        f"decay base beta={1 / (rho[1] * m):.6g} from rho={rho[1]:.6g}, "
+                        f"M={m:.6g}", (rho[1], m))
 
     try:
-        rho = {j: system_rho(grammar, j) for j in (1, 2, 3)}
+        rho |= {j: system_rho(grammar, j) for j in (2, 3)}
         checks = [(k, rho[1] ** k < rho[k] * (1 + SEPARATION_MARGIN), rho[1] ** k, rho[k])
                   for k in (2, 3)]
         ok = all(c[1] for c in checks)
         detail = "; ".join(f"rho^{k}={a:.6g} vs rho_k={b:.6g}" for k, _, a, b in checks)
         c3 = ConditionProbe(ok, detail, tuple(checks))
-    except (InsufficientData, OverflowError) as exc:
+    except OverflowError as exc:
         c3 = ConditionProbe(None, str(exc))
 
     return ConditionReport(c1, c2, c3)

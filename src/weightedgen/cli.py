@@ -357,8 +357,8 @@ def main(argv=None) -> int:
     try:
         return COMMANDS[args.command](args)
     except (GrammarError, counting.EmptyLanguageError, counting.ClassCapExceeded,
-            asymptotics.InsufficientData, rna.RootBracketError,
-            urns.QuadratureError, ValueError, OSError) as exc:
+            asymptotics.InsufficientData, urns.QuadratureError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from graphlib import TopologicalSorter
-from itertools import product
+from itertools import count, product
 
 from .numerics import decimal_fraction
 
@@ -127,30 +127,44 @@ def _fixed_point(initial, step):
         current |= new
 
 
-def _least_solution(g, letter, one, zero, add, mul) -> dict:
-    """The least solution of the grammar's equations in a semiring.
+def _least_solution(g, letter, one, zero, add, mul, rounds=None) -> dict | None:
+    """The least solution of the grammar's equations in a semiring, or None
+    when `rounds` rounds do not settle it.
 
     {symbol: value}: letter(t) for each terminal t, and for each nonterminal
     A the `add`-sum over A's rules of the `mul`-product of their symbols'
     values, `one` for an empty right-hand side.  This is the source-grammar
     counterpart of `inside`.  Kleene iteration from `zero`: each round
     recomputes every nonterminal from the previous round's values, and the
-    first round that changes nothing ends it.  That happens when the values
-    that can occur are finitely many (counts clamped at 2 take at most
-    2|nonterminals| + 1 rounds), and for (min, +) lengths after at most
-    |nonterminals| + 1 rounds: round k covers every derivation tree of height
-    k, and some shortest word of each nonterminal has a tree repeating no
-    nonterminal along a path.
+    first round that changes nothing ends it; every round after it would
+    change nothing either.  That happens when the values that can occur are
+    finitely many (counts clamped at 2 take at most 2|nonterminals| + 1
+    rounds), and for (min, +) lengths after at most |nonterminals| + 1
+    rounds: round k covers every derivation tree of height k, and some
+    shortest word of each nonterminal has a tree repeating no nonterminal
+    along a path.
     """
     start = {t: letter(t) for t in g.terminals} | dict.fromkeys(g.nonterminals, zero)
     val = start
-    while True:
+    for _ in count() if rounds is None else range(rounds):
         new = dict(start)
         for r in g.rules:
             new[r.lhs] = add(new[r.lhs], reduce(mul, (val[s] for s in r.rhs), one))
         if new == val:
             return val
         val = new
+    return None
+
+
+def has_positive_pump(g, letter) -> bool:
+    """True when some derivation A =>* uAv of the source grammar g has a
+    positive sum of letter(t) (a float) over the letters t of uv.  Without
+    one, some best (max, +) tree of each nonterminal repeats none along a
+    path, so |nonterminals| + 2 rounds settle the values; with one, they grow
+    without bound.  Every pump has letters (`_validate`), so letter(t) = 1
+    tells an infinite language from a finite one."""
+    return _least_solution(g, letter, 0.0, -math.inf, max, operator.add,
+                           len(g.nonterminals) + 2) is None
 
 
 def _min_lengths(g) -> dict:

@@ -5,10 +5,12 @@ Structures of length n are balanced dot-parenthesis words in which every
 innermost pair encloses at least `theta` dots (theta=1 in combinatorial work,
 theta=3 in folding practice).  Attaching weight w to every opening parenthesis
 makes statistical sampling of the thermodynamic ensemble a weighted generation
-problem, and everything in this package applies.  This module adds the closed
-forms specific to the family: the explicit generating-function discriminant,
-its dominant root, and the pair/plateau structure census that yields weight
-spectra in polynomial time.
+problem, and everything in this package applies.  This module adds the
+pair/plateau structure census that yields weight spectra in polynomial time,
+and the closed forms specific to the family: the explicit generating-function
+discriminant, its series and its dominant root.  The analytics read growth
+rates from the grammar's own equations (`asymptotics`); the closed forms are
+independent checks of them.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ def rna_grammar(theta: int, w=Fraction(1)) -> WeightedGrammar:
 def rna_delta(w, theta: int) -> list:
     """Coefficients (ascending) of the discriminant polynomial of the GF.
 
-    Exact rationals whenever w is rational.  Degree 2*theta + 4.
+    Exact rationals whenever w is rational.  Degree 2*theta + 4.  Only the
+    closed-form checks (`rna_series`, `rna_rho`) read it.
     """
     w = Fraction(w)
     coeffs = [Fraction(0)] * (2 * theta + 5)
@@ -161,6 +164,14 @@ def rna_series(w, theta: int, n: int) -> list:
 @functools.cache
 def rna_rho(w, theta: int) -> float:
     """Smallest root of the discriminant in (0, 1): the dominant singularity.
+
+    A closed-form check, not an analytic of the package: the benchmark checks
+    the singularity fit against it, and the tests check
+    `asymptotics.system_rho` and `collision_growth_base` against it at
+    moderate weights.  It fails at strong ones: at theta=3, E=-60 it returns
+    rho = 7.297e-22, where `system_rho` and a 256-term coefficient fit both
+    give 7.2375e-22, and at E=30, where rho is within 1e-9 of 1, it finds no
+    root (RootBracketError).
 
     Roots come from the companion matrix (mpmath polyroots) and the smallest
     real candidate is polished by Newton iteration at high precision.  Plain
@@ -271,19 +282,6 @@ def pair_spectrum(n: int, theta: int, w) -> WeightSpectrum:
 # model-level analytics
 
 
-def gamma_from_rho(model: RnaModel) -> float:
-    """Collision growth base sqrt(rho_{w^2}) / rho_w via the closed-form roots.
-
-    This is the per-length factor of the expected first-collision time
-    total * sqrt(pi/2) / sqrt(total_sq): the totals grow like rho^(-n), so the
-    ratio grows like (sqrt(rho_{w^2}) / rho_w)^n, which exceeds 1 exactly when
-    the squared-weight singularity sits strictly beyond the square of the base
-    one; the inverted ratio would decay instead of grow.
-    """
-    w = model.w
-    return rna_rho(w * w, model.theta) ** 0.5 / rna_rho(w, model.theta)
-
-
 def rna_report(n: int, model: RnaModel, k: int | None = None) -> urns.AnalyticsReport:
     """Full analytics bundle for length-n structures under the model."""
     w = model.w
@@ -295,7 +293,7 @@ def rna_report(n: int, model: RnaModel, k: int | None = None) -> urns.AnalyticsR
                          value=asymptotics.collision_envelope(grammar, n),
                          n=n, note="finite-n plug-in from exact totals"),
         urns.ReportEntry("collision_growth_base", "asymptotic",
-                         value=gamma_from_rho(model),
+                         value=asymptotics.collision_growth_base(grammar),
                          note="per-length factor of the first-collision time"),
     ]
     entries.extend(urns.standard_report(u, n=n, k=k).entries)

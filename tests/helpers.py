@@ -8,7 +8,10 @@ oracles: the Fraction count table, the recursive method over every split,
 the sampler's subtraction walk, the Fraction-power weight classes of a
 spectrum, the 45-digit birthday quadrature, the 40-digit per-class
 occupancy sums and exponential form, the urn throws by explicit urn ids,
-and the Fraction route to an urn model's probabilities.  Exhaustive
+and the Fraction route to an urn model's probabilities.  So do the growth
+routes the grammar's equations replaced: the cycle test for a finite
+language, the diversity ladder of exact largest-word probabilities, and the
+RNA growth base from the discriminant roots.  Exhaustive
 enumeration of a source grammar's derivations (`enumerate_words`) and the
 ambiguity probe built on it (`ambiguity_probe`) live here too: they are the
 word-level oracle of normalization, counting, sampling and the RNA census.
@@ -18,6 +21,7 @@ import bisect
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from itertools import accumulate, count, product
 import math
 import operator
@@ -25,8 +29,8 @@ import operator
 from mpmath import mp
 
 from weightedgen import (Rule, WeightClass, WeightedGrammar, WeightSpectrum,
-                         GrammarError, build_counts, from_weights, normalize,
-                         parse_grammar)
+                         GrammarError, build_counts, extreme_weights,
+                         from_weights, normalize, parse_grammar, rna)
 from weightedgen.grammar import _min_lengths, inside
 from weightedgen.numerics import below, one_minus_pow, to_mpf
 from weightedgen.urns import QuadratureError, UrnClass, UrnModel, alpha
@@ -502,6 +506,42 @@ def secondary_structures(n, theta):
 
 # ---------------------------------------------------------------------------
 # random model generators (deterministic given a seed)
+
+
+# ---------------------------------------------------------------------------
+# growth-rate oracles
+
+
+def finite_language(g) -> bool:
+    """True when no nonterminal of the source grammar g reaches itself.
+    Validation rejects same-length rewrite cycles, so every cycle adds
+    letters: the language is finite exactly when there is none."""
+    graph = {nt: {s for r in g.rules if r.lhs == nt for s in r.rhs if s in g.nonterminals}
+             for nt in g.nonterminals}
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError:
+        return False
+    return True
+
+
+def ladder_decay_base(ng, lengths):
+    """The diversity ladder: exp(-slope) of the least-squares line through
+    (n, log(maxweight(n) / total(n))) at the given lengths that carry words,
+    from an exact count table and `extreme_weights`."""
+    table = build_counts(ng, None, max(lengths))
+    rows = [(n, math.log(extreme_weights(ng, n)[1] / table.total(n)))
+            for n in lengths if table.total(n)]
+    mx = math.fsum(n for n, _ in rows) / len(rows)
+    my = math.fsum(y for _, y in rows) / len(rows)
+    slope = math.fsum((n - mx) * (y - my) for n, y in rows) \
+        / math.fsum((n - mx) ** 2 for n, _ in rows)
+    return math.exp(-slope)
+
+
+def rna_growth_base(w, theta):
+    """sqrt(rho_{w^2}) / rho_w from the discriminant roots (`rna.rna_rho`)."""
+    return rna.rna_rho(w * w, theta) ** 0.5 / rna.rna_rho(w, theta)
 
 
 WEIGHT_POOL = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),

@@ -23,7 +23,7 @@ from weightedgen import (SamplerState, birthday_asymptotic, birthday_exact,
                          normalize, sample_word, simulate, uniform_urns,
                          weight_spectra, weight_spectrum, xi_estimate)
 from weightedgen import rna
-from weightedgen.asymptotics import collision_envelope
+from weightedgen.asymptotics import collision_envelope, collision_growth_base
 from weightedgen.cli import motzkin_grammar
 from helpers import (expand_urns, oracle_birthday_uniform, oracle_coupon,
                      oracle_occupancy, random_grammar, random_urn_model,
@@ -127,8 +127,8 @@ def test_criterion_06_rna_growth_constants():
         model1 = rna.RnaModel(theta=1, pair_energy=-1.0)
         model3 = rna.RnaModel(theta=3, pair_energy=-3.0)
         assert model1.w > 1 and model3.w > 1
-        g1 = rna.gamma_from_rho(model1)
-        g3 = rna.gamma_from_rho(model3)
+        g1 = collision_growth_base(normalize(rna.rna_grammar(1, model1.w)))
+        g3 = collision_growth_base(normalize(rna.rna_grammar(3, model3.w)))
         assert abs(g1 - 1.54) <= 0.01, g1
         assert abs(g3 - 1.105) <= 0.005, g3
 
@@ -172,7 +172,7 @@ def test_criterion_07_rna_first_collision_at_80():
             f"published {PUBLISHED_THETA3_N80} is within 20 SE of the " \
             f"simulated mean {sim.mean:.2f} (SE {sim.stderr:.2f})"
 
-        gamma = rna.gamma_from_rho(rna.RnaModel(theta=1, pair_energy=-1.0))
+        gamma = collision_growth_base(normalize(rna.rna_grammar(1, rna.pair_weight(-1.0))))
         shown = plug_in[1] * (1.54 / gamma) ** 80
         assert abs(shown - PUBLISHED_THETA1_N80) <= PUBLISHED_THETA1_TOL * PUBLISHED_THETA1_N80, \
             f"plug-in with gamma={gamma:.5f} shown as 1.54 is {shown:.4g}, " \

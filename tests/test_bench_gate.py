@@ -17,11 +17,24 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
 
 
-def test_one_asymptotics_round_passes_the_benchmark_checks():
-    part = workloads.Asymptotics()
+def _check_one_round(part, kinds):
     ctx = part.setup(weightedgen, 1)
     part.begin(weightedgen, ctx)
     ops = next(part.rounds(1))
     records = [(spec, part.run(weightedgen, ctx, spec)) for spec in ops]
-    assert {spec["kind"] for spec in ops} == {"singularity", "conditions"}
+    assert {spec["kind"] for spec in ops} == kinds
     assert part.check(weightedgen, ctx, records) == [None] * len(ops)
+
+
+def test_one_asymptotics_round_passes_the_benchmark_checks():
+    _check_one_round(workloads.Asymptotics(), {"singularity", "conditions"})
+
+
+def test_one_analytics_round_passes_the_benchmark_checks():
+    # rna_report reads its growth base from the grammar's equations; the
+    # report checks read the rows beside it
+    _check_one_round(workloads.Analytics(), {"rna_report", "analyze", "coverage_rows"})
+
+
+def test_one_sample_round_passes_the_benchmark_checks():
+    _check_one_round(workloads.Sample(), {"sample_word"})

@@ -223,9 +223,19 @@ def test_asymptotics_builds_each_table_once(monkeypatch):
     code, _, _ = run_cli("asymptotics", "--builtin", "motzkin", "--weight", ".=2",
                          "--collision-n", "40")
     assert code == 0
-    # W and W^2 fitted at 256 terms, the diversity probe's exact ladder table,
-    # and the exact W and W^2 tables at n=40; the separation probe builds none
-    assert len(built) == len(set(built)) == 5
+    # W and W^2 fitted at 256 terms, and the exact W and W^2 tables at n=40;
+    # the condition probes build none
+    assert len(built) == len(set(built)) == 4
+
+
+@pytest.mark.parametrize("energy", ["-6102", "-440", "6059"])
+def test_rna_growth_base_at_extreme_energies(energy):
+    # the extremes pair_weight accepts; below about E=-437 the scaled
+    # system's rho for w^2 lies beyond 2^1023
+    code, out, err = run_cli("rna", "--n", "10", "--energy", energy, "--format", "csv")
+    assert code == 0 and err == ""
+    (row,) = [line for line in out.splitlines() if line.startswith("collision_growth_base,")]
+    assert row.split(",")[4] == "1.0"
 
 
 def test_rna_report_and_sweep():
@@ -307,15 +317,17 @@ def test_validation_error_independent_of_hash_seed(tmp_path, rules, seeds, named
 
 def test_sampling_counting_and_urn_simulation_leave_numpy_unloaded():
     # only the birthday quadrature (here reached by `analyze`) and the
-    # asymptotics fits import numpy
+    # asymptotics fits import numpy; the condition probes do not
     script = (
         "import sys\n"
+        "from weightedgen import check_conditions, normalize, rna\n"
         "from weightedgen.cli import main\n"
         "for argv in (['sample', '--builtin', 'rna', '--n', '20', '--k', '3'],\n"
         "             ['count', '--builtin', 'motzkin', '--n', '10'],\n"
         "             ['simulate', '--builtin', 'motzkin', '--n', '6', '--mode', 'urns',\n"
         "              '--statistic', 'distinct', '--k', '5', '--trials', '50']):\n"
         "    assert main(argv) == 0\n"
+        "assert check_conditions(normalize(rna.rna_grammar(3, 5))).all_pass\n"
         "before = 'numpy' in sys.modules\n"
         "assert main(['analyze', '--builtin', 'motzkin', '--n', '6']) == 0\n"
         "print(before, 'numpy' in sys.modules)\n")

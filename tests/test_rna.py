@@ -7,9 +7,10 @@ from weightedgen import (SamplerState, build_counts, expected_coverage,
                          expected_distinct, from_spectrum, normalize,
                          sample_word, weight_spectrum)
 from weightedgen import rna
+from weightedgen.asymptotics import collision_growth_base
 from weightedgen.urns import OCCUPANCY_REL_ERROR
 from helpers import (enumerate_words, fraction_route_urn_model, motzkin_words,
-                     plateau_profile, secondary_structures)
+                     plateau_profile, rna_growth_base, secondary_structures)
 
 WATERMAN = [1, 1, 1, 2, 4, 8, 17, 37, 82, 185, 423, 978, 2283]
 
@@ -228,13 +229,33 @@ def test_pair_spectrum_urn_models_equal_the_fraction_route(theta, energy):
             fraction_route_urn_model(u.weights, u.counts), n
 
 
+def _growth_base(theta, energy):
+    return collision_growth_base(normalize(rna.rna_grammar(theta, rna.pair_weight(energy))))
+
+
 def test_model_gamma_values():
     # stabilizing energies must raise the pair weight above 1 to reproduce the
     # published per-length collision factors
-    g1 = rna.gamma_from_rho(rna.RnaModel(theta=1, pair_energy=-1.0))
-    g3 = rna.gamma_from_rho(rna.RnaModel(theta=3, pair_energy=-3.0))
+    g1 = _growth_base(1, -1.0)
+    g3 = _growth_base(3, -3.0)
     assert abs(g1 - 1.5441) < 5e-4
     assert abs(g3 - 1.10530) < 5e-4
+
+
+@pytest.mark.parametrize("theta", [1, 2, 3, 5])
+@pytest.mark.parametrize("energy", [-1.0, -3.0, -10.0])
+def test_growth_base_matches_discriminant_roots(theta, energy):
+    expected = rna_growth_base(rna.pair_weight(energy), theta)
+    assert abs(_growth_base(theta, energy) - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("energy", [-60.0, -100.0])
+def test_growth_base_row_at_strong_pair_weights(energy):
+    # almost every weight sits on the all-pairs structures, so gamma -> 1;
+    # the discriminant roots read 0.99185 at E=-60 and 35054 at E=-100
+    rep = rna.rna_report(10, rna.RnaModel(theta=3, pair_energy=energy))
+    (gamma,) = [e.value for e in rep.entries if e.statistic == "collision_growth_base"]
+    assert abs(gamma - 1) <= 1e-12
 
 
 def test_report_bundle():
