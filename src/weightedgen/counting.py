@@ -38,6 +38,7 @@ keys and each class makes one Fraction.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -53,6 +54,10 @@ GUARD_BITS = 64
 
 # weight classes the spectrum DP may hold in one cell before it gives up
 CLASS_CAP = 200_000
+
+# top bits of a draw that a sampler compares with a node's prefix sums before
+# it draws the rest (see `sampler`)
+LIMB_BITS = 64
 
 
 class EmptyLanguageError(ValueError):
@@ -109,12 +114,12 @@ class CountTable:
     with a child of bounded length (see `grammar.inside`).
 
     A sampler's first visit to (nt, m) memoises a `Node` there (`node`):
-    two list slots per option, one 64-bit int per option summed so far and
-    one exact sum below the node's draw bound plus its options' slack.  A
-    fully visited table thus holds at most about its cells' size again
-    plus some 60 bytes per option; tracemalloc measured 0.78 MB after 1000
-    RNA words (theta=3, E=-3) at n=100 and 1.9 MB after 100 at n=200.  The
-    memo only memoises: cells, options and picks are what they would be
+    two list slots per option, one LIMB_BITS-bit int per option summed so
+    far and one exact sum below the node's draw bound plus its options'
+    slack.  A fully visited table thus holds at most about its cells' size
+    again plus some 60 bytes per option; tracemalloc measured 0.81 MB after
+    1000 RNA words (theta=3, E=-3) at n=100 and 1.9 MB after 100 at n=200.
+    The memo only memoises: cells, options and picks are what they would be
     without it, nothing is memoised while the table is built, and a node's
     known sums are replaced whole, never edited, so a table stays safe to
     share between samplers.
@@ -204,19 +209,32 @@ class CountTable:
             self._nodes[nt, m] = node
         return node
 
-    def extend(self, node: Node, r: int) -> int:
-        """The index of the first option of `node` whose prefix sum exceeds r,
-        for r at least the node's last known prefix sum: adds the next
-        options' weights to that sum until it exceeds r, then swaps in the
-        longer (hi, last) pair."""
+    def extend(self, node: Node, h: int, r: int | None, getrandbits) -> int:
+        """The index of the first option of `node` whose prefix sum exceeds
+        the draw r, when the bisect of its top bits h = r >> node.shift over
+        the known sums cannot tell; r is None while its low bits are undrawn.
+        A tie of h with a known sum's top bits draws them, if undrawn, and
+        walks.  Past the known sums, it adds the next options' weights to the
+        last sum until that sum's top bits exceed h, or the sum exceeds r
+        once r is known, drawing the low bits at a sum whose top bits are h,
+        then swaps in the longer (hi, last) pair.  So the low bits are drawn
+        exactly when some prefix sum has top bits h, however much of the
+        node is known."""
+        s = node.shift
         hi, last = node.known
-        if last > r:  # a thread sharing the table extended it since the caller looked
-            return self.walk(node, r)
+        i = bisect_right(hi, h)
+        tie = s and i and hi[i - 1] == h
+        if tie and r is None:
+            r = h << s | getrandbits(s)
+        if i < len(hi):  # a tie, or a thread sharing the table extended it
+            return self.walk(node, r) if tie else i
         hi = list(hi)
-        while last <= r:
+        while last >> s <= h and (r is None or last <= r):
             i = len(hi)
             last += self._weight(node.rules[i], node.splits[i], node.m)
-            hi.append(last >> node.shift)
+            hi.append(last >> s)
+            if r is None and hi[i] == h:
+                r = h << s | getrandbits(s)
         node.known = hi, last
         return len(hi) - 1
 
@@ -258,17 +276,19 @@ class CountTable:
 class Node:
     """One (nonterminal, length) node of the recursive method, as a sampler
     visits it: its length m, the draw bound, the shift s = max(0,
-    bound.bit_length() - 64), the rule and split of each option in the order
-    of `CountTable.choices`, and `known` = (hi, last), where last is the
-    exact sum of the first len(hi) options' weights and hi[i] is the sum of
-    the first i + 1 of them shifted right by s.  Only `CountTable.extend`
-    changes a node once it is filled, by replacing `known`."""
+    bound.bit_length() - LIMB_BITS), the bound's top bits top = bound >> s,
+    the rule and split of each option in the order of `CountTable.choices`,
+    and `known` = (hi, last), where last is the exact sum of the first
+    len(hi) options' weights and hi[i] is the sum of the first i + 1 of them
+    shifted right by s.  Only `CountTable.extend` changes a node once it is
+    filled, by replacing `known`."""
 
-    __slots__ = ("m", "bound", "shift", "rules", "splits", "known")
+    __slots__ = ("m", "bound", "shift", "top", "rules", "splits", "known")
 
     def __init__(self, m: int, bound: int):
         self.m, self.bound = m, bound
-        self.shift = max(0, bound.bit_length() - 64)
+        self.shift = max(0, bound.bit_length() - LIMB_BITS)
+        self.top = bound >> self.shift
         self.rules, self.splits = [], []
         self.known = [], 0
 

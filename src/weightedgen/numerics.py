@@ -153,9 +153,11 @@ def below(getrandbits, n: int) -> int:
     """A uniform int in [0, n) for n >= 1: draws of n.bit_length() bits from
     `getrandbits` until one falls below n.
 
-    This defines every seeded stream of the library: a Random seeded alike
-    gives the same ints on any platform.  It is the rejection loop of
-    CPython's randrange(n), so seeds keep the streams they had under it."""
+    A Random seeded alike gives the same ints on any platform.  It is the
+    rejection loop of CPython's randrange(n), so seeds keep the streams they
+    had under it.  Every urn throw of `urns.simulate` is drawn this way, and
+    so is every sampler draw below a bound of at most `counting.LIMB_BITS`
+    bits; `sampler` draws a wider bound top bits first."""
     k = n.bit_length()
     r = getrandbits(k)
     while r >= n:

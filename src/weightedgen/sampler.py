@@ -1,27 +1,39 @@
 """Random generation of fixed-length words under the weighted distribution.
 
 Words are drawn top-down by the recursive method: at each node (A, m) an
-integer r is drawn uniformly below `CountTable.draw_bound(A, m)` by
-`numerics.below`, and the pick is the first option of `CountTable.choices`
-whose prefix sum exceeds r: the option at which subtracting the options
-from r in order makes it negative.  The options always sum to at least the
-bound, so there always is one; an option that the bound cuts short is taken
-with the part of its weight below the bound.  Every table thus gives each
-word an exact rational probability, a product of ratios of stored integers.
+integer r is drawn uniformly below the bound B = `CountTable.draw_bound(A,
+m)`, and the pick is the first option of `CountTable.choices` whose prefix
+sum exceeds r: the option at which subtracting the options from r in order
+makes it negative.  The options always sum to at least the bound, so there
+always is one; an option that the bound cuts short is taken with the part
+of its weight below the bound.  Every table thus gives each word an exact
+rational probability, a product of ratios of stored integers.
+
+r is drawn top bits first, and its low bits only when they matter (Denise
+and Zimmermann, TCS 218, 1999).  With s = max(0, B.bit_length() -
+LIMB_BITS) and LIMB_BITS = 64 from `counting`, a node with s = 0 draws r
+by `numerics.below`.  Otherwise it
+draws the top bits h = r >> s as getrandbits(LIMB_BITS) and rejects h > B
+>> s; at h = B >> s it draws the s low bits at once and rejects r >= B.
+Below that, it draws the low bits only if some exact prefix sum S of the
+options ties with h (S >> s == h); without a tie every r with top bits h
+has the same pick.  So r is exactly uniform below B, a node's draws depend
+on nothing but the stream and its exact sums, and bounds below
+2^LIMB_BITS keep the streams that `below` gave them.
 
 The pick is found by bisection over the node that `CountTable.node`
-memoises on its first visit: with s = max(0, bound.bit_length() - 64), it
-keeps hi[i] = (sum of the first i + 1 options) >> s for the options summed
-so far, and the exact last of those sums.  With t = r >> s, i =
-bisect_right(hi, t) is the pick, except in two cases that exact arithmetic
-settles.  If hi[i - 1] == t and s > 0, the top bits tie and cannot tell
-whether that sum exceeds r, so `CountTable.walk` subtracts the exact
-options from r; that happens with probability about 2^-63 per draw.  If r
-reaches past every known sum (or ties the last, which the exact last sum
-settles), `CountTable.extend` adds the next options' weights to the last
-sum until it exceeds r.  So a node computes each option's weight at most
-once, and on its first visit no more than the walk would, and every seeded
-stream is the walk's, on exact and fixed-point tables alike.
+memoises on its first visit: it keeps hi[i] = (sum of the first i + 1
+options) >> s for the options summed so far, and the exact last of those
+sums.  i = bisect_right(hi, h) is the pick unless no known sum's top bits
+exceed h or, with s > 0, hi[i - 1] == h; `CountTable.extend` settles both.
+A tie with a known sum draws the low bits and subtracts the exact options
+from r (`CountTable.walk`); it has probability at most 2^-63 per sum.  Past
+the known sums, `extend` adds the next options' weights to the last sum
+until its top bits exceed h, drawing the low bits at a sum that ties.  So
+a node computes each option's weight at most once, and on its first visit
+no more than the subtraction walk would, and the low bits are drawn alike
+however much of a node is known: cold, warm and shared tables give one
+stream, on exact and fixed-point tables alike.
 
 On an exact table the options sum exactly to the bound, so a word w of
 length n is produced with probability exactly weight(w) / total(n).  On a
@@ -47,6 +59,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import counting
 from .counting import CountTable, EmptyLanguageError
 from .numerics import DEFAULT_SEED, below, substream_seed
 
@@ -59,8 +72,11 @@ class SamplerState:
     """Seeded sampling stream over a count table that any number may share.
 
     Identical (seed, grammar, weights, n, precision) produce an identical
-    word sequence on any platform: the stream is substream 0 of the seed, and
-    every draw is a `numerics.below` over its bits.
+    word sequence on any platform: the stream is substream 0 of the seed,
+    and every draw takes its bits from it by the rule of the module
+    docstring, top bits first at a bound of more than LIMB_BITS bits and
+    `numerics.below` at any other.  How much of the table is memoised, by
+    this state or any other, does not change the stream.
     """
 
     table: CountTable
@@ -80,23 +96,28 @@ def sample_word(state: SamplerState, n: int) -> tuple:
     if not table.cell(axiom, n):
         raise EmptyLanguageError(f"no words of length {n}")
     getrandbits = state.rng.getrandbits
-    node_at = table.node
+    node_at, extend = table.node, table.extend
+    limb = counting.LIMB_BITS
 
     out = []
     stack = [(axiom, n)]
     while stack:
         node = node_at(*stack.pop())
-        r = below(getrandbits, node.bound)
-        hi, last = node.known
-        top = r >> node.shift
-        i = bisect_right(hi, top)
-        if i == len(hi) and last <= r:
-            i = table.extend(node, r)
+        s = node.shift
+        if s:
+            h, r = getrandbits(limb), None
+            while h >= node.top:  # h > top rejects; h == top needs the low bits
+                if h == node.top:
+                    r = h << s | getrandbits(s)
+                    if r < node.bound:
+                        break
+                h, r = getrandbits(limb), None
         else:
-            if i == len(hi):
-                i -= 1  # the last known sum exceeds r: a tie settled by `last`
-            if i and hi[i - 1] == top and node.shift:
-                i = table.walk(node, r)
+            h = r = below(getrandbits, node.bound)
+        hi = node.known[0]
+        i = bisect_right(hi, h)
+        if i == len(hi) or s and i and hi[i - 1] == h:
+            i = extend(node, h, r, getrandbits)
         rule = node.rules[i]
         if rule.kind == "term":
             out.append(rule.rhs[0])

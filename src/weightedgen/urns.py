@@ -448,7 +448,7 @@ class CouponBounds:
     lower: Fraction             # 1/p_1
     upper: object               # 2 * H_m / p_1
     estimate: object            # Xi
-    berenbrink: tuple | None    # (Xi / (3e log2 log2 m), 2 Xi), m >= 3 only
+    berenbrink: tuple | None    # (Xi / (3e log2 log2 m), 2 Xi) as mpfs, m >= 3 only
     m: int
 
 
@@ -469,7 +469,7 @@ def coupon_bounds(u: UrnModel) -> CouponBounds:
     if u.m >= 3:
         with mp.workdps(FLOAT_DPS):
             xf = to_mpf(xi)
-            berenbrink = (float(xf / (3 * mp.e * log2log2(u.m))), float(2 * xf))
+            berenbrink = (xf / (3 * mp.e * log2log2(u.m)), 2 * xf)
     return CouponBounds(lower, upper, xi, berenbrink, u.m)
 
 
@@ -700,10 +700,19 @@ def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
 # reports
 
 
-def _fmt_number(x) -> str:
+# the most digits of an integer that a text report prints in full; a 20-digit
+# 1/p1 bound still does, while one of thousands of digits would widen every
+# row.  CSV, the exact machine-read form, prints every integer in full.
+REPORT_INT_DIGITS = 30
+
+
+def _fmt_number(x, int_digits: int | None = None) -> str:
+    """A report cell: an integer-valued Fraction in full, unless it has more
+    than `int_digits` digits; any other number with 12 significant digits."""
     if x is None:
         return ""
-    if isinstance(x, Fraction) and x.denominator == 1:
+    if isinstance(x, Fraction) and x.denominator == 1 \
+            and (int_digits is None or abs(x.numerator) < 10 ** int_digits):
         with _unlimited_digits():
             return str(x.numerator)
     with mp.workdps(30):
@@ -732,19 +741,20 @@ class ReportEntry:
 class AnalyticsReport:
     entries: tuple
 
-    def _rows(self) -> list:
-        """The header and one row of cells per entry; the note comes last."""
+    def _rows(self, int_digits: int | None = None) -> list:
+        """The header and one row of cells per entry; the note comes last.
+        Integers of more than `int_digits` digits print as other numbers do."""
         rows = [("statistic", "method", "n", "k", "value", "lower", "upper", "note")]
         for e in self.entries:
             rows.append((e.statistic, e.method,
                          "" if e.n is None else str(e.n),
                          "" if e.k is None else str(e.k),
-                         _fmt_number(e.value), _fmt_number(e.lower),
-                         _fmt_number(e.upper), e.note))
+                         *(_fmt_number(x, int_digits) for x in (e.value, e.lower, e.upper)),
+                         e.note))
         return rows
 
     def to_text(self) -> str:
-        rows = self._rows()
+        rows = self._rows(REPORT_INT_DIGITS)
         widths = [max(map(len, column)) for column in zip(*rows)]
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
                  for row in rows]
@@ -784,8 +794,8 @@ def standard_report(u: UrnModel, *, n: int | None = None,
         fo = coverage_first_order(u, k)
         entries.append(ReportEntry("coverage", "first_order", value=fo.value,
                                    n=n, k=k,
-                                   note="valid" if fo.valid else
-                                   f"invalid: k*p_max={_fmt_number(fo.k_p_max)}"))
+                                   note="valid" if fo.valid else "invalid: k*p_max="
+                                   + _fmt_number(fo.k_p_max, REPORT_INT_DIGITS)))
         entries.append(ReportEntry("occupied_weight", "exact",
                                    value=occ.occupied_weight, n=n, k=k))
     return AnalyticsReport(tuple(entries))

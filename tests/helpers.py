@@ -29,7 +29,7 @@ import operator
 from mpmath import mp
 
 from weightedgen import (Rule, WeightClass, WeightedGrammar, WeightSpectrum,
-                         GrammarError, build_counts, extreme_weights,
+                         GrammarError, build_counts, counting, extreme_weights,
                          from_weights, normalize, parse_grammar, rna)
 from weightedgen.grammar import _min_lengths, inside
 from weightedgen.numerics import below, one_minus_pow, to_mpf
@@ -223,20 +223,40 @@ def inside_unpruned(ng, horizon, letter, one, zero, add, dot):
 
 def walk_sample_word(state, n):
     """One word of length n by the subtraction walk, the route the memoised
-    bisect of `sample_word` replaced: at each node a draw r below the draw
-    bound, minus the options of `CountTable.choices` in order until it goes
-    negative.  It consumes the stream alike, so it is the oracle of every
-    seeded sampler stream."""
+    bisect of `sample_word` replaced, under the sampler's stream rule.  At a
+    node whose draw bound B has s = B.bit_length() - LIMB_BITS > 0 bits past
+    the limb, a draw is first its top bits h < B >> s (h = B >> s draws the s
+    low bits at once, and both reject a draw of B or more); the walk then
+    subtracts the options of `CountTable.choices` in order from the range
+    [h << s, (h + 1) << s) of draws with top bits h until all of it is
+    negative, and draws the low bits the first time a prefix sum falls in
+    that range.  With s <= 0 the draw is `below` the bound.  It consumes the
+    stream alike, so it is the oracle of every seeded sampler stream."""
     table = state.table
     getrandbits = state.rng.getrandbits
     out = []
     stack = [(table.grammar.axiom, n)]
     while stack:
         nt, m = stack.pop()
-        r = below(getrandbits, table.draw_bound(nt, m))
+        bound = table.draw_bound(nt, m)
+        s = max(0, bound.bit_length() - counting.LIMB_BITS)
+        if s:
+            top = bound >> s
+            while True:
+                h = getrandbits(counting.LIMB_BITS)
+                lo, up = h << s, (h + 1 << s) - 1
+                if h == top:
+                    lo = up = lo | getrandbits(s)
+                if up < bound:
+                    break
+        else:
+            lo = up = below(getrandbits, bound)
         for weight, rule, j in table.choices(nt, m):
-            r -= weight
-            if r < 0:
+            lo -= weight
+            up -= weight
+            if lo < up and lo <= 0 <= up:
+                lo = up = lo + getrandbits(s)
+            if up < 0:
                 break
         if rule.kind == "term":
             out.append(rule.rhs[0])

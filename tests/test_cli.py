@@ -238,6 +238,25 @@ def test_rna_growth_base_at_extreme_energies(energy):
     assert row.split(",")[4] == "1.0"
 
 
+def test_rna_report_rows_stay_narrow_and_finite_at_the_weakest_energy():
+    # at E=-6102 the 1/p1 bound is an integer of 12901 digits and the
+    # Berenbrink interval passes the double range: in the text report the
+    # integer prints with 12 significant digits like the other numbers, and
+    # the interval as finite mpfs there and in CSV, which keeps the integer
+    code, text, err = run_cli("rna", "--n", "10", "--energy=-6102")
+    assert code == 0 and err == ""
+    assert max(map(len, text.splitlines())) < 200
+    bounds = [cells[3:5] for cells in map(str.split, text.splitlines())
+              if cells[:2] == ["full_collection", "bound"]]
+    assert bounds == [["5.28513850949e+12900", "5.03068606464e+12901"],
+                      ["2.50198904378e+12899", "1.0570277019e+12901"]]
+    code, csv, _ = run_cli("rna", "--n", "10", "--energy=-6102", "--format", "csv")
+    bounds = [line.split(",")[5:] for line in csv.splitlines()
+              if line.startswith("full_collection,bound,")]
+    assert len(bounds[0][0]) == 12901
+    assert bounds[1] == ["2.50198904378e+12899", "1.0570277019e+12901"]
+
+
 def test_rna_report_and_sweep():
     code, out, _ = run_cli("rna", "--theta", "3", "--energy", "-3",
                            "--n", "15", "--k", "50")

@@ -8,7 +8,7 @@ from itertools import accumulate
 import pytest
 
 from weightedgen import (EmptyLanguageError, RnaModel, SamplerState,
-                         branch_distribution, build_counts, normalize,
+                         branch_distribution, build_counts, counting, normalize,
                          parse_grammar, rna_grammar, sample_word,
                          word_probability, word_weight)
 from helpers import enumerate_words, random_grammar, walk_sample_word
@@ -153,24 +153,33 @@ def test_fixed_point_node_probabilities_are_exact_ratios():
 
 class Scripted:
     """A stand-in for `random.Random` whose getrandbits returns the scripted
-    draws in turn, then zeros."""
+    draws in turn, then zeros; `used` counts the calls."""
 
     def __init__(self, draws):
         self.draws = iter(draws)
+        self.used = 0
 
     def getrandbits(self, k):
+        self.used += 1
         return next(self.draws, 0)
+
+
+def top_low(node, r):
+    """The two draws that make r at `node`: its top bits, then its low bits."""
+    return divmod(r, 1 << node.shift)
 
 
 def scripted_words(table, draws, count):
     """`count` words of sample_word on `table` and of the subtraction walk on a
-    fresh table alike, from one script each; asserts they agree."""
+    fresh table alike, from one script each; asserts that they agree and
+    that both use all of the script and then the same number of zeros."""
     n = table.horizon
     state, oracle = SamplerState(table), SamplerState(
         build_counts(table.grammar, None, n, table.precision))
     state.rng, oracle.rng = Scripted(draws), Scripted(draws)
     words = [sample_word(state, n) for _ in range(count)]
     assert words == [walk_sample_word(oracle, n) for _ in range(count)]
+    assert state.rng.used == oracle.rng.used >= len(draws)
     return words
 
 
@@ -184,6 +193,7 @@ def five_letters(monkeypatch):
     sums = list(accumulate(w for w, _, _ in table.choices(g.axiom, 1)))
     node = table.node(g.axiom, 1)
     assert node.shift > 0 and all((x - 1) >> node.shift == x >> node.shift for x in sums)
+    assert sums[-1] == node.bound
     walks = []
     walk = table.walk
     monkeypatch.setattr(table, "walk", lambda node, r: walks.append(r) or walk(node, r))
@@ -191,12 +201,14 @@ def five_letters(monkeypatch):
 
 
 def test_cold_node_is_extended_across_draws(five_letters):
+    # top bits 0 tie with no sum: one draw; r = sums[1] and r = sums[3] tie
+    # with the sum they equal, so their low bits are drawn on the way
     table, node, sums, walks = five_letters
     state = SamplerState(table)
-    state.rng = Scripted([0, sums[1], sums[3]])
-    for letter, known in (("a", 1), ("c", 3), ("e", 5)):
+    state.rng = Scripted([0, *top_low(node, sums[1]), *top_low(node, sums[3])])
+    for letter, known, used in (("a", 1, 1), ("c", 3, 3), ("e", 5, 5)):
         assert sample_word(state, 1) == (letter,)
-        assert len(node.known[0]) == known
+        assert len(node.known[0]) == known and state.rng.used == used
     assert node.known[1] == sums[-1] and not walks
 
 
@@ -204,17 +216,21 @@ def test_tie_at_the_last_known_sum_is_settled_exactly(five_letters):
     # r = sums[0] - 1 shares the top bits of the only known sum, which exceeds
     # it: option 0, with no walk and no product; r = sums[0] extends the node
     table, node, sums, walks = five_letters
-    words = scripted_words(table, [0, sums[0] - 1, sums[0]], 3)
+    words = scripted_words(table, [0, *top_low(node, sums[0] - 1),
+                                   *top_low(node, sums[0])], 3)
     assert words == [("a",), ("a",), ("b",)]
     assert len(node.known[0]) == 2 and not walks
 
 
 def test_tie_inside_the_known_sums_walks(five_letters):
+    # r = bound - 1 has the bound's top bits, so its low bits come at once;
     # with every sum known, r just below sums[1] and r = sums[1] share its
-    # top bits: only the exact walk tells option 1 from option 2
+    # top bits: only the exact walk tells option 1 from option 2.  A draw
+    # halfway between sums[2] and sums[3] ties with neither: its top bits pick
     table, node, sums, walks = five_letters
     middle = (sums[2] + sums[3]) // 2
-    words = scripted_words(table, [sums[-1] - 1, sums[1] - 1, sums[1], middle], 4)
+    words = scripted_words(table, [*top_low(node, sums[-1] - 1), *top_low(node, sums[1] - 1),
+                                   *top_low(node, sums[1]), middle >> node.shift], 4)
     assert words == [("e",), ("b",), ("c",), ("d",)]
     assert walks == [sums[1] - 1, sums[1]]
 
@@ -223,22 +239,181 @@ def test_extend_past_a_draw_gives_the_walks_pick(five_letters):
     # a thread sharing the table may extend a node between another's bisect
     # and its call to extend
     table, node, sums, _ = five_letters
-    assert table.extend(node, sums[3]) == 4
-    assert table.extend(node, sums[1]) == table.walk(node, sums[1]) == 2
+    s = node.shift
+    assert table.extend(node, sums[3] >> s, sums[3], None) == 4
+    assert table.extend(node, sums[1] >> s, sums[1], None) == table.walk(node, sums[1]) == 2
+    low = Scripted([sums[1] & (1 << s) - 1])
+    assert table.extend(node, sums[1] >> s, None, low.getrandbits) == 2 and low.used == 1
+    assert table.extend(node, (sums[2] + sums[3]) >> s + 1, None, None) == 3
 
 
 def test_clipped_last_option_on_a_fixed_point_table(motzkin):
     # with '.' weighing 5/3 the pair options at the axiom sum to more than the
     # bound, and the last one is cut short: r = bound - 1 is the last draw
-    # that reaches it
+    # that reaches it, and it has the bound's top bits
     g = normalize(motzkin.with_weights({".": Fraction(5, 3)}))
     table = build_counts(g, None, 6, precision=24)
     axiom = g.axiom
     sums = list(accumulate(w for w, _, _ in table.choices(axiom, 6)))
-    bound = table.draw_bound(axiom, 6)
-    assert sums[-2] < bound < sums[-1]
-    scripted_words(table, [bound - 1], 1)
-    assert len(table.node(axiom, 6).known[0]) == len(sums)
+    node = table.node(axiom, 6)
+    top, low = top_low(node, node.bound - 1)
+    assert sums[-2] < node.bound < sums[-1] and top == node.top
+    scripted_words(table, [top, low], 1)
+    assert len(node.known[0]) == len(sums)
+
+
+# ---------------------------------------------------------------------------
+# the law of one draw, and one stream however much of a table is memoised
+
+
+class Branch(Exception):
+    """An unscripted draw of `k` bits."""
+
+    def __init__(self, k):
+        self.k = k
+
+
+class Rejected(Exception):
+    """A draw past the last one of an attempt: the attempt was rejected."""
+
+
+class Picked(Exception):
+    """sample_word moved on to the first child of its pick."""
+
+
+class Attempt:
+    """A getrandbits over the first attempt at `node`: returns the scripted
+    (bits, value) draws in turn and raises Branch for the next one.  An
+    attempt draws once at a bound of at most LIMB_BITS bits or at top bits
+    above the bound's, twice otherwise; a draw past those raises Rejected."""
+
+    def __init__(self, node, script):
+        self.script = script
+        first = script[0][1] if script else 0
+        self.length = 1 if not node.shift or first > node.top else 2
+        self.used = 0
+
+    def getrandbits(self, k):
+        if self.used == self.length:
+            raise Rejected
+        if self.used == len(self.script):
+            raise Branch(k)
+        bits, value = self.script[self.used]
+        assert bits == k
+        self.used += 1
+        return value
+
+
+def attempt_law(table, n, monkeypatch) -> dict:
+    """{(first child or letter, split): probability} of the first attempt
+    of sample_word at the axiom node (nt, n), with None for a rejection, by
+    running it on every sequence of draws; a sequence weighs 2^-(its bits).
+    Each sequence runs from a cold node and from a fully known one, which
+    must draw alike."""
+    axiom = table.grammar.axiom
+    node = table.node(axiom, n)
+    cold = node.known
+    table.extend(node, node.top, node.bound - 1, None)
+    known = node.known
+
+    def axiom_only(nt, m):
+        if (nt, m) != (axiom, n):
+            raise Picked(nt, m)
+        return node
+
+    monkeypatch.setattr(table, "node", axiom_only)
+    state = SamplerState(table)
+    law = Counter()
+    pending = [()]
+    while pending:
+        script = pending.pop()
+        outcomes = []
+        for node.known in (cold, known):
+            state.rng = Attempt(node, script)
+            try:
+                (letter,) = sample_word(state, n)
+                outcomes.append((letter, 1))
+            except Picked as picked:
+                outcomes.append(picked.args)
+            except Rejected:
+                outcomes.append(None)
+            except Branch as branch:
+                outcomes.append(branch.k)
+        assert outcomes[0] == outcomes[1]
+        if isinstance(outcomes[0], int):
+            k = outcomes[0]
+            pending += [script + ((k, v),) for v in range(2 ** k)]
+        else:
+            law[outcomes[0]] += Fraction(1, 2 ** sum(k for k, _ in script))
+    return law
+
+
+# a pair rule S -> S S at every split, one with a letter first, and two letters
+SPLITS = ("axiom S\nterminal a weight 5/3\nterminal b weight 1/2\nterminal c\n"
+          "S -> S S | a S | b | c\n")
+
+
+@pytest.mark.parametrize("limb", [2, 3])
+@pytest.mark.parametrize("source,n,precision", [
+    pytest.param(FIVE_LETTERS, 1, None, id="letters-exact"),
+    pytest.param(FIVE_LETTERS, 1, 2, id="letters-p2"),
+    pytest.param(SPLITS, 2, None, id="splits2-exact"),
+    pytest.param(SPLITS, 3, None, id="splits3-exact"),
+    pytest.param(SPLITS, 2, 2, id="splits2-p2"),
+    pytest.param(SPLITS, 3, 2, id="splits3-p2"),
+    pytest.param(SPLITS, 3, 3, id="splits3-p3")])
+def test_one_attempt_draws_each_option_with_its_exact_share(monkeypatch, limb, source,
+                                                             n, precision):
+    # With a limb of 2 or 3 bits every node draws top bits first, and
+    # GUARD_BITS = 0 keeps fixed-point cells a few bits wide, so every draw
+    # sequence of an attempt can be run.  Accepted with probability B / 2^L
+    # at a bound B of L bits, an attempt picks each option with its weight
+    # over B, the last one cut short at the bound (SPLITS at n = 3 on either
+    # fixed-point table), as `branch_distribution` weighs it.
+    monkeypatch.setattr(counting, "LIMB_BITS", limb)
+    monkeypatch.setattr(counting, "GUARD_BITS", 0)
+    g = normalize(parse_grammar(source))
+    table = build_counts(g, None, n, precision)
+    bound = left = table.draw_bound(g.axiom, n)
+    expected = {}
+    for weight, rule, j in table.choices(g.axiom, n):
+        if left > 0:
+            expected[rule.rhs[0], j] = Fraction(min(weight, left), bound)
+        left -= weight
+    assert sum(expected.values()) == 1 and bound.bit_length() > limb
+    law = attempt_law(table, n, monkeypatch)
+    accepted = 1 - law.pop(None)
+    assert accepted == Fraction(bound, 2 ** bound.bit_length())
+    assert {key: p / accepted for key, p in law.items()} == expected
+
+
+@pytest.mark.parametrize("source,n,precision", [
+    ("rna", 100, None), ("rna", 200, None), ("motzkin", 40, 256)])
+def test_cold_warm_and_shared_tables_give_one_stream(motzkin, source, n, precision):
+    # the RNA draws run to some 18000 bits at n = 200, the float256 ones
+    # to some 700: most picks are made by top bits, and the rest of each
+    # draw is drawn alike whether the node was cold, warm or extended by
+    # another stream
+    if source == "rna":
+        g = normalize(rna_grammar(3, RnaModel(theta=3, pair_energy=-3.0).w))
+    else:
+        g = normalize(motzkin.with_weights({".": 2}))
+
+    def words(table, seed=7, count=30):
+        state = SamplerState(table, seed)
+        return [sample_word(state, n) for _ in range(count)]
+
+    table = build_counts(g, None, n, precision)
+    cold = words(table)
+    words(table, 8, 100)
+    assert words(table) == cold
+    shared = build_counts(g, None, n, precision)
+    ours, other = SamplerState(shared, seed=7), SamplerState(shared, seed=8)
+    drawn = []
+    for _ in cold:
+        sample_word(other, n)
+        drawn.append(sample_word(ours, n))
+    assert drawn == cold
 
 
 def test_each_option_weight_is_computed_once_and_never_more_than_the_walk(monkeypatch):
@@ -270,9 +445,10 @@ def test_each_option_weight_is_computed_once_and_never_more_than_the_walk(monkey
 
 def test_warm_rna_stream_is_pinned():
     # 1000 words of RNA theta=3, E=-3 at n=100 from seed 1, most drawn at
-    # warm nodes; the hash is that of the subtraction walk's stream
+    # warm nodes; the hash is that of the subtraction walk's stream, whose
+    # draws take top bits first (`walk_sample_word`)
     g = normalize(rna_grammar(3, RnaModel(theta=3, pair_energy=-3.0).w))
     state = SamplerState(build_counts(g, None, 100), seed=1)
     text = "".join("".join(sample_word(state, 100)) + "\n" for _ in range(1000))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "341a7ee9af9ad68455e0ed19a86a1f95ecb9df8c767cf697986bd4b804f9a311"
+        "74ffd26fd067c5e108b1516361e4217b783de16f7bb98102dddca7de9a6a2ec6"

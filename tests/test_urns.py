@@ -290,6 +290,28 @@ def test_coupon_bounds_single_urn():
     assert cb.berenbrink is None
 
 
+def test_coupon_bounds_keep_the_berenbrink_interval_past_the_double_range():
+    # Xi is about 10^400 here: both ends stay finite 40-digit mpfs
+    u = from_weights([Fraction(1), Fraction(1), Fraction(1, 10 ** 400)])
+    cb = coupon_bounds(u)
+    lo, hi = cb.berenbrink
+    with mp.workdps(40):
+        xi = to_mpf(cb.estimate)
+        assert mp.isfinite(lo) and mp.isfinite(hi) and lo < xi < hi
+        assert hi == 2 * xi and mp.log10(hi) > 400
+
+
+def test_text_report_prints_integers_in_full_up_to_the_digit_limit():
+    digits = urns_module.REPORT_INT_DIGITS
+    assert digits >= 20  # the 20-digit 1/p1 bound of a Motzkin W=3 report
+    fmt, limit = urns_module._fmt_number, 10 ** digits
+    assert fmt(Fraction(limit - 1), digits) == str(limit - 1)
+    assert fmt(Fraction(1 - limit), digits) == str(1 - limit)
+    assert fmt(Fraction(limit), digits) == f"1.0e+{digits}"
+    assert fmt(Fraction(7 * 10 ** 12900 + 1), digits) == "7.0e+12900"
+    assert fmt(Fraction(limit)) == str(limit)
+
+
 def test_coupon_two_urns():
     u = from_weights([Fraction(1), Fraction(2)])
     cb = coupon_bounds(u)
