@@ -12,14 +12,14 @@ rational probability, a product of ratios of stored integers.
 r is drawn top bits first, and its low bits only when they matter (Denise
 and Zimmermann, TCS 218, 1999).  With s = max(0, B.bit_length() -
 LIMB_BITS) and LIMB_BITS = 64 from `counting`, a node with s = 0 draws r
-by `numerics.below`.  Otherwise it
-draws the top bits h = r >> s as getrandbits(LIMB_BITS) and rejects h > B
->> s; at h = B >> s it draws the s low bits at once and rejects r >= B.
-Below that, it draws the low bits only if some exact prefix sum S of the
-options ties with h (S >> s == h); without a tie every r with top bits h
-has the same pick.  So r is exactly uniform below B, a node's draws depend
-on nothing but the stream and its exact sums, and bounds below
-2^LIMB_BITS keep the streams that `below` gave them.
+by `numerics.below`.  Otherwise it draws the top bits h = r >> s as
+getrandbits(LIMB_BITS) and rejects h > B >> s; at h = B >> s it draws the
+s low bits at once and rejects r >= B.  Below that, it draws the low bits
+only if some exact prefix sum S of the options ties with h (S >> s == h);
+without a tie every r with top bits h has the same pick.  So r is exactly
+uniform below B, a node's draws depend on nothing but the stream and its
+exact sums, and bounds below 2^LIMB_BITS keep the streams that `below`
+gave them.
 
 The pick is found by bisection over the node that `CountTable.node`
 memoises on its first visit: it keeps hi[i] = (sum of the first i + 1

@@ -225,13 +225,14 @@ def walk_sample_word(state, n):
     """One word of length n by the subtraction walk, the route the memoised
     bisect of `sample_word` replaced, under the sampler's stream rule.  At a
     node whose draw bound B has s = B.bit_length() - LIMB_BITS > 0 bits past
-    the limb, a draw is first its top bits h < B >> s (h = B >> s draws the s
-    low bits at once, and both reject a draw of B or more); the walk then
+    the limb, a draw starts as the range [h << s, (h + 1) << s) of its top
+    bits h, redrawn while the range reaches B; at h = B >> s the s low bits
+    are drawn at once and only a draw of B or more is redrawn.  The walk
     subtracts the options of `CountTable.choices` in order from the range
-    [h << s, (h + 1) << s) of draws with top bits h until all of it is
-    negative, and draws the low bits the first time a prefix sum falls in
-    that range.  With s <= 0 the draw is `below` the bound.  It consumes the
-    stream alike, so it is the oracle of every seeded sampler stream."""
+    until all of it is negative, and draws the low bits the first time a
+    prefix sum falls inside it.  With s = 0 the draw is `below` the bound.
+    It consumes the stream alike, so it is the oracle of every seeded
+    sampler stream."""
     table = state.table
     getrandbits = state.rng.getrandbits
     out = []
