@@ -38,7 +38,6 @@ keys and each class makes one Fraction.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -209,34 +208,21 @@ class CountTable:
             self._nodes[nt, m] = node
         return node
 
-    def extend(self, node: Node, h: int, r: int | None, getrandbits) -> int:
-        """The index of the first option of `node` whose prefix sum exceeds
-        the draw r, when the bisect of its top bits h = r >> node.shift over
-        the known sums cannot tell; r is None while its low bits are undrawn.
-        A tie of h with a known sum's top bits draws them, if undrawn, and
-        walks.  Past the known sums, it adds the next options' weights to the
-        last sum until that sum's top bits exceed h, or the sum exceeds r
-        once r is known, drawing the low bits at a sum whose top bits are h,
-        then swaps in the longer (hi, last) pair.  So the low bits are drawn
-        exactly when some prefix sum has top bits h, however much of the
-        node is known."""
-        s = node.shift
+    def extend(self, node: Node, h: int) -> list:
+        """The known top bits of `node` once it knows a prefix sum whose top
+        bits exceed h, or every option: adds the next options' weights to the
+        last known sum until then and swaps in the longer (hi, last) pair.
+        It draws nothing, so the picks and draws of a sampler do not depend
+        on how much of the node is known."""
+        s, rules = node.shift, node.rules
         hi, last = node.known
-        i = bisect_right(hi, h)
-        tie = s and i and hi[i - 1] == h
-        if tie and r is None:
-            r = h << s | getrandbits(s)
-        if i < len(hi):  # a tie, or a thread sharing the table extended it
-            return self.walk(node, r) if tie else i
         hi = list(hi)
-        while last >> s <= h and (r is None or last <= r):
+        while last >> s <= h and len(hi) < len(rules):
             i = len(hi)
-            last += self._weight(node.rules[i], node.splits[i], node.m)
+            last += self._weight(rules[i], node.splits[i], node.m)
             hi.append(last >> s)
-            if r is None and hi[i] == h:
-                r = h << s | getrandbits(s)
         node.known = hi, last
-        return len(hi) - 1
+        return hi
 
     def walk(self, node: Node, r: int) -> int:
         """The index of the first option of `node` whose prefix sum exceeds r,

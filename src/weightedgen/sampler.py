@@ -24,16 +24,17 @@ gave them.
 The pick is found by bisection over the node that `CountTable.node`
 memoises on its first visit: it keeps hi[i] = (sum of the first i + 1
 options) >> s for the options summed so far, and the exact last of those
-sums.  i = bisect_right(hi, h) is the pick unless no known sum's top bits
-exceed h or, with s > 0, hi[i - 1] == h; `CountTable.extend` settles both.
-A tie with a known sum draws the low bits and subtracts the exact options
-from r (`CountTable.walk`); it has probability at most 2^-63 per sum.  Past
-the known sums, `extend` adds the next options' weights to the last sum
-until its top bits exceed h, drawing the low bits at a sum that ties.  So
-a node computes each option's weight at most once, and on its first visit
-no more than the subtraction walk would, and the low bits are drawn alike
-however much of a node is known: cold, warm and shared tables give one
-stream, on exact and fixed-point tables alike.
+sums.  When no known sum's top bits exceed h, `CountTable.extend` first
+adds the next options' weights to the last sum until one does, or every
+option is in; it draws nothing.  Then i = bisect_right(hi, h) is the pick
+unless s > 0 and hi[i - 1] == h: a tie, which draws the low bits if they
+are not drawn yet and subtracts the exact options from r
+(`CountTable.walk`); it has probability at most 2^-63 per sum.  So outside
+a tie a node computes each option's weight at most once, and on its first
+visit no more than the subtraction walk would, and the draws depend
+only on h and the node's exact sums, never on how much of it is known:
+cold, warm and shared tables give one stream, on exact and fixed-point
+tables alike.
 
 On an exact table the options sum exactly to the bound, so a word w of
 length n is produced with probability exactly weight(w) / total(n).  On a
@@ -96,7 +97,7 @@ def sample_word(state: SamplerState, n: int) -> tuple:
     if not table.cell(axiom, n):
         raise EmptyLanguageError(f"no words of length {n}")
     getrandbits = state.rng.getrandbits
-    node_at, extend = table.node, table.extend
+    node_at, extend, walk = table.node, table.extend, table.walk
     limb = counting.LIMB_BITS
 
     out = []
@@ -116,8 +117,13 @@ def sample_word(state: SamplerState, n: int) -> tuple:
             h = r = below(getrandbits, node.bound)
         hi = node.known[0]
         i = bisect_right(hi, h)
-        if i == len(hi) or s and i and hi[i - 1] == h:
-            i = extend(node, h, r, getrandbits)
+        if i == len(hi):
+            hi = extend(node, h)
+            i = bisect_right(hi, h)
+        if s and i and hi[i - 1] == h:  # a tie: only the exact r tells
+            if r is None:
+                r = h << s | getrandbits(s)
+            i = walk(node, r)
         rule = node.rules[i]
         if rule.kind == "term":
             out.append(rule.rhs[0])

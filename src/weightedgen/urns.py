@@ -794,8 +794,8 @@ def standard_report(u: UrnModel, *, n: int | None = None,
         fo = coverage_first_order(u, k)
         entries.append(ReportEntry("coverage", "first_order", value=fo.value,
                                    n=n, k=k,
-                                   note="valid" if fo.valid else "invalid: k*p_max="
-                                   + _fmt_number(fo.k_p_max, REPORT_INT_DIGITS)))
+                                   note="valid" if fo.valid else
+                                   f"invalid: k*p_max={_fmt_number(fo.k_p_max)}"))
         entries.append(ReportEntry("occupied_weight", "exact",
                                    value=occ.occupied_weight, n=n, k=k))
     return AnalyticsReport(tuple(entries))

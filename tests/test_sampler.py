@@ -202,49 +202,55 @@ def five_letters(monkeypatch):
 
 def test_cold_node_is_extended_across_draws(five_letters):
     # top bits 0 tie with no sum: one draw; r = sums[1] and r = sums[3] tie
-    # with the sum they equal, so their low bits are drawn on the way
+    # with the sum they equal once the node is extended past their top bits,
+    # so their low bits are drawn and the exact walk picks
     table, node, sums, walks = five_letters
     state = SamplerState(table)
     state.rng = Scripted([0, *top_low(node, sums[1]), *top_low(node, sums[3])])
     for letter, known, used in (("a", 1, 1), ("c", 3, 3), ("e", 5, 5)):
         assert sample_word(state, 1) == (letter,)
         assert len(node.known[0]) == known and state.rng.used == used
-    assert node.known[1] == sums[-1] and not walks
+    assert node.known[1] == sums[-1] and walks == [sums[1], sums[3]]
 
 
 def test_tie_at_the_last_known_sum_is_settled_exactly(five_letters):
-    # r = sums[0] - 1 shares the top bits of the only known sum, which exceeds
-    # it: option 0, with no walk and no product; r = sums[0] extends the node
+    # r = sums[0] - 1 shares the top bits of the only known sum: the node is
+    # extended by one sum, whose top bits exceed them, and the exact walk
+    # picks option 0; r = sums[0] ties alike and picks option 1
     table, node, sums, walks = five_letters
     words = scripted_words(table, [0, *top_low(node, sums[0] - 1),
                                    *top_low(node, sums[0])], 3)
     assert words == [("a",), ("a",), ("b",)]
-    assert len(node.known[0]) == 2 and not walks
+    assert len(node.known[0]) == 2 and walks == [sums[0] - 1, sums[0]]
 
 
 def test_tie_inside_the_known_sums_walks(five_letters):
-    # r = bound - 1 has the bound's top bits, so its low bits come at once;
-    # with every sum known, r just below sums[1] and r = sums[1] share its
-    # top bits: only the exact walk tells option 1 from option 2.  A draw
+    # r = bound - 1 has the bound's top bits, so its low bits come at once,
+    # and it ties with the last sum; with every sum known, r just below
+    # sums[1] and r = sums[1] share its top bits: only the exact walk tells
+    # option 1 from option 2.  A draw
     # halfway between sums[2] and sums[3] ties with neither: its top bits pick
     table, node, sums, walks = five_letters
     middle = (sums[2] + sums[3]) // 2
     words = scripted_words(table, [*top_low(node, sums[-1] - 1), *top_low(node, sums[1] - 1),
                                    *top_low(node, sums[1]), middle >> node.shift], 4)
     assert words == [("e",), ("b",), ("c",), ("d",)]
-    assert walks == [sums[1] - 1, sums[1]]
+    assert walks == [sums[-1] - 1, sums[1] - 1, sums[1]]
 
 
 def test_extend_past_a_draw_gives_the_walks_pick(five_letters):
-    # a thread sharing the table may extend a node between another's bisect
-    # and its call to extend
-    table, node, sums, _ = five_letters
+    # extend stops at the first sum whose top bits exceed h and draws
+    # nothing; a node that another sampler extended past a draw is only
+    # bisected, and a tie there still walks
+    table, node, sums, walks = five_letters
     s = node.shift
-    assert table.extend(node, sums[3] >> s, sums[3], None) == 4
-    assert table.extend(node, sums[1] >> s, sums[1], None) == table.walk(node, sums[1]) == 2
-    low = Scripted([sums[1] & (1 << s) - 1])
-    assert table.extend(node, sums[1] >> s, None, low.getrandbits) == 2 and low.used == 1
-    assert table.extend(node, (sums[2] + sums[3]) >> s + 1, None, None) == 3
+    hi = table.extend(node, sums[2] >> s)
+    assert hi == [x >> s for x in sums[:4]] and node.known == (hi, sums[3])
+    assert table.extend(node, sums[1] >> s) == hi and node.known[1] == sums[3]
+    middle = (sums[0] + sums[1]) // 2
+    words = scripted_words(table, [*top_low(node, sums[1]), middle >> s], 2)
+    assert words == [("c",), ("b",)]
+    assert len(node.known[0]) == 4 and walks == [sums[1]]
 
 
 def test_clipped_last_option_on_a_fixed_point_table(motzkin):
@@ -308,13 +314,15 @@ def attempt_law(table, n, monkeypatch) -> dict:
     """{(first child or letter, split): probability} of the first attempt
     of sample_word at the axiom node (nt, n), with None for a rejection, by
     running it on every sequence of draws; a sequence weighs 2^-(its bits).
-    Each sequence runs from a cold node and from a fully known one, which
-    must draw alike."""
+    Each sequence runs from a cold node, from every partly known one and
+    from a fully known one, which must all draw alike."""
     axiom = table.grammar.axiom
     node = table.node(axiom, n)
-    cold = node.known
-    table.extend(node, node.top, node.bound - 1, None)
-    known = node.known
+    sums = [0, *accumulate(w for w, _, _ in table.choices(axiom, n))]
+    # every prefix of the sums that a draw may reach, as earlier draws,
+    # tied or not, may have left the node
+    hi = table.extend(node, node.top)
+    prefixes = [(hi[:j], sums[j]) for j in range(len(hi) + 1)]
 
     def axiom_only(nt, m):
         if (nt, m) != (axiom, n):
@@ -328,7 +336,7 @@ def attempt_law(table, n, monkeypatch) -> dict:
     while pending:
         script = pending.pop()
         outcomes = []
-        for node.known in (cold, known):
+        for node.known in prefixes:
             state.rng = Attempt(node, script)
             try:
                 (letter,) = sample_word(state, n)
@@ -339,7 +347,7 @@ def attempt_law(table, n, monkeypatch) -> dict:
                 outcomes.append(None)
             except Branch as branch:
                 outcomes.append(branch.k)
-        assert outcomes[0] == outcomes[1]
+        assert outcomes == outcomes[:1] * len(outcomes)
         if isinstance(outcomes[0], int):
             k = outcomes[0]
             pending += [script + ((k, v),) for v in range(2 ** k)]
@@ -347,6 +355,10 @@ def attempt_law(table, n, monkeypatch) -> dict:
             law[outcomes[0]] += Fraction(1, 2 ** sum(k for k, _ in script))
     return law
 
+
+# two letters whose two sums share the top bits of the bound at 2- and 3-bit
+# limbs, exact and at p = 2
+TEN_ONE = "axiom S\nterminal a weight 10\nterminal b weight 1\nS -> a | b\n"
 
 # a pair rule S -> S S at every split, one with a letter first, and two letters
 SPLITS = ("axiom S\nterminal a weight 5/3\nterminal b weight 1/2\nterminal c\n"
@@ -357,6 +369,8 @@ SPLITS = ("axiom S\nterminal a weight 5/3\nterminal b weight 1/2\nterminal c\n"
 @pytest.mark.parametrize("source,n,precision", [
     pytest.param(FIVE_LETTERS, 1, None, id="letters-exact"),
     pytest.param(FIVE_LETTERS, 1, 2, id="letters-p2"),
+    pytest.param(TEN_ONE, 1, None, id="ten-one-exact"),
+    pytest.param(TEN_ONE, 1, 2, id="ten-one-p2"),
     pytest.param(SPLITS, 2, None, id="splits2-exact"),
     pytest.param(SPLITS, 3, None, id="splits3-exact"),
     pytest.param(SPLITS, 2, 2, id="splits2-p2"),
