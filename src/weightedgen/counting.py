@@ -22,26 +22,32 @@ A weight spectrum counts the words of each composition: how many letters of
 each of the t terminals of non-unit weight a word has.  With t <= 1 it is an
 exact table too, over a packed letter (Kronecker substitution): the weighted
 terminal gets the letter 2^B and every other terminal the letter 1, where B
-is the bit length of the largest axiom cell of the unweighted table, rounded
-up to whole bytes.  An axiom cell is then the polynomial, evaluated at 2^B,
-whose coefficient at e counts the words with e weighted letters; no such
-count reaches 2^B, so the cell's B-bit digits are the coefficients.  The
+is the bit length of the largest axiom cell of the unweighted table among
+the lengths read, rounded up to whole bytes.  An axiom cell is then the
+polynomial, evaluated at 2^B, whose coefficient at e counts the words with e
+weighted letters; no such count reaches 2^B, so the cell's B-bit digits are
+the coefficients.  The
 packed layout has one digit per composition only for t <= 1: (n+1)^t digits
 against C(n+t, t) compositions.  With t >= 2 the spectrum is an instance of
 `inside` over {composition vector: word count} dicts, which hold only the
-compositions that occur, and `CLASS_CAP` bounds them.  Either way a
-composition's weight is an integer over the common denominator L^n, with L
-the lcm of the weights' denominators, so classes group and sort by integer
-keys and each class makes one Fraction.
+compositions that occur, and `CLASS_CAP` bounds them.  Either way the
+spectrum is held in integers (`WeightSpectrum`): class i weighs K_i * u, the
+keys K_i strictly increasing with gcd 1 and the unit u in lowest terms.  With
+t <= 1 the keys are products of powers of the weight's numerator and
+denominator, with no gcd; with t >= 2 they are a composition's weight over
+the common denominator L^n (L the lcm of the weights' denominators), divided
+by one gcd.  `urns.from_spectrum` takes the keys as the urn model's P_i, and
+a class's weight becomes a Fraction only when it is read.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import floor, lcm, prod
+from math import floor, gcd, lcm, prod
 
 from mpmath import mp
 
@@ -317,25 +323,46 @@ class WeightClass:
 class WeightSpectrum:
     """Distinct word weights within the length-n slice, with multiplicities.
 
-    Classes are sorted by strictly increasing weight; the first/last entries
-    are the minimal/maximal word weight.
+    Held in integers: class i holds counts[i] words, whose compositions over
+    `weighted_terminals` are compositions[i], and weighs keys[i] * num / den
+    with (num, den) = unit.  The keys strictly increase and have gcd 1, and
+    the unit is in lowest terms, so the class weights alone fix both (the
+    unit is the largest rational of which every weight is an integer
+    multiple) and equal spectra have equal fields.  `terminal_weights` are
+    the weighted terminals' weights.  `classes` makes one WeightClass per
+    class on its first read, its weight the Fraction product of their powers
+    over the class's first composition; the first/last class has the
+    minimal/maximal word weight.
     """
 
     n: int
     weighted_terminals: tuple
-    classes: tuple
+    terminal_weights: tuple = field(compare=False)
+    keys: tuple
+    unit: tuple
+    counts: tuple
+    compositions: tuple
+
+    @functools.cached_property
+    def classes(self) -> tuple:
+        return tuple(WeightClass(self._weight(comps[0]), count, comps)
+                     for count, comps in zip(self.counts, self.compositions))
+
+    def _weight(self, comp) -> Fraction:
+        return prod(map(pow, self.terminal_weights, comp), start=Fraction(1))
 
     def total_count(self) -> int:
-        return sum(c.count for c in self.classes)
+        return sum(self.counts)
 
     def total_weight(self) -> Fraction:
-        return sum((c.count * c.weight for c in self.classes), Fraction(0))
+        num, den = self.unit
+        return Fraction(sum(map(operator.mul, self.counts, self.keys)) * num, den)
 
     def min_weight(self) -> Fraction:
-        return self.classes[0].weight
+        return self._weight(self.compositions[0][0])
 
     def max_weight(self) -> Fraction:
-        return self.classes[-1].weight
+        return self._weight(self.compositions[-1][0])
 
     def to_csv(self) -> str:
         lines = ["weight_num,weight_den,multiplicity"]
@@ -345,29 +372,33 @@ class WeightSpectrum:
         return "\n".join(lines) + "\n"
 
 
-def _packed_profiles(grammar: NormalizedGrammar, weighted: tuple, n: int) -> list:
-    """The axiom's {composition: word count} maps at lengths 0..n over at most
-    one weighted terminal, unpacked from exact count tables (see the module
-    docstring).  With none, the unweighted table alone holds the counts."""
+def _packed_profiles(grammar: NormalizedGrammar, weighted: tuple, n: int,
+                     lengths) -> list:
+    """The axiom's {composition: word count} maps at `lengths` (each at most
+    n) over at most one weighted terminal, unpacked from exact count tables
+    (see the module docstring).  With none, the unweighted table alone holds
+    the counts."""
     ones = dict.fromkeys(grammar.terminals, 1)
     row = CountTable(grammar, ones, n)._cells[grammar.axiom]
     if not weighted:
-        return [{(): count} if count else {} for count in row]
-    width = -(-max(row).bit_length() // 8) or 1
+        return [{(): row[m]} if row[m] else {} for m in lengths]
+    width = -(-max(row[m] for m in lengths).bit_length() // 8) or 1
     (t,) = weighted
+    packed = CountTable(grammar, {**ones, t: 1 << 8 * width}, n)._cells[grammar.axiom]
     profiles = []
-    for cell in CountTable(grammar, {**ones, t: 1 << 8 * width}, n)._cells[grammar.axiom]:
-        raw = cell.to_bytes(-(-cell.bit_length() // 8), "little")
+    for m in lengths:
+        raw = packed[m].to_bytes(-(-packed[m].bit_length() // 8), "little")
         digits = (int.from_bytes(raw[i:i + width], "little")
                   for i in range(0, len(raw), width))
         profiles.append({(e,): count for e, count in enumerate(digits) if count})
     return profiles
 
 
-def _dict_profiles(grammar: NormalizedGrammar, weighted: tuple, n: int) -> list:
-    """The axiom's {composition: word count} maps at lengths 0..n, by `inside`
-    over {composition: word count} dicts; raises ClassCapExceeded when a
-    merge holds more than CLASS_CAP compositions."""
+def _dict_profiles(grammar: NormalizedGrammar, weighted: tuple, n: int,
+                   lengths) -> list:
+    """The axiom's {composition: word count} maps at `lengths` (each at most
+    n), by `inside` over {composition: word count} dicts; raises
+    ClassCapExceeded when a merge holds more than CLASS_CAP compositions."""
     unit = {t: tuple(int(t == u) for u in weighted) for t in grammar.terminals}
 
     def add(x, y):
@@ -388,8 +419,19 @@ def _dict_profiles(grammar: NormalizedGrammar, weighted: tuple, n: int) -> list:
                         out[comp] = out.get(comp, 0) + nx * ny
         return out
 
-    return inside(grammar, n, lambda t: {unit[t]: 1}, {(0,) * len(weighted): 1},
-                  {}, add, dot)[grammar.axiom]
+    row = inside(grammar, n, lambda t: {unit[t]: 1}, {(0,) * len(weighted): 1},
+                 {}, add, dot)[grammar.axiom]
+    return [row[m] for m in lengths]
+
+
+def _profiles(grammar: NormalizedGrammar, weights, n: int, lengths) -> tuple:
+    """(weighted terminals, {terminal: Fraction weight}, the axiom's
+    {composition: word count} map at each of `lengths`): packed tables for
+    t <= 1 weighted terminals, the dict DP for more."""
+    weights = _fractions(grammar, grammar.weights if weights is None else weights)
+    weighted = tuple(sorted(t for t in grammar.terminals if weights[t] != 1))
+    route = _packed_profiles if len(weighted) <= 1 else _dict_profiles
+    return weighted, weights, route(grammar, weighted, n, lengths)
 
 
 def weight_spectra(grammar: NormalizedGrammar, weights=None, n: int = 0) -> list:
@@ -402,47 +444,69 @@ def weight_spectra(grammar: NormalizedGrammar, weights=None, n: int = 0) -> list
     when a cell of the dict DP holds more than CLASS_CAP compositions, and
     ValueError when a terminal has no weight.
     """
-    weights = _fractions(grammar, grammar.weights if weights is None else weights)
-    weighted = tuple(sorted(t for t in grammar.terminals if weights[t] != 1))
-    route = _packed_profiles if len(weighted) <= 1 else _dict_profiles
+    weighted, weights, profiles = _profiles(grammar, weights, n, range(n + 1))
     return [_spectrum(m, weighted, weights, profile) if profile else None
-            for m, profile in enumerate(route(grammar, weighted, n))]
+            for m, profile in enumerate(profiles)]
+
+
+def weight_spectrum(grammar: NormalizedGrammar, weights=None, n: int = 0) -> WeightSpectrum:
+    """The weight-class spectrum of the length-n slice (exact): the spectrum
+    `weight_spectra` gives at n, built from the axiom's length-n cell
+    alone."""
+    weighted, weights, (profile,) = _profiles(grammar, weights, n, (n,))
+    if not profile:
+        raise EmptyLanguageError(f"no words of length {n}")
+    return _spectrum(n, weighted, weights, profile)
+
+
+def _powers(base: int, top: int) -> list:
+    """base ** e for e = 0..top."""
+    return list(accumulate(repeat(base, top), operator.mul, initial=1))
 
 
 def _spectrum(n: int, weighted: tuple, weights, profile: dict) -> WeightSpectrum:
-    """The length-n spectrum of a {composition vector over `weighted`: word
-    count} map.  With L the lcm of the weights' denominators and W_j = w_j *
-    L, a composition e weighs key / L^n for the integer key = prod(W_j ** e_j)
-    * L^(n - sum(e)), so compositions of equal key share a class and classes
-    sort by key.  A class's weight is the Fraction prod(w_j ** e_j) of one of
-    its compositions: powers of reduced Fractions need no gcd, where
-    Fraction(key, L^n) would need one of n * log2(L) bits."""
+    """The length-n spectrum of a nonempty {composition vector over
+    `weighted`: word count} map, in the integer form of `WeightSpectrum`.
+
+    With one weighted terminal, of weight a/b in lowest terms, each
+    composition (e,) is its own class of weight a^e / b^e; over the
+    compositions' range lo..hi that is a^(e-lo) * b^(hi-e) times the unit
+    a^lo / b^hi, whose keys have gcd 1 (those of lo and hi are coprime
+    powers) and sort by e, descending when a < b.  No gcd is taken.
+    Otherwise L is the lcm of the weights' denominators and W_j = w_j * L; a
+    composition e weighs key / L^n for the integer key
+    prod(W_j ** e_j) * L^(n - sum(e)), so compositions of equal key share a
+    class and classes sort by key; one gcd g of the keys and the Fraction
+    g / L^n give the form (with no weighted terminal, the one key 1 and the
+    unit 1)."""
+    bases = tuple(weights[t] for t in weighted)
+    if len(weighted) == 1:
+        a, b = bases[0].numerator, bases[0].denominator
+        exps = sorted(e for (e,) in profile)
+        lo, hi = exps[0], exps[-1]
+        if a < b:
+            exps.reverse()
+        rows_a, rows_b = _powers(a, hi - lo), _powers(b, hi - lo)
+        return WeightSpectrum(n, weighted, bases,
+                              tuple(rows_a[e - lo] * rows_b[hi - e] for e in exps),
+                              (a ** lo, b ** hi), tuple(profile[e,] for e in exps),
+                              tuple(((e,),) for e in exps))
     scale, letters = _scaled(weighted, weights)
-
-    def powers(base):  # base ** e for e = 0..n
-        return list(accumulate(repeat(base, n), operator.mul, initial=1))
-
-    rows = [powers(letters[t]) for t in weighted]
-    lengths = powers(scale)
+    rows = [_powers(letters[t], n) for t in weighted]
+    lengths = _powers(scale, n)
     groups = {}
     for comp, count in profile.items():
         key = prod(map(operator.getitem, rows, comp), start=lengths[n - sum(comp)])
         entry = groups.setdefault(key, [0, []])
         entry[0] += count
         entry[1].append(comp)
-    fractions = [weights[t] for t in weighted]
-    classes = tuple(WeightClass(prod(map(pow, fractions, comps[0]), start=Fraction(1)),
-                                cnt, tuple(sorted(comps)))
-                    for _, (cnt, comps) in sorted(groups.items()))
-    return WeightSpectrum(n, weighted, classes)
-
-
-def weight_spectrum(grammar: NormalizedGrammar, weights=None, n: int = 0) -> WeightSpectrum:
-    """The weight-class spectrum of the length-n slice (exact)."""
-    sp = weight_spectra(grammar, weights, n)[n]
-    if sp is None:
-        raise EmptyLanguageError(f"no words of length {n}")
-    return sp
+    keys = sorted(groups)
+    g = gcd(*keys)
+    unit = Fraction(g, lengths[n])
+    return WeightSpectrum(n, weighted, bases, tuple(key // g for key in keys),
+                          (unit.numerator, unit.denominator),
+                          tuple(groups[key][0] for key in keys),
+                          tuple(tuple(sorted(groups[key][1])) for key in keys))
 
 
 def _min_word(x, y):

@@ -1,5 +1,7 @@
 """Shared numeric helpers: exact rationals, high-precision floats, and
-harmonic numbers from `harmonic`, the only reader of HARMONIC_EXACT_LIMIT."""
+harmonic numbers from `harmonic`, whose default route reads
+HARMONIC_EXACT_LIMIT (as does `urns.xi_estimate`, to take one route for all
+its terms)."""
 
 from __future__ import annotations
 
@@ -23,8 +25,8 @@ DEFAULT_SEED = 123456789
 # relative urns.OCCUPANCY_REL_ERROR = 12 * 2^-53 (1.3e-15) of the exact value.
 EXACT_POW_BIT_LIMIT = 200_000
 
-# Largest m for which harmonic numbers are kept as exact fractions.  H_m has a
-# denominator of roughly e^m, so this is a hard practical wall.
+# Largest m for which `harmonic` keeps harmonic numbers as exact fractions by
+# default.  H_m has a denominator of roughly e^m, so this is a hard practical wall.
 HARMONIC_EXACT_LIMIT = 5_000
 
 FLOAT_DPS = 40
@@ -125,17 +127,19 @@ def one_minus_pow(p: Fraction, k: int, exact: bool | None = None):
         return -mp.expm1(k * mp.log1p(to_mpf(-p)))
 
 
-def harmonic(hi: int, lo: int = 0):
-    """H_hi - H_lo for 0 <= lo <= hi, the one place that picks the route of a
-    harmonic number: an exact Fraction up to hi = HARMONIC_EXACT_LIMIT, a
-    40-digit mpf beyond (mpmath's digamma-based H, valid for astronomically
-    large hi), within an absolute 10^-39 * H_hi."""
+def harmonic(hi: int, lo: int = 0, *, exact: bool | None = None):
+    """H_hi - H_lo for 0 <= lo <= hi: an exact Fraction, or a 40-digit mpf
+    (mpmath's digamma-based H, valid for astronomically large hi) within an
+    absolute 10^-39 * H_hi.  `exact` picks the route; by default it is the
+    Fraction up to hi = HARMONIC_EXACT_LIMIT."""
     if not 0 <= lo <= hi:
         raise ValueError(f"harmonic difference needs 0 <= lo <= hi, got {lo}, {hi}")
-    if hi <= HARMONIC_EXACT_LIMIT:
+    if exact is None:
+        exact = hi <= HARMONIC_EXACT_LIMIT
+    if exact:
         return Fraction(*_harmonic_split(lo, hi)) if lo < hi else Fraction(0)
     with mp.workdps(FLOAT_DPS):
-        return mp.harmonic(to_mpf(hi)) - mp.harmonic(to_mpf(lo))
+        return mp.harmonic(to_mpf(hi)) - (mp.harmonic(to_mpf(lo)) if lo else 0)
 
 
 def _harmonic_split(lo: int, hi: int) -> tuple:

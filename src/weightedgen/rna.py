@@ -241,28 +241,30 @@ def structure_counts(n: int, theta: int) -> dict:
     Beware: transposing k and i in this formula looks plausible and is wrong;
     the enumeration tests pin this index convention.
     """
+    _check_census(n, theta)
+    out = {(0, 0): 1}  # the all-dots structure (empty word for n=0)
+    for k in range(1, n // 2 + 1):
+        for i in range(1, min(k, (n - 2 * k) // theta) + 1):  # n - theta*i >= 2k
+            out[k, i] = narayana(k, i) * comb(n - theta * i, 2 * k)
+    return out
+
+
+def _check_census(n: int, theta: int) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if theta < 1:
         raise ValueError("theta must be >= 1")
-    out = {(0, 0): 1}  # the all-dots structure (empty word for n=0)
-    for k in range(1, n // 2 + 1):
-        for i in range(1, k + 1):
-            reduced = n - theta * i
-            if reduced < 2 * k:
-                continue
-            s = narayana(k, i) * comb(reduced, 2 * k)
-            if s:
-                out[(k, i)] = s
-    return out
 
 
 def class_counts_by_pairs(n: int, theta: int) -> list:
-    """[(k, number of structures with k pairs)], ascending in k."""
-    totals = {}
-    for (k, _), s in structure_counts(n, theta).items():
-        totals[k] = totals.get(k, 0) + s
-    return sorted(totals.items())
+    """[(k, number of structures with k pairs)], ascending in k: the sum of
+    `structure_counts` over i, with narayana(k, i) * k = C(k, i) * C(k, i-1)
+    and one division by k per k."""
+    _check_census(n, theta)
+    return [(0, 1)] + [
+        (k, sum(comb(k, i) * comb(k, i - 1) * comb(n - theta * i, 2 * k)
+                for i in range(1, min(k, (n - 2 * k) // theta) + 1)) // k)
+        for k in range(1, (n - theta) // 2 + 1)]
 
 
 def pair_spectrum(n: int, theta: int, w) -> WeightSpectrum:

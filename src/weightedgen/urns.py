@@ -29,6 +29,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,8 +37,9 @@ from fractions import Fraction
 from mpmath import mp
 
 from .counting import build_counts, extreme_weights, moment
-from .numerics import (DEFAULT_SEED, FLOAT_DPS, _ratio_pow_affordable, _unlimited_digits,
-                       collision_plug_in, harmonic, log2log2, substream_seed, to_mpf)
+from .numerics import (DEFAULT_SEED, FLOAT_DPS, HARMONIC_EXACT_LIMIT, _ratio_pow_affordable,
+                       _unlimited_digits, collision_plug_in, harmonic, log2log2,
+                       substream_seed, to_mpf)
 # Unused here; the benchmark's self-test still expects the binding (bench/spans.py
 # traces one_minus_pow in every module that imports it).
 from .numerics import one_minus_pow  # noqa: F401
@@ -55,45 +57,75 @@ class UrnClass:
     weight: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UrnModel:
     """Urns given by class weights w_i (positive Fractions, strictly
-    increasing) and counts c_i (positive ints), the only inputs.  The rest is
-    derived once, in integers: with L the lcm of the weight denominators,
-    W_i = w_i L and g = gcd(W), P_i = W_i / g and D = sum c_i P_i, so that
-    p_i = P_i / D (D is the lcm of the reduced p_i denominators, as
-    gcd(P) = 1); mu = g D / L is the total weight and m = sum c_i."""
-    weights: tuple
-    counts: tuple
-    denominator: int = field(init=False, repr=False, compare=False)
-    numerators: tuple = field(init=False, repr=False, compare=False)
-    mu: Fraction = field(init=False, repr=False, compare=False)
-    m: int = field(init=False, repr=False, compare=False)
+    increasing) and counts c_i (positive ints), the only inputs.
 
-    def __post_init__(self):
-        if not self.weights:
+    The model is held in integers: w_i = P_i * num / den with gcd(P) = 1 and
+    (num, den) = unit in lowest terms, D = sum c_i P_i and m = sum c_i, so
+    that p_i = P_i / D (D is the lcm of the reduced p_i denominators, as
+    gcd(P) = 1).  The weights alone fix these fields, so equal models have
+    equal fields.  The constructor derives them with one lcm and one gcd:
+    with L the lcm of the weight denominators, W_i = w_i L and g = gcd(W),
+    P_i = W_i / g and unit = (g, L), coprime: for each prime q of L, the
+    weight whose denominator holds the most factors q has W_i prime to q.
+    `from_spectrum` passes a spectrum's keys and unit, which are already this
+    form.  The weights, the total weight mu = D * num / den and the classes
+    are Fractions made on their first read."""
+    counts: tuple
+    numerators: tuple
+    denominator: int
+    unit: tuple
+    m: int = field(compare=False)
+
+    def __init__(self, weights, counts):
+        weights = tuple(weights)
+        scale = math.lcm(*(w.denominator for w in weights))
+        keys = [w.numerator * (scale // w.denominator) for w in weights]
+        g = math.gcd(*keys) or 1  # dividing by g > 0 keeps every refusal's verdict
+        self._store(tuple(key // g for key in keys), tuple(counts), (g, scale))
+        self.__dict__["weights"] = weights
+
+    @classmethod
+    def _from_keys(cls, keys: tuple, counts: tuple, unit: tuple) -> UrnModel:
+        """The model of class weights keys_i * num / den, (num, den) = unit,
+        for keys of gcd 1 and a unit in lowest terms; takes no gcd."""
+        u = cls.__new__(cls)
+        u._store(keys, counts, unit)
+        return u
+
+    def _store(self, nums: tuple, counts: tuple, unit: tuple) -> None:
+        """Refuses an empty model, counts below 1 and P_i that are not
+        positive and strictly increasing, then sets the fields."""
+        if not nums:
             raise ValueError("empty urn model")
-        if len(self.weights) != len(self.counts):
-            raise ValueError(f"{len(self.weights)} class weights but "
-                             f"{len(self.counts)} counts")
-        scale = math.lcm(*(w.denominator for w in self.weights))
-        scaled = [w.numerator * (scale // w.denominator) for w in self.weights]
+        if len(nums) != len(counts):
+            raise ValueError(f"{len(nums)} class weights but {len(counts)} counts")
         prev = 0
-        for c, w in zip(self.counts, scaled):
+        for c, num in zip(counts, nums):
             if c < 1:
                 raise ValueError("class multiplicities must be positive")
-            if w <= 0:
+            if num <= 0:
                 raise ValueError("urn weights must be positive")
-            if w <= prev:
+            if num <= prev:
                 raise ValueError("class weights must strictly increase")
-            prev = w
-        g = math.gcd(*scaled)
-        nums = tuple(w // g for w in scaled)
-        total = sum(c * num for c, num in zip(self.counts, nums))
-        object.__setattr__(self, "denominator", total)
-        object.__setattr__(self, "numerators", nums)
-        object.__setattr__(self, "mu", Fraction(g * total, scale))
-        object.__setattr__(self, "m", sum(self.counts))
+            prev = num
+        for name, value in (("counts", counts), ("numerators", nums),
+                            ("denominator", sum(map(operator.mul, counts, nums))),
+                            ("unit", unit), ("m", sum(counts))):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def weights(self) -> tuple:
+        """w_i = P_i * num / den per class."""
+        num, den = self.unit
+        return tuple(Fraction(p * num, den) for p in self.numerators)
+
+    @functools.cached_property
+    def mu(self) -> Fraction:
+        """The total weight sum c_i w_i = D * num / den."""
+        return Fraction(self.denominator * self.unit[0], self.unit[1])
 
     @functools.cached_property
     def classes(self) -> tuple:
@@ -117,9 +149,10 @@ def from_weights(weights) -> UrnModel:
 
 
 def from_spectrum(spectrum) -> UrnModel:
-    """Urn model of a weight spectrum: one urn per word, p proportional to weight."""
-    return UrnModel(tuple(c.weight for c in spectrum.classes),
-                    tuple(c.count for c in spectrum.classes))
+    """Urn model of a weight spectrum: one urn per word, p proportional to
+    weight.  It takes the spectrum's integer keys, counts and unit as they
+    are (see `counting.WeightSpectrum`): no Fraction and no gcd."""
+    return UrnModel._from_keys(spectrum.keys, spectrum.counts, spectrum.unit)
 
 
 def uniform_urns(m: int) -> UrnModel:
@@ -150,8 +183,17 @@ _FIRST_ORDER_P = 2.0 ** -1000
 class Occupancy:
     distinct: object         # E[N_k]: Fraction on the exact route, else an mpf of a double
     coverage: object         # E[P_k]: Fraction on the exact route, else alpha_2 * a double
-    occupied_weight: object  # E[W_k] = mu * coverage, of the same type
     exponential: float       # sum c_i * (1 - exp(-p_i k)), the O(1)-error form
+    model: UrnModel = field(repr=False)
+
+    @functools.cached_property
+    def occupied_weight(self):
+        """E[W_k] = mu * coverage, of the coverage's type (the 40-digit mu on
+        the double-precision route); mu is made only when this is read."""
+        if isinstance(self.coverage, Fraction):
+            return self.model.mu * self.coverage
+        with mp.workdps(FLOAT_DPS):
+            return to_mpf(self.model.mu) * self.coverage
 
 
 def occupancy(u: UrnModel, k: int, *, exact: bool | None = None) -> Occupancy:
@@ -191,9 +233,10 @@ def occupancy(u: UrnModel, k: int, *, exact: bool | None = None) -> Occupancy:
         exact = all(_ratio_pow_affordable(num, u.denominator, k) for num in u.numerators)
     scale, nums = u.denominator, u.numerators
     counts = [c * num for c, num in zip(u.counts, nums)]         # c_i P_i
-    moment2 = sum(cp * num for cp, num in zip(counts, nums))     # alpha_2 * D^2
+    squares = list(map(operator.mul, counts, nums))              # c_i P_i^2
+    moment2 = sum(squares)                                       # alpha_2 * D^2
     distinct, coverage, exponential = [], [], []
-    for cp, num in zip(counts, nums):
+    for cp, num, square in zip(counts, nums, squares):
         p = num / scale
         if k == 0:
             g = e = 0.0
@@ -209,19 +252,18 @@ def occupancy(u: UrnModel, k: int, *, exact: bool | None = None) -> Occupancy:
             e = -math.expm1(-k * p) / p
         weight = cp / scale
         distinct.append(weight * g)
-        coverage.append(cp * num / moment2 * g)
+        coverage.append(square / moment2 * g)
         exponential.append(weight * e)
     if exact or k == 0 or nums[-1] == scale:
         hit = scale ** k
         missed = [c * (scale - num) ** k for c, num in zip(u.counts, nums)]
         cov = Fraction(scale * hit - sum(cm * num for cm, num in zip(missed, nums)),
                        scale * hit)
-        return Occupancy(Fraction(u.m * hit - sum(missed), hit), cov, u.mu * cov,
-                         math.fsum(exponential))
+        return Occupancy(Fraction(u.m * hit - sum(missed), hit), cov,
+                         math.fsum(exponential), u)
     with mp.workdps(FLOAT_DPS):
         cov = mp.mpf(math.fsum(coverage)) * moment2 / scale ** 2
-        return Occupancy(mp.mpf(math.fsum(distinct)), cov, to_mpf(u.mu) * cov,
-                         math.fsum(exponential))
+        return Occupancy(mp.mpf(math.fsum(distinct)), cov, math.fsum(exponential), u)
 
 
 @dataclass(frozen=True)
@@ -428,19 +470,21 @@ def coupon_uniform_exact(m: int):
 def xi_estimate(u: UrnModel):
     """Xi = sum over urn ranks i (nondecreasing p) of 1/(i * p_i).
 
-    Computed per class via harmonic-number differences, so models with
-    astronomically many urns never get materialized.  Exact while H_m is.
-    """
+    Computed per class, the ranks of class i summing to H_(e_i) - H_(e_i - c_i)
+    with e_i = c_0 + ... + c_i, so models with astronomically many urns never
+    get materialized.  The route is picked once, from m: an exact Fraction for
+    m <= HARMONIC_EXACT_LIMIT, else every term at 40 digits, each difference
+    of two 40-digit H at class ends (within an absolute 10^-39 * H_m, see
+    `numerics.harmonic`) times D / P_i."""
     ends = list(itertools.accumulate(u.counts))
-    terms = [(harmonic(end, end - c), Fraction(u.denominator, num))
-             for c, num, end in zip(u.counts, u.numerators, ends)]
-    if isinstance(terms[-1][0], Fraction):
-        return sum((h * inv for h, inv in terms), Fraction(0))
-    total = mp.mpf(0)
+    if u.m <= HARMONIC_EXACT_LIMIT:
+        return sum((harmonic(end, end - c) * Fraction(u.denominator, num)
+                    for c, end, num in zip(u.counts, ends, u.numerators)), Fraction(0))
     with mp.workdps(FLOAT_DPS):
-        for h, inv in terms:
-            total = total + to_mpf(h) * to_mpf(inv)
-    return total
+        h = [0, *(harmonic(end, exact=False) for end in ends)]
+        scale = mp.mpf(u.denominator)
+        return mp.fsum((hi - lo) * scale / num
+                       for lo, hi, num in zip(h, h[1:], u.numerators))
 
 
 @dataclass(frozen=True)
@@ -719,7 +763,7 @@ def _fmt_number(x, int_digits: int | None = None) -> str:
         return mp.nstr(to_mpf(x), 12)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportEntry:
     statistic: str
     method: str              # exact | bound | asymptotic | estimate | first_order

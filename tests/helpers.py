@@ -6,7 +6,7 @@ sequences, absorbing-chain linear algebra on subsets, or direct generation
 and filtering of words.  The routes that faster code replaced stay here as
 oracles: the Fraction count table, the recursive method over every split,
 the sampler's subtraction walk, the Fraction-power weight classes of a
-spectrum, the 45-digit birthday quadrature, the 40-digit per-class
+spectrum and its integer form by Fraction gcd and lcm, the 45-digit birthday quadrature, the 40-digit per-class
 occupancy sums and exponential form, the urn throws by explicit urn ids,
 and the Fraction route to an urn model's probabilities.  So do the growth
 routes the grammar's equations replaced: the cycle test for a finite
@@ -268,10 +268,10 @@ def walk_sample_word(state, n):
     return tuple(out)
 
 
-def fraction_route_spectrum(n, weighted, weights, profile):
-    """The length-n WeightSpectrum of a {composition: word count} map with
-    each composition's weight a product of Fraction powers, one per
-    weighted terminal: the route `counting._spectrum` replaced."""
+def fraction_route_classes(weighted, weights, profile):
+    """The WeightClasses of a {composition: word count} map with each
+    composition's weight a product of Fraction powers, one per weighted
+    terminal: the route `counting._spectrum` replaced."""
     bases = [weights[t] for t in weighted]
     groups = {}
     for comp, count in profile.items():
@@ -279,9 +279,25 @@ def fraction_route_spectrum(n, weighted, weights, profile):
         entry = groups.setdefault(chi, [0, []])
         entry[0] += count
         entry[1].append(comp)
-    classes = tuple(WeightClass(chi, cnt, tuple(sorted(comps)))
-                    for chi, (cnt, comps) in sorted(groups.items()))
-    return WeightSpectrum(n, weighted, classes)
+    return tuple(WeightClass(chi, cnt, tuple(sorted(comps)))
+                 for chi, (cnt, comps) in sorted(groups.items()))
+
+
+def fraction_route_spectrum(n, weighted, weights, profile):
+    """The length-n WeightSpectrum of `fraction_route_classes`, put in the
+    integer form by Fraction arithmetic: the unit is the gcd of the class
+    weights' numerators over the lcm of their denominators (the largest
+    rational dividing every weight) and each key a weight over it."""
+    classes = fraction_route_classes(weighted, weights, profile)
+    unit = Fraction(math.gcd(*(c.weight.numerator for c in classes)),
+                    math.lcm(*(c.weight.denominator for c in classes)))
+    keys = tuple(c.weight / unit for c in classes)
+    assert all(key.denominator == 1 for key in keys)
+    return WeightSpectrum(n, tuple(weighted), tuple(weights[t] for t in weighted),
+                          tuple(key.numerator for key in keys),
+                          (unit.numerator, unit.denominator),
+                          tuple(c.count for c in classes),
+                          tuple(c.compositions for c in classes))
 
 
 def expand_urns(u):

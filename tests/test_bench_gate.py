@@ -38,3 +38,10 @@ def test_one_analytics_round_passes_the_benchmark_checks():
 
 def test_one_sample_round_passes_the_benchmark_checks():
     _check_one_round(workloads.Sample(), {"sample_word"})
+
+
+def test_one_montecarlo_round_passes_the_benchmark_checks():
+    # the set-up builds its urn models with from_spectrum, and the checks
+    # read their classes, birthday_exact and coupon_bounds
+    part = workloads.MonteCarlo()
+    _check_one_round(part, {f"{mode}.{statistic}" for mode, statistic, *_ in part.design})

@@ -290,3 +290,34 @@ def test_missing_terminal_weight_is_a_value_error(entry):
 def test_negative_length_is_a_value_error(motzkin_h2_norm, entry):
     with pytest.raises(ValueError, match="nonnegative"):
         entry(motzkin_h2_norm)
+
+
+@pytest.mark.parametrize("text", [
+    "axiom S\nterminal a\nterminal b\nS -> a S b | b S | _\n",                  # t = 0
+    "axiom S\nterminal a weight 3\nterminal b\nS -> a S b | b S | _\n",         # t = 1
+    "axiom S\nterminal a weight 1/3\nterminal b\nS -> a S b | b S | _\n",       # t = 1, w < 1
+    "axiom S\nterminal a weight 4\nterminal b weight 2/5\nterminal c\n"
+    "S -> a S | b S | c S | _\n",                                               # t = 2
+], ids=["t0", "t1", "t1-below-1", "t2"])
+def test_weight_spectrum_is_the_length_n_spectrum_alone(text, monkeypatch):
+    g = normalize(parse_grammar(text))
+    spectra = weight_spectra(g, None, 9)
+    calls, spectrum = [], counting._spectrum
+    monkeypatch.setattr(counting, "_spectrum",
+                        lambda n, *rest: calls.append(n) or spectrum(n, *rest))
+    for n in range(10):
+        calls.clear()
+        assert weight_spectrum(g, None, n) == spectra[n]
+        assert calls == [n]
+
+
+def test_weight_spectrum_refuses_empty_lengths_and_the_class_cap(monkeypatch):
+    g = normalize(parse_grammar("axiom S\nterminal a weight 2\nterminal b\nS -> a S b | _\n"))
+    with pytest.raises(EmptyLanguageError):
+        weight_spectrum(g, None, 5)
+    g = normalize(parse_grammar("axiom S\nterminal a weight 2\nterminal b weight 3\n"
+                                "terminal c\nS -> a S | b S | c S | _\n"))
+    assert len(weight_spectrum(g, None, 4).classes) == 15
+    monkeypatch.setattr(counting, "CLASS_CAP", 14)
+    with pytest.raises(ClassCapExceeded):
+        weight_spectrum(g, None, 4)

@@ -16,16 +16,16 @@ from unittest.mock import patch
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from weightedgen import (SamplerState, birthday_exact, branch_distribution,
+from weightedgen import (SamplerState, UrnModel, birthday_exact, branch_distribution,
                          build_counts, counting, expected_coverage, expected_distinct,
-                         expected_occupied_weight, extreme_weights, normalize,
+                         expected_occupied_weight, extreme_weights, from_spectrum, normalize,
                          parse_grammar, sample_word, weight_spectra, word_weight)
 from weightedgen.grammar import inside
 from weightedgen.numerics import EXACT_POW_BIT_LIMIT, _ratio_pow_affordable, below
 from weightedgen.urns import OCCUPANCY_REL_ERROR, _urn_trials
 from helpers import (UNIT_CHAIN, EnumerationCap, assert_chains_shared,
-                     enumerate_words, fraction_count_table, fraction_route_spectrum,
-                     inside_unpruned, mp_birthday, normalize_checked,
+                     enumerate_words, fraction_count_table, fraction_route_classes,
+                     fraction_route_spectrum, inside_unpruned, mp_birthday, normalize_checked,
                      fraction_route_urn_model, occupancy_sum_per_class, pair_paths,
                      random_valid_grammar, urn_model, walk_sample_word)
 
@@ -146,8 +146,9 @@ def test_extreme_weights_are_the_spectrum_ends(g, n):
 def test_packed_profiles_equal_dict_profiles(g, horizon):
     ng = normalize(g)
     for weighted in [(), *((t,) for t in sorted(ng.terminals))]:
-        assert counting._packed_profiles(ng, weighted, horizon) \
-            == counting._dict_profiles(ng, weighted, horizon), weighted
+        lengths = range(horizon + 1)
+        assert counting._packed_profiles(ng, weighted, horizon, lengths) \
+            == counting._dict_profiles(ng, weighted, horizon, lengths), weighted
 
 
 EIGHT_PRIMES = parse_grammar(
@@ -169,9 +170,14 @@ def test_spectrum_integer_keys_equal_the_fraction_power_route(g, n):
     ng = normalize(g)
     weights = counting._fractions(ng, ng.weights)
     weighted = tuple(sorted(t for t in ng.terminals if weights[t] != 1))
+    profiles = counting._dict_profiles(ng, weighted, n, range(n + 1))
     expected = [fraction_route_spectrum(m, weighted, weights, profile) if profile else None
-                for m, profile in enumerate(counting._dict_profiles(ng, weighted, n))]
-    assert weight_spectra(ng, None, n) == expected
+                for m, profile in enumerate(profiles)]
+    spectra = weight_spectra(ng, None, n)
+    assert spectra == expected
+    assert [sp.classes if sp else None for sp in spectra] == \
+        [fraction_route_classes(weighted, weights, profile) if profile else None
+         for profile in profiles]
 
 
 @PROPERTY
@@ -222,6 +228,23 @@ def test_branch_distribution_is_derivations_times_weight_over_total(g, n, precis
 def test_urn_model_integers_equal_the_fraction_route(u):
     assert (u.denominator, u.numerators, u.mu, u.m, u.classes) == \
         fraction_route_urn_model(u.weights, u.counts)
+    assert UrnModel._from_keys(u.numerators, u.counts, u.unit) == u
+
+
+@PROPERTY
+@given(weighted_grammars(), st.integers(0, 2), st.integers(0, 8))
+def test_spectrum_urn_models_equal_the_fraction_route(g, t, n):
+    # t weighted terminals (0, 1 or 2), the rest of weight 1; the reference
+    # reads the spectrum's Fraction class weights
+    heavy = sorted(g.terminals)[:t]
+    g = g.with_weights({x: g.weights[x] if x in heavy else 1 for x in g.terminals})
+    spectrum = weight_spectra(normalize(g), None, n)[n]
+    assume(spectrum is not None)
+    u = from_spectrum(spectrum)
+    weights = [c.weight for c in spectrum.classes]
+    assert (u.denominator, u.numerators, u.mu, u.m, u.classes) == \
+        fraction_route_urn_model(weights, spectrum.counts)
+    assert u == UrnModel(weights, spectrum.counts)
 
 
 @settings(PROPERTY, max_examples=20)

@@ -9,8 +9,9 @@ from weightedgen import (SamplerState, build_counts, expected_coverage,
 from weightedgen import rna
 from weightedgen.asymptotics import collision_growth_base
 from weightedgen.urns import OCCUPANCY_REL_ERROR
-from helpers import (enumerate_words, fraction_route_urn_model, motzkin_words,
-                     plateau_profile, rna_growth_base, secondary_structures)
+from helpers import (enumerate_words, fraction_route_classes, fraction_route_spectrum,
+                     fraction_route_urn_model, motzkin_words, plateau_profile,
+                     rna_growth_base, secondary_structures)
 
 WATERMAN = [1, 1, 1, 2, 4, 8, 17, 37, 82, 185, 423, 978, 2283]
 
@@ -119,6 +120,13 @@ def test_structure_totals_match_counts():
 def test_class_counts_examples():
     assert rna.class_counts_by_pairs(3, 1) == [(0, 1), (1, 1)]
     assert rna.class_counts_by_pairs(4, 3) == [(0, 1)]
+    # the per-k sums equal the (k, i) census summed over i
+    for theta in (1, 2, 3, 5):
+        for n in range(70):
+            totals = {}
+            for (k, _), count in rna.structure_counts(n, theta).items():
+                totals[k] = totals.get(k, 0) + count
+            assert rna.class_counts_by_pairs(n, theta) == sorted(totals.items()), (n, theta)
 
 
 def test_pair_spectrum_matches_grammar_spectrum():
@@ -140,6 +148,19 @@ def test_pair_spectrum_matches_grammar_spectrum_n60():
     w = Fraction(7, 3)
     g = normalize(rna.rna_grammar(2, w))
     assert rna.pair_spectrum(60, 2, w) == weight_spectrum(g, None, 60)
+
+
+@pytest.mark.parametrize("theta, w", [(1, Fraction(2)), (3, Fraction(1, 3)),
+                                      (2, Fraction(7, 3)), (3, Fraction(2, 9)), (1, Fraction(1))])
+def test_pair_spectrum_equals_the_fraction_route(theta, w):
+    # the census route, with the pair weight above and below 1
+    for n in range(0, 41, 5):
+        profile = ({(k,): count for k, count in rna.class_counts_by_pairs(n, theta)}
+                   if w != 1 else {(): sum(c for _, c in rna.class_counts_by_pairs(n, theta))})
+        weighted = ("(",) if w != 1 else ()
+        sp = rna.pair_spectrum(n, theta, w)
+        assert sp == fraction_route_spectrum(n, weighted, {"(": w}, profile), n
+        assert sp.classes == fraction_route_classes(weighted, {"(": w}, profile), n
 
 
 def test_collection_growth_bases():
@@ -222,11 +243,13 @@ def test_pair_weight_digit_limit():
 
 @pytest.mark.parametrize("theta, energy", [(1, -1.0), (1, -3.0), (3, -1.0), (3, -3.0)])
 def test_pair_spectrum_urn_models_equal_the_fraction_route(theta, energy):
+    # the reference reads the spectrum's Fraction class weights, not the model's
     w = rna.pair_weight(energy)
     for n in range(2, 61):
-        u = from_spectrum(rna.pair_spectrum(n, theta, w))
+        sp = rna.pair_spectrum(n, theta, w)
+        u = from_spectrum(sp)
         assert (u.denominator, u.numerators, u.mu, u.m, u.classes) == \
-            fraction_route_urn_model(u.weights, u.counts), n
+            fraction_route_urn_model([c.weight for c in sp.classes], sp.counts), n
 
 
 def _growth_base(theta, energy):

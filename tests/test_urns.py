@@ -8,6 +8,7 @@ import pytest
 from mpmath import mp
 
 from weightedgen import (EmptyLanguageError, ReportEntry, SamplerState, UrnModel,
+                         WeightSpectrum,
                          birthday_asymptotic, birthday_exact, build_counts,
                          coupon_bounds, coupon_uniform_exact, coverage_first_order,
                          expected_coverage, expected_distinct,
@@ -16,7 +17,8 @@ from weightedgen import (EmptyLanguageError, ReportEntry, SamplerState, UrnModel
                          rna, standard_report, uniform_urns, weight_spectrum,
                          xi_estimate)
 from weightedgen import urns as urns_module
-from weightedgen.numerics import exact_pow_affordable, harmonic, to_mpf
+from weightedgen.numerics import (HARMONIC_EXACT_LIMIT, exact_pow_affordable, harmonic,
+                                  to_mpf)
 from weightedgen.urns import (FULL_COLLECTION_CAP, OCCUPANCY_K_LIMIT,
                               OCCUPANCY_REL_ERROR, SIMULATE_DRAW_CAP, QuadratureError,
                               SimResult, alpha)
@@ -47,6 +49,36 @@ H, Q = Fraction(1, 2), Fraction(1, 4)
 def test_urn_model_refusals(weights, counts, message):
     with pytest.raises(ValueError, match=message):
         UrnModel(weights, counts)
+
+
+@pytest.mark.parametrize("keys, counts, message", [
+    ((), (), "empty urn model"),
+    ((1, 2), (1,), "2 class weights but 1 counts"),
+    ((1, 2), (0, 2), "multiplicities must be positive"),
+    ((0, 1), (1, 1), "weights must be positive"),
+    ((-1, 3), (1, 1), "weights must be positive"),
+    ((2, 1), (1, 2), "strictly increase"),
+    ((1, 1), (1, 1), "strictly increase"),
+], ids=["empty", "length-mismatch", "zero-count", "key-zero", "key-negative",
+        "key-decreasing", "key-equal"])
+def test_integer_urn_model_refusals(keys, counts, message):
+    # the integer route of from_spectrum refuses what the constructor refuses
+    with pytest.raises(ValueError, match=message):
+        UrnModel._from_keys(keys, counts, (1, 2))
+    spectrum = WeightSpectrum(3, ("a",), (Fraction(1, 2),), keys, (1, 2), counts,
+                              tuple(((e,),) for e in range(len(counts))))
+    with pytest.raises(ValueError, match=message):
+        from_spectrum(spectrum)
+    with pytest.raises(ValueError, match=message):
+        UrnModel(tuple(Fraction(key, 2) for key in keys), counts)
+
+
+def test_integer_urn_model_equals_the_constructor():
+    u = UrnModel._from_keys((3, 4, 10), (2, 1, 5), (5, 7))
+    assert u == UrnModel((Fraction(15, 7), Fraction(20, 7), Fraction(50, 7)), (2, 1, 5))
+    assert u.weights == (Fraction(15, 7), Fraction(20, 7), Fraction(50, 7))
+    assert (u.denominator, u.mu, u.m) == (60, Fraction(300, 7), 8)
+    assert hash(u) == hash(UrnModel(u.weights, u.counts))
 
 
 def test_urn_model_common_denominator():
@@ -342,6 +374,28 @@ def test_xi_closed_form_matches_rank_sum():
         direct = sum((Fraction(1, i) / p for i, (p, _) in
                       enumerate(expand_urns(u), start=1)), Fraction(0))
         assert xi_estimate(u) == direct
+
+
+@pytest.mark.parametrize("classes", [
+    [(1, 1), (2, 999), (3, 4000)],
+    [(Fraction(1, 10 ** 30), 2), (Fraction(7, 3), 4997), (10 ** 40, 1)],
+])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_xi_estimate_at_the_harmonic_limit_matches_a_60_digit_oracle(classes, extra):
+    # m = HARMONIC_EXACT_LIMIT takes the exact route for every term, one more
+    # urn the 40-digit route for every term
+    classes = classes[:-1] + [(classes[-1][0], classes[-1][1] + extra)]
+    u = urn_model(classes)
+    assert u.m == HARMONIC_EXACT_LIMIT + extra
+    xi = xi_estimate(u)
+    assert isinstance(xi, Fraction) == (extra == 0)
+    with mp.workdps(60):
+        ranks, oracle = 0, mp.mpf(0)
+        for c, num in zip(u.counts, u.numerators):
+            h = mp.harmonic(ranks + c) - mp.harmonic(ranks)
+            oracle += h * u.denominator / num
+            ranks += c
+        assert abs(to_mpf(xi) - oracle) <= mp.mpf("1e-35") * oracle
 
 
 def test_simulate_first_collision():
