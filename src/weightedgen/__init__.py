@@ -18,11 +18,11 @@ from .urns import (AnalyticsReport, CouponBounds, Expectation, Occupancy,
                    expected_occupied_weight, from_spectrum, from_weights,
                    occupancy, simulate, standard_report, uniform_urns,
                    xi_estimate)
-from .asymptotics import (CollisionEstimates, ConditionReport, GammaEstimate,
+from .asymptotics import (CollisionEstimates, ConditionReport,
                           SingularityEstimate, check_conditions,
                           collision_envelope, collision_estimates,
                           collision_growth_base, estimate_singularity,
-                          growth_gamma)
+                          fit_power)
 from .rna import (RnaModel, class_counts_by_pairs, coverage_rows,
                   pair_spectrum, pair_weight, rna_grammar, rna_report, rna_rho,
                   rna_series, structure_counts)

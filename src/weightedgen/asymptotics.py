@@ -18,10 +18,10 @@ Newton on {y = F(z, y), det(I - J) = 0} polishes the bracket.  The oracle
 certifies each result within a relative CERTIFY = 1e-10.
 
 Every analytic reads the grammar's own weights W (reweight with
-`with_weights` before `normalize`): `growth_gamma` through `_fit_power`, the
-fit of the table for W^j at j = 1 and 2, with the tail length and precision
-it is given; the condition probes and `collision_growth_base` through
-`system_rho` and `max_weight_growth`, which build no table.
+`with_weights` before `normalize`): `fit_power`, the fit of the table for W^j
+with the tail length and precision it is given; the condition probes and
+`collision_growth_base` through `system_rho` and `max_weight_growth`, which
+build no table.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def estimate_singularity(coeffs) -> SingularityEstimate:
             ys.append(float(mp.log(vals[n]) + n * log_rho))
         rho = float(rho_mp)
 
-    import numpy as np  # only the fits load numpy, not every importer of the package
+    import numpy as np  # only the fit loads numpy, not every importer of the package
     design = np.vstack([np.ones(len(xs)), np.asarray(xs)]).T
     sol, *_ = np.linalg.lstsq(design, np.asarray(ys), rcond=None)
     intercept, slope = sol
@@ -178,56 +178,12 @@ def estimate_singularity(coeffs) -> SingularityEstimate:
                                parity_gap=parity_gap, notes=tuple(notes))
 
 
-# ---------------------------------------------------------------------------
-# growth base of the collision time
-
-
-@dataclass(frozen=True)
-class GammaEstimate:
-    gamma: float
-    base: SingularityEstimate       # for the weight vector itself
-    squared: SingularityEstimate    # for the squared weights
-    log_positive: bool              # weights normalized above 1 (estimate's regime)
-    converged: bool
-
-    def collision_asymptote(self, n: int) -> float:
-        """First-collision envelope from the fitted constants alone:
-        sqrt(pi*kappa_W^2 / (2*kappa_{W^2})) * gamma^n * n^(k_{W^2}/2 - k_W)."""
-        with mp.workdps(40):
-            coeff = mp.sqrt(mp.pi * mp.mpf(self.base.kappa) ** 2
-                            / (2 * mp.mpf(self.squared.kappa)))
-            expo = self.squared.k_exp / 2 - self.base.k_exp
-            return float(coeff * mp.power(self.gamma, n) * mp.power(n, expo))
-
-
-def _fit_power(grammar, j: int, n_terms: int, precision: int) -> SingularityEstimate:
-    """Singularity fit of the n_terms-term table for the grammar's weights
-    raised to the power j = 1, 2 or 3."""
+def fit_power(grammar, j: int, n_terms: int, precision: int) -> SingularityEstimate:
+    """Singularity fit of the n_terms-term table, at `precision` bits, for
+    the grammar's weights raised to the power j."""
     weights = {t: w ** j for t, w in grammar.weights.items()}
     table = build_counts(grammar, weights, n_terms, precision)
     return estimate_singularity(table.coefficients())
-
-
-def _log_positive(weights) -> bool:
-    """No weight below 1 and at least one above: weight vectors are equivalent
-    up to a positive constant, so the check is on this normalized form."""
-    return all(w >= 1 for w in weights.values()) and any(w > 1 for w in weights.values())
-
-
-def growth_gamma(grammar, *, n_terms: int = 256, precision: int = 256) -> GammaEstimate:
-    """gamma = sqrt(rho_{W^2}) / rho_W, from two coefficient-tail estimates.
-
-    gamma is the per-length growth factor of the first-collision envelope
-    total * sqrt(pi/2) / sqrt(total_sq), since the totals grow like rho^(-n).
-    It exceeds 1 exactly in the bounded-dependency regime rho_W^2 < rho_{W^2}.
-    Computed unconditionally; the flags report when the regime assumptions
-    (log-positive weights, clean convergence) do not hold.
-    """
-    est_w = _fit_power(grammar, 1, n_terms, precision)
-    est_w2 = _fit_power(grammar, 2, n_terms, precision)
-    return GammaEstimate(gamma=(est_w2.rho ** 0.5) / est_w.rho, base=est_w,
-                         squared=est_w2, log_positive=_log_positive(grammar.weights),
-                         converged=est_w.converged and est_w2.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +322,9 @@ def _polish(terms, n: int, lo, hi, y):
 
     u is the Perron vector of J at rho, where det(I - J) = 0.  An iterate
     with a negative component of y has left the combinatorial branch for a
-    spurious fold, and a pole (y infinite at rho) has no solution at all.
+    spurious fold.  A pole (y infinite at rho) has no solution at all, yet
+    from a narrow enough bracket its z iterates still settle on rho while y
+    grows: S -> a S | b is certified at the 7th polish.
     """
     z = lo
     _, jac = _evaluate(terms, n, z, y)
@@ -404,7 +362,9 @@ def _scaled_rho(terms, n: int, num):
     geometric bisection.  Once the bracket is within POLISH_WIDTH, and again
     each time it shrinks by POLISH_RETRY more, the polish proposes a z; it is
     returned if the oracle puts z (1 - CERTIFY) below rho and z (1 + CERTIFY)
-    above.  Without one (a pole, say) bisection runs to the last bit.
+    above.  If no polish is certified, bisection runs to the last bit, until
+    the bracket's midpoint is one of its ends; with the polish switched off
+    it alone gives rho within CERTIFY on the Motzkin, pole and Dyck grammars.
     """
     terms = [(a, num(c), d, children) for a, c, d, children in terms]
     one = num(1)
@@ -552,6 +512,12 @@ class ConditionReport:
         ])
 
 
+def _log_positive(weights) -> bool:
+    """No weight below 1 and at least one above: weight vectors are equivalent
+    up to a positive constant, so the check is on this normalized form."""
+    return all(w >= 1 for w in weights.values()) and any(w > 1 for w in weights.values())
+
+
 def check_conditions(grammar) -> ConditionReport:
     """Probe the three growth conditions behind the collision asymptotics.
 
@@ -613,9 +579,13 @@ class CollisionEstimates:
 COLLISION_GAP_TOLERANCE = 0.05
 
 
-def collision_estimates(grammar, n: int, gamma: GammaEstimate) -> CollisionEstimates:
-    """Both first-collision estimates at length n >= 1 side by side, the
-    fitted one from `gamma`, the grammar's `growth_gamma`.
+def collision_estimates(grammar, n: int, base: SingularityEstimate,
+                        squared: SingularityEstimate) -> CollisionEstimates:
+    """Both first-collision estimates at length n >= 1 side by side: the
+    finite-n plug-in, and the asymptote
+    sqrt(pi*kappa_W^2 / (2*kappa_{W^2})) * gamma^n * n^(k_{W^2}/2 - k_W)
+    from `base` and `squared`, the grammar's `fit_power` fits for W and W^2,
+    with gamma = sqrt(rho_{W^2}) / rho_W read from those fits.
 
     The finite-n plug-in and the fitted asymptote describe the same curve, so
     a gap beyond COLLISION_GAP_TOLERANCE flags either a short coefficient tail
@@ -624,7 +594,11 @@ def collision_estimates(grammar, n: int, gamma: GammaEstimate) -> CollisionEstim
     if n < 1:
         raise ValueError(f"collision length must be at least 1, got {n}")
     plug = collision_envelope(grammar, n)
-    fitted = gamma.collision_asymptote(n)
+    gamma = (squared.rho ** 0.5) / base.rho
+    with mp.workdps(40):
+        coeff = mp.sqrt(mp.pi * mp.mpf(base.kappa) ** 2 / (2 * mp.mpf(squared.kappa)))
+        expo = squared.k_exp / 2 - base.k_exp
+        fitted = float(coeff * mp.power(gamma, n) * mp.power(n, expo))
     gap = abs(fitted - plug) / plug
     return CollisionEstimates(plug, fitted, gap, gap <= COLLISION_GAP_TOLERANCE)
 

@@ -266,14 +266,11 @@ def cmd_asymptotics(args) -> int:
                   [(m, _num(v)) for m, v in enumerate(table.coefficients())])
         return 0
     # everything is computed before the first line is printed
+    est = asymptotics.fit_power(g, 1, args.n_terms, precision)
     ce = None
-    if args.collision_n is None:
-        est = asymptotics.estimate_singularity(
-            counting.build_counts(g, None, args.n_terms, precision).coefficients())
-    else:
-        gamma = asymptotics.growth_gamma(g, n_terms=args.n_terms, precision=precision)
-        est = gamma.base
-        ce = asymptotics.collision_estimates(g, args.collision_n, gamma)
+    if args.collision_n is not None:
+        ce = asymptotics.collision_estimates(
+            g, args.collision_n, est, asymptotics.fit_power(g, 2, args.n_terms, precision))
     report = asymptotics.check_conditions(g)
     print(f"rho      {est.rho:.12g}")
     print(f"kappa    {est.kappa:.12g}")

@@ -268,18 +268,20 @@ class CountTable:
 class Node:
     """One (nonterminal, length) node of the recursive method, as a sampler
     visits it: its length m, the draw bound, the shift s = max(0,
-    bound.bit_length() - LIMB_BITS), the bound's top bits top = bound >> s,
-    the rule and split of each option in the order of `CountTable.choices`,
-    and `known` = (hi, last), where last is the exact sum of the first
-    len(hi) options' weights and hi[i] is the sum of the first i + 1 of them
-    shifted right by s.  Only `CountTable.extend` changes a node once it is
-    filled, by replacing `known`."""
+    bound.bit_length() - LIMB_BITS), the bound's top bits top = bound >> s
+    and their number bits = bound.bit_length() - s, the rule and split of
+    each option in the order of `CountTable.choices`, and `known` =
+    (hi, last), where last is the exact sum of the first len(hi) options'
+    weights and hi[i] is the sum of the first i + 1 of them shifted right by
+    s.  Only `CountTable.extend` changes a node once it is filled, by
+    replacing `known`."""
 
-    __slots__ = ("m", "bound", "shift", "top", "rules", "splits", "known")
+    __slots__ = ("m", "bound", "shift", "bits", "top", "rules", "splits", "known")
 
     def __init__(self, m: int, bound: int):
         self.m, self.bound = m, bound
         self.shift = max(0, bound.bit_length() - LIMB_BITS)
+        self.bits = bound.bit_length() - self.shift
         self.top = bound >> self.shift
         self.rules, self.splits = [], []
         self.known = [], 0

@@ -160,8 +160,8 @@ def below(getrandbits, n: int) -> int:
     A Random seeded alike gives the same ints on any platform.  It is the
     rejection loop of CPython's randrange(n), so seeds keep the streams they
     had under it.  Every urn throw of `urns.simulate` is drawn this way, and
-    so is every sampler draw below a bound of at most `counting.LIMB_BITS`
-    bits; `sampler` draws a wider bound top bits first."""
+    `sampler`'s top-bits loop draws so at a bound of at most
+    `counting.LIMB_BITS` bits; both write the loop out inline."""
     k = n.bit_length()
     r = getrandbits(k)
     while r >= n:

@@ -11,15 +11,15 @@ rational probability, a product of ratios of stored integers.
 
 r is drawn top bits first, and its low bits only when they matter (Denise
 and Zimmermann, TCS 218, 1999).  With s = max(0, B.bit_length() -
-LIMB_BITS) and LIMB_BITS = 64 from `counting`, a node with s = 0 draws r
-by `numerics.below`.  Otherwise it draws the top bits h = r >> s as
-getrandbits(LIMB_BITS) and rejects h > B >> s; at h = B >> s it draws the
-s low bits at once and rejects r >= B.  Below that, it draws the low bits
-only if some exact prefix sum S of the options ties with h (S >> s == h);
-without a tie every r with top bits h has the same pick.  So r is exactly
-uniform below B, a node's draws depend on nothing but the stream and its
-exact sums, and bounds below 2^LIMB_BITS keep the streams that `below`
-gave them.
+LIMB_BITS) and LIMB_BITS = 64 from `counting`, every node draws the top
+bits h = r >> s as getrandbits(B.bit_length() - s) and rejects h > B >> s.
+At h = B >> s it rejects too if s = 0, and otherwise draws the s low bits
+at once and rejects r >= B.  Below that, it draws the low bits only if
+some exact prefix sum S of the options ties with h (S >> s == h); without
+a tie every r with top bits h has the same pick.  So r is exactly uniform
+below B, and a node's draws depend on nothing but the stream and its exact
+sums.  At s = 0 the loop is the rejection loop of `numerics.below`, so
+bounds below 2^LIMB_BITS keep the streams that it gave them.
 
 The pick is found by bisection over the node that `CountTable.node`
 memoises on its first visit: it keeps hi[i] = (sum of the first i + 1
@@ -60,9 +60,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import counting
 from .counting import CountTable, EmptyLanguageError
-from .numerics import DEFAULT_SEED, below, substream_seed
+from .numerics import DEFAULT_SEED, substream_seed
 
 # distinct words one node of `branch_distribution` may hold before it gives up
 BRANCH_WORD_CAP = 10_000
@@ -75,9 +74,8 @@ class SamplerState:
     Identical (seed, grammar, weights, n, precision) produce an identical
     word sequence on any platform: the stream is substream 0 of the seed,
     and every draw takes its bits from it by the rule of the module
-    docstring, top bits first at a bound of more than LIMB_BITS bits and
-    `numerics.below` at any other.  How much of the table is memoised, by
-    this state or any other, does not change the stream.
+    docstring, top bits first.  How much of the table is memoised, by this
+    state or any other, does not change the stream.
     """
 
     table: CountTable
@@ -98,23 +96,19 @@ def sample_word(state: SamplerState, n: int) -> tuple:
         raise EmptyLanguageError(f"no words of length {n}")
     getrandbits = state.rng.getrandbits
     node_at, extend, walk = table.node, table.extend, table.walk
-    limb = counting.LIMB_BITS
 
     out = []
     stack = [(axiom, n)]
     while stack:
         node = node_at(*stack.pop())
-        s = node.shift
-        if s:
-            h, r = getrandbits(limb), None
-            while h >= node.top:  # h > top rejects; h == top needs the low bits
-                if h == node.top:
-                    r = h << s | getrandbits(s)
-                    if r < node.bound:
-                        break
-                h, r = getrandbits(limb), None
-        else:
-            h = r = below(getrandbits, node.bound)
+        s, bits = node.shift, node.bits
+        h, r = getrandbits(bits), None
+        while h >= node.top:  # h > top rejects; h == top needs the low bits, if any
+            if h == node.top and s:
+                r = h << s | getrandbits(s)
+                if r < node.bound:
+                    break
+            h, r = getrandbits(bits), None
         hi = node.known[0]
         i = bisect_right(hi, h)
         if i == len(hi):

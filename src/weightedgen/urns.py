@@ -37,6 +37,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .counting import build_counts, extreme_weights, moment
+from .grammar import normalize
 from .numerics import (DEFAULT_SEED, FLOAT_DPS, HARMONIC_EXACT_LIMIT, _ratio_pow_affordable,
                        _unlimited_digits, collision_plug_in, harmonic, log2log2,
                        substream_seed, to_mpf)
@@ -634,9 +635,9 @@ def _word_trials(state: SamplerState, statistic: str, trials: int, k: int | None
     """One value per trial of `statistic` over words of length n sampled from
     the table of `state`, each word an urn of probability
     word_weight / total(n), kept in a set of seen words.  The wait bound
-    reads alpha_2 and p_min exactly from the grammar's own weights, the law
-    of a table built with them: `moment`, and `extreme_weights` over the
-    exact total."""
+    reads alpha_2 and p_min exactly from the law the table draws from, its
+    grammar reweighted with the table's weights: `moment`, and
+    `extreme_weights` over the exact total."""
     if n is None:
         raise ValueError("word-level simulation needs n")
     table = state.table
@@ -649,6 +650,8 @@ def _word_trials(state: SamplerState, statistic: str, trials: int, k: int | None
             raise ValueError(f"full collection needs at most {FULL_COLLECTION_CAP} "
                              f"urns or words, got {words}")
     grammar = table.grammar
+    if table.weights != grammar.weights:
+        grammar = normalize(grammar.original.with_weights(table.weights))
     _refuse_long_waits(statistic, trials, lambda: moment(grammar, 2, n),
                        lambda: extreme_weights(grammar, n)[0]
                        / build_counts(grammar, None, n).total(n))

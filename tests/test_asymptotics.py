@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from weightedgen import (asymptotics, birthday_asymptotic, build_counts,
                          check_conditions, collision_envelope,
                          collision_estimates, counting, estimate_singularity,
-                         from_spectrum, growth_gamma,
+                         fit_power, from_spectrum,
                          normalize, parse_grammar, rna, weight_spectrum)
-from weightedgen.asymptotics import (InsufficientData, _fit_power,
+from weightedgen.asymptotics import (InsufficientData,
                                      collision_growth_base, max_weight_growth,
                                      system_rho)
 from weightedgen.cli import motzkin_grammar
@@ -52,23 +52,17 @@ def test_motzkin_singularity(motzkin_norm):
     assert est.converged
 
 
-def test_growth_gamma_uniform_flagged(motzkin_norm):
-    gam = growth_gamma(motzkin_norm, n_terms=160, precision=192)
+def test_collision_growth_base_uniform(motzkin_norm):
     # squared unit weights leave the singularity alone: gamma = 1/sqrt(rho)
-    assert abs(gam.gamma - math.sqrt(3)) < 1e-4
-    assert not gam.log_positive
+    assert abs(collision_growth_base(motzkin_norm) - math.sqrt(3)) < 1e-10
 
 
-def test_growth_gamma_weighted(motzkin_h2_norm):
-    gam = growth_gamma(motzkin_h2_norm, n_terms=192, precision=192)
-    assert gam.log_positive
-    assert gam.converged
-    assert gam.gamma > 1
+def test_fitted_collision_asymptote_weighted(motzkin_h2_norm):
+    base = fit_power(motzkin_h2_norm, 1, 192, 192)
+    squared = fit_power(motzkin_h2_norm, 2, 192, 192)
+    assert base.converged and squared.converged
     # the fitted asymptote should land near the finite-n plug-in
-    n = 40
-    plug = collision_envelope(motzkin_h2_norm, n)
-    fitted = gam.collision_asymptote(n)
-    assert abs(fitted - plug) / plug < 0.2
+    assert collision_estimates(motzkin_h2_norm, 40, base, squared).relative_gap < 0.2
 
 
 def test_conditions_uniform(motzkin_norm):
@@ -200,10 +194,8 @@ def test_gamma_exceeds_one_when_conditions_pass(motzkin_h2_norm):
         normalize(rna.rna_grammar(3, Fraction(5))),
     ]
     for g in corpus:
-        rep = check_conditions(g)
-        gam = growth_gamma(g, n_terms=128, precision=160)
-        if rep.all_pass:
-            assert gam.gamma > 1, g.original.to_text()
+        if check_conditions(g).all_pass:
+            assert collision_growth_base(g) > 1, g.original.to_text()
     # at least the weighted-Motzkin member must actually exercise the branch
     assert check_conditions(motzkin_h2_norm).all_pass
 
@@ -211,7 +203,7 @@ def test_gamma_exceeds_one_when_conditions_pass(motzkin_h2_norm):
 def test_collision_estimates_pair():
     from weightedgen import rna
     g = normalize(rna.rna_grammar(1, Fraction(2)))
-    ce = collision_estimates(g, 36, growth_gamma(g, n_terms=192, precision=192))
+    ce = collision_estimates(g, 36, fit_power(g, 1, 192, 192), fit_power(g, 2, 192, 192))
     assert ce.plug_in > 1
     assert ce.relative_gap == abs(ce.fitted - ce.plug_in) / ce.plug_in
     assert ce.agree == (ce.relative_gap <= 0.05)
@@ -219,17 +211,17 @@ def test_collision_estimates_pair():
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_collision_estimates_refuse_length_below_one(motzkin_h2_norm, n):
-    gam = growth_gamma(motzkin_h2_norm, n_terms=128, precision=128)
+    base = fit_power(motzkin_h2_norm, 1, 128, 128)
+    squared = fit_power(motzkin_h2_norm, 2, 128, 128)
     with pytest.raises(ValueError, match="at least 1"):
-        collision_estimates(motzkin_h2_norm, n, gam)
+        collision_estimates(motzkin_h2_norm, n, base, squared)
 
 
-def test_growth_gamma_series_route_matches_root_route():
+def test_fitted_gamma_matches_root_route():
     from weightedgen import rna
-    w = rna.pair_weight(-3.0)
-    series_gamma = growth_gamma(normalize(rna.rna_grammar(3, w)),
-                                n_terms=192, precision=256).gamma
-    root_gamma = collision_growth_base(normalize(rna.rna_grammar(3, w)))
+    g = normalize(rna.rna_grammar(3, rna.pair_weight(-3.0)))
+    series_gamma = fit_power(g, 2, 192, 256).rho ** 0.5 / fit_power(g, 1, 192, 256).rho
+    root_gamma = collision_growth_base(g)
     assert abs(series_gamma - root_gamma) < 5e-3
 
 
@@ -292,6 +284,20 @@ def test_a_polished_z_off_rho_fails_certification(monkeypatch):
     assert abs(system_rho(g, 2) * 6 - 1) <= 1e-10
 
 
+@pytest.mark.parametrize("text, j, expected", [
+    *(("axiom S\nterminal (\nterminal )\nterminal . weight 2\nS -> ( S ) S | . S | _\n",
+       j, 1 / (2 ** j + 2)) for j in (1, 2, 3)),
+    ("axiom S\nterminal a weight 3\nterminal b\nS -> a S | b\n", 1, 1 / 3),
+    ("axiom S\nterminal (\nterminal )\nS -> ( S ) S | _\n", 1, 1 / 2),
+], ids=["motzkin-w2-j1", "motzkin-w2-j2", "motzkin-w2-j3", "pole", "dyck"])
+def test_bisection_alone_reaches_rho(monkeypatch, text, j, expected):
+    # with no polish, the bracket is bisected until its midpoint is one of
+    # its ends
+    monkeypatch.setattr(asymptotics, "_polish", lambda *args: None)
+    rho = system_rho(normalize(parse_grammar(text)), j)
+    assert abs(rho - expected) <= 1e-10 * expected
+
+
 def test_finite_language_leaves_the_separation_probe_inconclusive():
     g = normalize(parse_grammar("axiom S\nterminal a\nterminal b\nS -> a b\n"))
     with pytest.raises(InsufficientData):
@@ -337,7 +343,7 @@ def test_system_rho_agrees_with_converged_fits(seed, j, weights):
     grammar = random_valid_grammar(random.Random(seed))
     g = normalize(grammar.with_weights(dict(zip(sorted(grammar.terminals), weights))))
     try:
-        fit = _fit_power(g, j, 256, 256)
+        fit = fit_power(g, j, 256, 256)
     except InsufficientData:
         return
     if fit.converged:

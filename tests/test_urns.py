@@ -567,6 +567,28 @@ def test_simulate_refuses_word_waits_as_at_urn_level(motzkin, monkeypatch):
             simulate(state, statistic, SIMULATE_DRAW_CAP // wait, n=2)
 
 
+def test_word_waits_read_the_law_of_the_table(motzkin, monkeypatch):
+    # Motzkin at n=40: with "." = 1000 the word of dots has probability 0.999,
+    # so a first collision takes about 2 throws; with unit weights about 3e8
+    heavy = {".": Fraction(1000), "(": Fraction(1), ")": Fraction(1)}
+    unit = {t: Fraction(1) for t in heavy}
+    plain, dotted = normalize(motzkin), normalize(motzkin.with_weights(heavy))
+    runs = simulate(SamplerState(build_counts(plain, heavy, 40)), "first_collision", 10,
+                    n=40)
+    assert runs == simulate(SamplerState(build_counts(dotted, None, 40)),
+                            "first_collision", 10, n=40)
+    assert runs.mean == 2
+
+    def no_draw(*args):
+        raise AssertionError("a word was drawn")
+
+    monkeypatch.setattr(urns_module, "sample_word", no_draw)
+    for grammar in (plain, dotted):
+        with pytest.raises(ValueError, match="first_collision expects at least 322879118"):
+            simulate(SamplerState(build_counts(grammar, unit, 40)), "first_collision", 10,
+                     n=40)
+
+
 # Pinned SimResults, Motzkin W=2 at n=5 (21 words in 3 weight classes), 50
 # trials, seed 2026: any change to a draw source or the trial loop shows here.
 GOLDEN_SIMULATIONS = {
