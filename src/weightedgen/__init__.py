@@ -13,7 +13,6 @@ from .sampler import (SamplerState, branch_distribution, sample_word,
 from .urns import (AnalyticsReport, CouponBounds, Expectation, Occupancy,
                    ReportEntry, SimResult, UrnClass, UrnModel,
                    birthday_asymptotic, birthday_exact, coupon_bounds,
-                   coupon_uniform_exact,
                    coverage_first_order, expected_coverage, expected_distinct,
                    expected_occupied_weight, from_spectrum, from_weights,
                    occupancy, simulate, standard_report, uniform_urns,

@@ -31,6 +31,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import linear_regression
 
 from mpmath import mp
 
@@ -166,14 +167,11 @@ def estimate_singularity(coeffs) -> SingularityEstimate:
             ys.append(float(mp.log(vals[n]) + n * log_rho))
         rho = float(rho_mp)
 
-    import numpy as np  # only the fit loads numpy, not every importer of the package
-    design = np.vstack([np.ones(len(xs)), np.asarray(xs)]).T
-    sol, *_ = np.linalg.lstsq(design, np.asarray(ys), rcond=None)
-    intercept, slope = sol
-    resid = np.asarray(ys) - design @ sol
-    residual = float(np.sqrt(np.mean(resid ** 2)))
-    return SingularityEstimate(rho=rho, kappa=float(np.exp(intercept)),
-                               k_exp=float(-slope), converged=converged,
+    slope, intercept = linear_regression(xs, ys)
+    residual = math.sqrt(math.fsum((y - intercept - slope * x) ** 2
+                                   for x, y in zip(xs, ys)) / len(xs))
+    return SingularityEstimate(rho=rho, kappa=math.exp(intercept),
+                               k_exp=-slope, converged=converged,
                                residual=residual, tail_len=tail_len,
                                parity_gap=parity_gap, notes=tuple(notes))
 

@@ -310,6 +310,8 @@ def cmd_rna(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    if args.n_min is not None and args.n_min < 0:
+        raise ValueError(f"--n-min must be nonnegative, got {args.n_min}")
     if args.fig == 1:
         w = _parse_weight(args.W)
         n_min = 4 if args.n_min is None else args.n_min

@@ -360,12 +360,6 @@ class WeightSpectrum:
         num, den = self.unit
         return Fraction(sum(map(operator.mul, self.counts, self.keys)) * num, den)
 
-    def min_weight(self) -> Fraction:
-        return self._weight(self.compositions[0][0])
-
-    def max_weight(self) -> Fraction:
-        return self._weight(self.compositions[-1][0])
-
     def to_csv(self) -> str:
         lines = ["weight_num,weight_den,multiplicity"]
         with _unlimited_digits():

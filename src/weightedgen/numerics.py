@@ -92,14 +92,10 @@ def collision_plug_in(alpha_2):
         return mp.sqrt(mp.pi / (2 * to_mpf(alpha_2)))
 
 
-def exact_pow_affordable(p: Fraction, k: int) -> bool:
-    """Whether (1-p)^k fits the bit-size budget of the exact route."""
-    return _ratio_pow_affordable(p.numerator, p.denominator, k)
-
-
 def _ratio_pow_affordable(num: int, den: int, k: int) -> bool:
-    """exact_pow_affordable(num/den, k) without the Fraction: with g =
-    gcd(num, den), 1 - num/den is (den - num)/g over den/g in lowest terms."""
+    """Whether (1 - num/den)^k fits the bit-size budget of the exact route:
+    with g = gcd(num, den), 1 - num/den is (den - num)/g over den/g in lowest
+    terms."""
     g = math.gcd(num, den)
     return k * (((den - num) // g).bit_length() + (den // g).bit_length()) \
         <= EXACT_POW_BIT_LIMIT
@@ -120,7 +116,7 @@ def one_minus_pow(p: Fraction, k: int, exact: bool | None = None):
     if base == 0:
         return Fraction(1)
     if exact is None:
-        exact = exact_pow_affordable(p, k)
+        exact = _ratio_pow_affordable(p.numerator, p.denominator, k)
     if exact:
         return 1 - base ** k
     with mp.workdps(FLOAT_DPS):
@@ -153,31 +149,8 @@ def _harmonic_split(lo: int, hi: int) -> tuple:
     return p1 * q2 + p2 * q1, q1 * q2
 
 
-def below(getrandbits, n: int) -> int:
-    """A uniform int in [0, n) for n >= 1: draws of n.bit_length() bits from
-    `getrandbits` until one falls below n.
-
-    A Random seeded alike gives the same ints on any platform.  It is the
-    rejection loop of CPython's randrange(n), so seeds keep the streams they
-    had under it.  Every urn throw of `urns.simulate` is drawn this way, and
-    `sampler`'s top-bits loop draws so at a bound of at most
-    `counting.LIMB_BITS` bits; both write the loop out inline."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 def substream_seed(seed: int) -> int:
     """Derive a deterministic, well-mixed sub-seed from a user seed."""
     digest = hashlib.sha256(f"{seed}:0".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
-
-def log2log2(m) -> float:
-    """log2(log2(m)) for m >= 3 (works on arbitrary-size ints)."""
-    if m < 3:
-        raise ValueError("needs m >= 3")
-    # math.log2 accepts big ints directly
-    return math.log2(math.log2(m))

@@ -18,8 +18,8 @@ at once and rejects r >= B.  Below that, it draws the low bits only if
 some exact prefix sum S of the options ties with h (S >> s == h); without
 a tie every r with top bits h has the same pick.  So r is exactly uniform
 below B, and a node's draws depend on nothing but the stream and its exact
-sums.  At s = 0 the loop is the rejection loop of `numerics.below`, so
-bounds below 2^LIMB_BITS keep the streams that it gave them.
+sums.  At s = 0 the loop is the rejection loop of CPython's randrange(B),
+so bounds below 2^LIMB_BITS keep the streams that randrange gave them.
 
 The pick is found by bisection over the node that `CountTable.node`
 memoises on its first visit: it keeps hi[i] = (sum of the first i + 1

@@ -39,8 +39,8 @@ from mpmath import mp
 from .counting import build_counts, extreme_weights, moment
 from .grammar import normalize
 from .numerics import (DEFAULT_SEED, FLOAT_DPS, HARMONIC_EXACT_LIMIT, _ratio_pow_affordable,
-                       _unlimited_digits, collision_plug_in, harmonic, log2log2,
-                       substream_seed, to_mpf)
+                       _unlimited_digits, collision_plug_in, harmonic, substream_seed,
+                       to_mpf)
 # Unused here; the benchmark's self-test still expects the binding (bench/spans.py
 # traces one_minus_pow in every module that imports it).
 from .numerics import one_minus_pow  # noqa: F401
@@ -461,13 +461,6 @@ def birthday_asymptotic(u: UrnModel) -> float:
 # coupon collection
 
 
-def coupon_uniform_exact(m: int):
-    """Expected full-collection time m * H_m for m equiprobable urns: a
-    Fraction while `harmonic` is exact, a float from its 40-digit H_m beyond."""
-    h_m = harmonic(m)
-    return m * h_m if isinstance(h_m, Fraction) else float(m * h_m)
-
-
 def xi_estimate(u: UrnModel):
     """Xi = sum over urn ranks i (nondecreasing p) of 1/(i * p_i).
 
@@ -514,7 +507,7 @@ def coupon_bounds(u: UrnModel) -> CouponBounds:
     if u.m >= 3:
         with mp.workdps(FLOAT_DPS):
             xf = to_mpf(xi)
-            berenbrink = (xf / (3 * mp.e * log2log2(u.m)), 2 * xf)
+            berenbrink = (xf / (3 * mp.e * math.log2(math.log2(u.m))), 2 * xf)
     return CouponBounds(lower, upper, xi, berenbrink, u.m)
 
 
@@ -567,8 +560,8 @@ def _urn_trials(u: UrnModel, statistic: str, trials: int, k: int | None,
     occupied urn, the throw that occupies the last urn, or after k throws
     the distinct urns or the coverage numerator (coverage times D).
 
-    A throw is one r uniform in [0, D), drawn from `getrandbits` as
-    `numerics.below` draws it, written out here to save a call per throw.
+    A throw is one r uniform in [0, D), drawn from `getrandbits` by the
+    rejection loop of CPython's randrange(D), written out inline.
     Class i owns the values [S_i, S_i + c_i P_i), S_i = sum over l < i of
     c_l P_l, each of its urns P_i of them.  A trial takes the occ_i occupied
     urns of class i to be its lowest, which own [S_i, T_i) with
@@ -828,9 +821,8 @@ def standard_report(u: UrnModel, *, n: int | None = None,
         entries.append(ReportEntry("full_collection", "bound",
                                    lower=cb.berenbrink[0], upper=cb.berenbrink[1],
                                    n=n, note="guaranteed factor around estimate"))
-    if len(u.counts) == 1:  # equal weights: the collection time is exact
-        entries.append(ReportEntry("full_collection", "exact",
-                                   value=coupon_uniform_exact(u.m),
+    if len(u.counts) == 1:  # equal weights: Xi is the exact collection time m*H_m
+        entries.append(ReportEntry("full_collection", "exact", value=cb.estimate,
                                    n=n, note="uniform m*H_m"))
     if k is not None:
         occ = occupancy(u, k)

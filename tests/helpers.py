@@ -8,7 +8,9 @@ oracles: the Fraction count table, the recursive method over every split,
 the sampler's subtraction walk, the Fraction-power weight classes of a
 spectrum and its integer form by Fraction gcd and lcm, the 45-digit birthday quadrature, the 40-digit per-class
 occupancy sums and exponential form, the urn throws by explicit urn ids,
-and the Fraction route to an urn model's probabilities.  So do the growth
+the Fraction route to an urn model's probabilities, randrange's rejection
+loop (`below`) that the urn throws and the sampler write out inline, and
+the numpy least-squares line of the singularity fit.  So do the growth
 routes the grammar's equations replaced: the cycle test for a finite
 language, the diversity ladder of exact largest-word probabilities, and the
 RNA growth base from the discriminant roots.  Exhaustive
@@ -26,13 +28,14 @@ from itertools import accumulate, count, product
 import math
 import operator
 
+import numpy as np
 from mpmath import mp
 
 from weightedgen import (Rule, WeightClass, WeightedGrammar, WeightSpectrum,
                          GrammarError, build_counts, counting, extreme_weights,
                          from_weights, normalize, parse_grammar, rna)
 from weightedgen.grammar import _min_lengths, inside
-from weightedgen.numerics import below, one_minus_pow, to_mpf
+from weightedgen.numerics import one_minus_pow, to_mpf
 from weightedgen.urns import QuadratureError, UrnClass, UrnModel, alpha
 
 
@@ -219,6 +222,22 @@ def inside_unpruned(ng, horizon, letter, one, zero, add, dot):
                 cell = add(cell, dot(xs, ys))
             vals[nt].append(cell)
     return vals
+
+
+def below(getrandbits, n: int) -> int:
+    """A uniform int in [0, n) for n >= 1: draws of n.bit_length() bits from
+    `getrandbits` until one falls below n.
+
+    It is the rejection loop of CPython's randrange(n), so a Random seeded
+    alike gives the same ints on any platform.  Every urn throw of
+    `urns.simulate`, and `sampler`'s top-bits loop at a bound of at most
+    `counting.LIMB_BITS` bits, write this loop out inline; it is their
+    oracle."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def walk_sample_word(state, n):
@@ -579,6 +598,16 @@ def ladder_decay_base(ng, lengths):
 def rna_growth_base(w, theta):
     """sqrt(rho_{w^2}) / rho_w from the discriminant roots (`rna.rna_rho`)."""
     return rna.rna_rho(w * w, theta) ** 0.5 / rna.rna_rho(w, theta)
+
+
+def lstsq_line(xs, ys):
+    """(intercept, slope, RMS residual) of the least-squares line through the
+    points (xs, ys) by numpy's lstsq: the route by which `estimate_singularity`
+    fitted its log-log tail before `statistics.linear_regression`."""
+    design = np.vstack([np.ones(len(xs)), np.asarray(xs)]).T
+    sol, *_ = np.linalg.lstsq(design, np.asarray(ys), rcond=None)
+    resid = np.asarray(ys) - design @ sol
+    return float(sol[0]), float(sol[1]), float(np.sqrt(np.mean(resid ** 2)))
 
 
 WEIGHT_POOL = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),

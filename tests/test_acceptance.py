@@ -13,19 +13,17 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 
 from weightedgen import (SamplerState, birthday_asymptotic, birthday_exact,
                          branch_distribution, build_counts, coupon_bounds,
-                         coupon_uniform_exact, estimate_singularity,
-                         expected_coverage, expected_distinct,
+                         estimate_singularity, expected_coverage, expected_distinct,
                          expected_occupied_weight, from_spectrum, from_weights,
                          normalize, sample_word, simulate, uniform_urns,
                          weight_spectra, weight_spectrum, xi_estimate)
 from weightedgen import rna
 from weightedgen.asymptotics import collision_envelope, collision_growth_base
 from weightedgen.cli import motzkin_grammar
-from helpers import (expand_urns, oracle_birthday_uniform, oracle_coupon,
+from helpers import (expand_urns, lstsq_line, oracle_birthday_uniform, oracle_coupon,
                      oracle_occupancy, random_grammar, random_urn_model,
                      secondary_structures, plateau_profile,
                      spectrum_from_enumeration)
@@ -77,7 +75,7 @@ def test_criterion_02_birthday():
 
 def test_criterion_03_coupon():
     with criterion(3, "full collection: exact, Monte Carlo, bounded estimates", 60):
-        assert coupon_uniform_exact(3) == Fraction(11, 2)
+        assert xi_estimate(uniform_urns(3)) == Fraction(11, 2)
         sim = simulate(uniform_urns(3), "full_collection", 100_000, seed=33_003)
         assert abs(sim.mean - 5.5) <= 0.02 * 5.5
         rng = random.Random(33_033)
@@ -213,18 +211,17 @@ def test_criterion_10_weighted_motzkin_collection_series():
         series = {}
         for n in range(4, 41):
             sp = spectra[n]
-            assert sp.min_weight() == (1 if n % 2 == 0 else 2)
+            assert sp.classes[0].weight == (1 if n % 2 == 0 else 2)
             u = from_spectrum(sp)
             with mp.workdps(40):
                 series[n] = float(mp.mpf(u.p_min.numerator) / u.p_min.denominator
                                   * xi_estimate(u))
         for parity in (0, 1):
-            xs = np.array([n for n in series if n % 2 == parity], dtype=float)
-            ys = np.array([series[n] for n in series if n % 2 == parity])
-            design = np.vstack([np.ones_like(xs), xs]).T
-            sol, *_ = np.linalg.lstsq(design, ys, rcond=None)
-            resid = ys - design @ sol
-            r2 = 1 - np.sum(resid ** 2) / np.sum((ys - ys.mean()) ** 2)
+            xs = [n for n in series if n % 2 == parity]
+            ys = [series[n] for n in xs]
+            _, _, rms = lstsq_line(xs, ys)
+            mean = math.fsum(ys) / len(ys)
+            r2 = 1 - len(ys) * rms ** 2 / math.fsum((y - mean) ** 2 for y in ys)
             assert r2 >= 0.99, (parity, r2)
 
 

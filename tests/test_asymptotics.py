@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import mpmath as mp
 import pytest
@@ -16,7 +17,7 @@ from weightedgen.asymptotics import (InsufficientData,
                                      system_rho)
 from weightedgen.cli import motzkin_grammar
 from weightedgen.grammar import has_positive_pump
-from helpers import finite_language, ladder_decay_base, random_valid_grammar
+from helpers import finite_language, ladder_decay_base, lstsq_line, random_valid_grammar
 
 
 def synthetic(a, b, n_terms=512):
@@ -42,6 +43,33 @@ def test_algebraic_decay():
 def test_insufficient_data():
     with pytest.raises(InsufficientData):
         estimate_singularity([1.0] * 20)
+
+
+def assert_fit_matches_lstsq(coeffs):
+    # the log-log line of the estimate against numpy's lstsq on the same points
+    with patch.object(asymptotics, "linear_regression",
+                      wraps=asymptotics.linear_regression) as spy:
+        est = estimate_singularity(coeffs)
+    intercept, slope, residual = lstsq_line(*spy.call_args.args)
+    assert math.isclose(est.kappa, math.exp(intercept), rel_tol=1e-12)
+    assert math.isclose(est.k_exp, -slope, rel_tol=1e-12)
+    assert abs(est.residual - residual) <= 1e-9
+
+
+@pytest.mark.parametrize("grammar", [
+    motzkin_grammar().with_weights({".": 2}),
+    rna.rna_grammar(1, rna.pair_weight(-1.0)),
+    rna.rna_grammar(3, rna.pair_weight(-3.0)),
+], ids=["motzkin-w2", "rna-t1-e1", "rna-t3-e3"])
+def test_fit_matches_lstsq_on_256_term_tails(grammar):
+    assert_fit_matches_lstsq(build_counts(normalize(grammar), None, 256, 256).coefficients())
+
+
+@pytest.mark.parametrize("a", [1.5, 3, 9])
+@pytest.mark.parametrize("b", [0, 0.5, 1.5])
+def test_fit_matches_lstsq_on_synthetic_tails(a, b):
+    # the tails of acceptance criterion 11
+    assert_fit_matches_lstsq(synthetic(a, b))
 
 
 def test_motzkin_singularity(motzkin_norm):

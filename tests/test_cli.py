@@ -291,6 +291,14 @@ def test_figure2_csv():
     assert len(lines) == 1 + 4 * 2  # four (theta, energy) panels, two lengths
 
 
+@pytest.mark.parametrize("fig", ["1", "2"])
+def test_figure_refuses_negative_n_min(fig):
+    # figure 1 once read n = -2 and -1 as the spectra of n = 4 and 5
+    code, out, err = run_cli("figure", fig, "--k", "10", "--n-min", "-2", "--n-max", "5")
+    assert code == 2 and out == ""
+    assert "--n-min must be nonnegative" in err
+
+
 def test_grammar_file_roundtrip(tmp_path):
     path = tmp_path / "g.wcfg"
     path.write_text("axiom S\nterminal a weight 2\nS -> a S | _\n")
@@ -335,8 +343,8 @@ def test_validation_error_independent_of_hash_seed(tmp_path, rules, seeds, named
 
 
 def test_sampling_counting_and_urn_simulation_leave_numpy_unloaded():
-    # only the birthday quadrature (here reached by `analyze`) and the
-    # asymptotics fits import numpy; the condition probes do not
+    # only the birthday quadrature (here reached by `analyze`) imports numpy;
+    # the asymptotics fits and the condition probes do not
     script = (
         "import sys\n"
         "from weightedgen import check_conditions, normalize, rna\n"
@@ -344,7 +352,10 @@ def test_sampling_counting_and_urn_simulation_leave_numpy_unloaded():
         "for argv in (['sample', '--builtin', 'rna', '--n', '20', '--k', '3'],\n"
         "             ['count', '--builtin', 'motzkin', '--n', '10'],\n"
         "             ['simulate', '--builtin', 'motzkin', '--n', '6', '--mode', 'urns',\n"
-        "              '--statistic', 'distinct', '--k', '5', '--trials', '50']):\n"
+        "              '--statistic', 'distinct', '--k', '5', '--trials', '50'],\n"
+        "             ['asymptotics', '--builtin', 'motzkin', '--weight', '.=2'],\n"
+        "             ['asymptotics', '--builtin', 'motzkin', '--weight', '.=2',\n"
+        "              '--collision-n', '40']):\n"
         "    assert main(argv) == 0\n"
         "assert check_conditions(normalize(rna.rna_grammar(3, 5))).all_pass\n"
         "before = 'numpy' in sys.modules\n"

@@ -5,8 +5,9 @@ import pytest
 
 from mpmath import mp
 
-from weightedgen.numerics import (HARMONIC_EXACT_LIMIT, below, harmonic, one_minus_pow,
+from weightedgen.numerics import (HARMONIC_EXACT_LIMIT, harmonic, one_minus_pow,
                                   rational_from_real, substream_seed)
+from helpers import below
 
 
 def test_one_minus_pow_small_exact():

@@ -21,9 +21,9 @@ from weightedgen import (SamplerState, UrnModel, birthday_exact, branch_distribu
                          expected_occupied_weight, extreme_weights, from_spectrum, normalize,
                          parse_grammar, sample_word, weight_spectra, word_weight)
 from weightedgen.grammar import inside
-from weightedgen.numerics import EXACT_POW_BIT_LIMIT, _ratio_pow_affordable, below
+from weightedgen.numerics import EXACT_POW_BIT_LIMIT, _ratio_pow_affordable
 from weightedgen.urns import OCCUPANCY_REL_ERROR, _urn_trials
-from helpers import (UNIT_CHAIN, EnumerationCap, assert_chains_shared,
+from helpers import (UNIT_CHAIN, EnumerationCap, assert_chains_shared, below,
                      enumerate_words, fraction_count_table, fraction_route_classes,
                      fraction_route_spectrum, inside_unpruned, mp_birthday, normalize_checked,
                      fraction_route_urn_model, occupancy_sum_per_class, pair_paths,
@@ -134,7 +134,7 @@ def test_extreme_weights_are_the_spectrum_ends(g, n):
     ng = normalize(g)
     spectrum = weight_spectra(ng, None, n)[n]
     assume(spectrum is not None)
-    assert extreme_weights(ng, n) == (spectrum.min_weight(), spectrum.max_weight())
+    assert extreme_weights(ng, n) == (spectrum.classes[0].weight, spectrum.classes[-1].weight)
 
 
 @PROPERTY
@@ -284,7 +284,7 @@ def test_pow_affordable_from_integers_equals_fraction_rule(u):
 @PROPERTY
 @given(urn_models(), st.integers(0, 2 ** 64 - 1))
 def test_urn_throws_take_the_draws_of_below(u, seed):
-    # the walk writes numerics.below out: it must consume the stream alike
+    # the walk writes `below` out: it must consume the stream alike
     rng = random.Random(seed)
     draws = iter([below(rng.getrandbits, u.denominator) for _ in range(60)])
     expected = _urn_trials(u, "coverage", 3, 20, lambda bits: next(draws))

@@ -10,14 +10,14 @@ from mpmath import mp
 from weightedgen import (EmptyLanguageError, ReportEntry, SamplerState, UrnModel,
                          WeightSpectrum,
                          birthday_asymptotic, birthday_exact, build_counts,
-                         coupon_bounds, coupon_uniform_exact, coverage_first_order,
+                         coupon_bounds, coverage_first_order,
                          expected_coverage, expected_distinct,
                          expected_occupied_weight, from_spectrum, from_weights,
                          normalize, occupancy, parse_grammar, simulate,
                          rna, standard_report, uniform_urns, weight_spectrum,
                          xi_estimate)
 from weightedgen import urns as urns_module
-from weightedgen.numerics import (HARMONIC_EXACT_LIMIT, exact_pow_affordable, harmonic,
+from weightedgen.numerics import (HARMONIC_EXACT_LIMIT, _ratio_pow_affordable, harmonic,
                                   to_mpf)
 from weightedgen.urns import (FULL_COLLECTION_CAP, OCCUPANCY_K_LIMIT,
                               OCCUPANCY_REL_ERROR, SIMULATE_DRAW_CAP, QuadratureError,
@@ -226,7 +226,8 @@ def test_mixed_routes_sum_in_floats():
     # (1-p)^k fits the exact budget for p = 1/11 but not for p = 1/22000
     u = urn_model([(1, 20_000), (2_000, 1)])
     k = 10_000
-    assert [exact_pow_affordable(c.probability, k) for c in u.classes] == [False, True]
+    assert [_ratio_pow_affordable(num, u.denominator, k)
+            for num in u.numerators] == [False, True]
     value = expected_distinct(u, k).value
     assert not isinstance(value, Fraction)
     oracle = occupancy_sum_per_class(u, k, lambda c: c.count)
@@ -300,10 +301,16 @@ def test_birthday_asymptotic_values(motzkin_h2_urns):
 
 
 def test_coupon_uniform_exact():
-    assert coupon_uniform_exact(1) == 1
-    assert coupon_uniform_exact(3) == Fraction(11, 2)
-    assert abs(float(coupon_uniform_exact(365)) - 2364.646) < 5e-3
-    assert coupon_uniform_exact(51) == 51 * harmonic(51)  # Motzkin, n = 6
+    # on m equiprobable urns Xi is the exact full-collection time m * H_m: a
+    # Fraction up to HARMONIC_EXACT_LIMIT, the 40-digit value above it
+    assert xi_estimate(uniform_urns(1)) == 1
+    assert xi_estimate(uniform_urns(3)) == Fraction(11, 2)
+    assert abs(float(xi_estimate(uniform_urns(365))) - 2364.646) < 5e-3
+    assert xi_estimate(uniform_urns(51)) == 51 * harmonic(51)  # Motzkin, n = 6
+    m = HARMONIC_EXACT_LIMIT + 1
+    with mp.workdps(40):
+        exact = m * harmonic(m, exact=True)
+        assert abs(xi_estimate(uniform_urns(m)) - to_mpf(exact)) <= mp.mpf("1e-38") * exact
 
 
 def test_coupon_bounds_uniform3():
