@@ -587,10 +587,14 @@ def collision_estimates(grammar, n: int, base: SingularityEstimate,
 
     The finite-n plug-in and the fitted asymptote describe the same curve, so
     a gap beyond COLLISION_GAP_TOLERANCE flags either a short coefficient tail
-    or an n too small for the asymptotic regime.
+    or an n too small for the asymptotic regime.  A W^2 kappa that underflows
+    to 0.0 raises InsufficientData.
     """
     if n < 1:
         raise ValueError(f"collision length must be at least 1, got {n}")
+    if not squared.kappa:
+        raise InsufficientData("kappa of the W^2 fit underflows to 0.0 in a double: "
+                               "no fitted first-collision estimate")
     plug = collision_envelope(grammar, n)
     gamma = (squared.rho ** 0.5) / base.rho
     with mp.workdps(40):

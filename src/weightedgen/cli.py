@@ -3,15 +3,13 @@
 Subcommands: count, spectrum, sample, analyze, simulate, asymptotics, rna,
 figure.  Grammars come from a file (--grammar) or a builtin (--builtin
 motzkin | rna); CSV output is plot-ready and fully written or not at all.
-The RNG seed defaults to a fixed constant, overridable by --seed or the
-WCFG_SEED environment variable, so identical invocations give byte-identical
-output.
+The RNG seed defaults to a fixed constant, overridable by --seed, so
+identical invocations give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from fractions import Fraction
@@ -51,15 +49,6 @@ def _parse_precision(spec: str) -> int | None:
     if not m or int(m.group(1)) < 24:
         raise ValueError(f"--precision expects 'exact' or 'floatBITS', got {spec!r}")
     return int(m.group(1))
-
-
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("WCFG_SEED")
-    if env is not None:
-        return int(env)
-    return DEFAULT_SEED
 
 
 def _load_grammar(args) -> WeightedGrammar:
@@ -134,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grammar_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=10, help="number of words")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--sep", default=" ", help="separator between terminals")
     p.add_argument("--precision", default="exact",
                    help="'exact' or 'floatBITS' count table to draw from")
@@ -152,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("first_collision", "full_collection", "distinct", "coverage"))
     p.add_argument("--k", type=int)
     p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--mode", choices=("urns", "words"), default="urns")
     p.add_argument("--format", choices=("text", "csv"), default="text")
 
@@ -217,7 +206,7 @@ def cmd_sample(args) -> int:
     g = normalize(_load_grammar(args))
     precision = _parse_precision(args.precision)
     table = counting.build_counts(g, None, args.n, precision)
-    state = sampler.SamplerState(table, _resolve_seed(args))
+    state = sampler.SamplerState(table, args.seed)
     for _ in range(args.k):
         print(args.sep.join(sampler.sample_word(state, args.n)))
     return 0
@@ -241,7 +230,7 @@ def cmd_simulate(args) -> int:
         table = counting.build_counts(g, None, args.n)
         model = sampler.SamplerState(table)
     result = urns.simulate(model, args.statistic, args.trials,
-                           seed=_resolve_seed(args), k=args.k, n=args.n)
+                           seed=args.seed, k=args.k, n=args.n)
     if args.format == "csv":
         _emit_csv(("statistic", "k", "trials", "mean", "stderr"),
                   [(result.statistic, "" if result.k is None else result.k,

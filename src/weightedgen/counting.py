@@ -517,11 +517,11 @@ def _max_dot(xs, ys):
     return max(map(operator.mul, xs, ys), default=0)
 
 
-def _extreme_row(grammar: NormalizedGrammar, horizon: int, largest: bool) -> tuple:
+def _extreme_row(grammar: NormalizedGrammar, weights, horizon: int, largest: bool) -> tuple:
     """(D, row): row[m] is D^m times the minimal (or, if `largest`, maximal)
-    word weight at length m, by a (min, x) or (max, x) DP over the grammar's
-    scaled int weights, with 0 meaning "no word"."""
-    scale, letters = _scaled(grammar.terminals, grammar.weights)
+    word weight at length m under the Fraction `weights`, by a (min, x) or
+    (max, x) DP over their scaled int values, with 0 meaning "no word"."""
+    scale, letters = _scaled(grammar.terminals, weights)
     add, dot = (max, _max_dot) if largest else (_min_word, _min_dot)
     return scale, inside(grammar, horizon, letters.__getitem__, 1, 0, add, dot)[grammar.axiom]
 
@@ -531,8 +531,8 @@ def extreme_weights(grammar: NormalizedGrammar, n: int) -> tuple:
 
     Cheaper than the full spectrum and immune to its class-count cap.
     """
-    scale, lows = _extreme_row(grammar, n, largest=False)
-    _, highs = _extreme_row(grammar, n, largest=True)
+    scale, lows = _extreme_row(grammar, grammar.weights, n, largest=False)
+    _, highs = _extreme_row(grammar, grammar.weights, n, largest=True)
     if not highs[n]:
         raise EmptyLanguageError(f"no words of length {n}")
     return Fraction(lows[n], scale ** n), Fraction(highs[n], scale ** n)

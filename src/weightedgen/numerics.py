@@ -15,9 +15,8 @@ from fractions import Fraction
 from mpmath import mp
 
 # Default RNG seed used by the sampler, the simulator and the CLI whenever the
-# caller does not supply one (overridable via the WCFG_SEED environment variable
-# in the CLI).  Arbitrary but fixed, so identical invocations reproduce byte-
-# identical output.
+# caller does not supply one.  Arbitrary but fixed, so identical invocations
+# reproduce byte-identical output.
 DEFAULT_SEED = 123456789
 
 # Bit-size budget for an exactly computed (1-p)^k.  Beyond it the occupancy

@@ -33,11 +33,11 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 
 from mpmath import mp
 
-from .counting import build_counts, extreme_weights, moment
-from .grammar import normalize
+from .counting import EmptyLanguageError, _extreme_row, build_counts
 from .numerics import (DEFAULT_SEED, FLOAT_DPS, HARMONIC_EXACT_LIMIT, _ratio_pow_affordable,
                        _unlimited_digits, collision_plug_in, harmonic, substream_seed,
                        to_mpf)
@@ -64,21 +64,25 @@ class UrnModel:
     increasing) and counts c_i (positive ints), the only inputs.
 
     The model is held in integers: w_i = P_i * num / den with gcd(P) = 1 and
-    (num, den) = unit in lowest terms, D = sum c_i P_i and m = sum c_i, so
-    that p_i = P_i / D (D is the lcm of the reduced p_i denominators, as
-    gcd(P) = 1).  The weights alone fix these fields, so equal models have
-    equal fields.  The constructor derives them with one lcm and one gcd:
-    with L the lcm of the weight denominators, W_i = w_i L and g = gcd(W),
-    P_i = W_i / g and unit = (g, L), coprime: for each prime q of L, the
-    weight whose denominator holds the most factors q has W_i prime to q.
-    `from_spectrum` passes a spectrum's keys and unit, which are already this
-    form.  The weights, the total weight mu = D * num / den and the classes
-    are Fractions made on their first read."""
+    (num, den) = unit in lowest terms, the masses c_i P_i, D = sum c_i P_i
+    and m = sum c_i, so that p_i = P_i / D (D is the lcm of the reduced p_i
+    denominators, as gcd(P) = 1), and the squares c_i P_i^2 with their sum
+    moment2 = alpha_2 * D^2.  The weights alone fix these fields, so
+    equal models have equal fields.  The constructor derives them with one
+    lcm and one gcd: with L the lcm of the weight denominators, W_i = w_i L
+    and g = gcd(W), P_i = W_i / g and unit = (g, L), coprime: for each prime
+    q of L, the weight whose denominator holds the most factors q has W_i
+    prime to q.  `from_spectrum` passes a spectrum's keys and unit, which
+    are already this form.  The weights, the total weight mu = D * num / den
+    and the classes are Fractions made on their first read."""
     counts: tuple
     numerators: tuple
     denominator: int
     unit: tuple
     m: int = field(compare=False)
+    masses: tuple = field(compare=False, repr=False)
+    squares: tuple = field(compare=False, repr=False)
+    moment2: int = field(compare=False, repr=False)
 
     def __init__(self, weights, counts):
         weights = tuple(weights)
@@ -112,9 +116,12 @@ class UrnModel:
             if num <= prev:
                 raise ValueError("class weights must strictly increase")
             prev = num
+        masses = tuple(map(operator.mul, counts, nums))
+        squares = tuple(map(operator.mul, masses, nums))
         for name, value in (("counts", counts), ("numerators", nums),
-                            ("denominator", sum(map(operator.mul, counts, nums))),
-                            ("unit", unit), ("m", sum(counts))):
+                            ("denominator", sum(masses)), ("unit", unit), ("m", sum(counts)),
+                            ("masses", masses), ("squares", squares),
+                            ("moment2", sum(squares))):
             object.__setattr__(self, name, value)
 
     @functools.cached_property
@@ -133,6 +140,13 @@ class UrnModel:
         """UrnClass(p_i, c_i, w_i) per class, p_i = P_i / D."""
         return tuple(UrnClass(Fraction(num, self.denominator), c, w)
                      for num, c, w in zip(self.numerators, self.counts, self.weights))
+
+
+    @property
+    def alpha_2(self) -> Fraction:
+        """The second moment sum over urns of p^2, made from `moment2` on each
+        read."""
+        return Fraction(self.moment2, self.denominator ** 2)
 
     @property
     def p_min(self) -> Fraction:
@@ -162,12 +176,6 @@ def uniform_urns(m: int) -> UrnModel:
 
 # ---------------------------------------------------------------------------
 # occupancy expectations
-
-
-def alpha(u: UrnModel, j: int) -> Fraction:
-    """j-th moment of the urn distribution, sum over urns of p^j."""
-    return Fraction(sum(c * num ** j for c, num in zip(u.counts, u.numerators)),
-                    u.denominator ** j)
 
 
 # Relative error bound of the double-precision occupancy pass (see occupancy).
@@ -233,11 +241,8 @@ def occupancy(u: UrnModel, k: int, *, exact: bool | None = None) -> Occupancy:
     if exact is None:
         exact = all(_ratio_pow_affordable(num, u.denominator, k) for num in u.numerators)
     scale, nums = u.denominator, u.numerators
-    counts = [c * num for c, num in zip(u.counts, nums)]         # c_i P_i
-    squares = list(map(operator.mul, counts, nums))              # c_i P_i^2
-    moment2 = sum(squares)                                       # alpha_2 * D^2
     distinct, coverage, exponential = [], [], []
-    for cp, num, square in zip(counts, nums, squares):
+    for cp, num, square in zip(u.masses, nums, u.squares):
         p = num / scale
         if k == 0:
             g = e = 0.0
@@ -253,7 +258,7 @@ def occupancy(u: UrnModel, k: int, *, exact: bool | None = None) -> Occupancy:
             e = -math.expm1(-k * p) / p
         weight = cp / scale
         distinct.append(weight * g)
-        coverage.append(square / moment2 * g)
+        coverage.append(square / u.moment2 * g)
         exponential.append(weight * e)
     if exact or k == 0 or nums[-1] == scale:
         hit = scale ** k
@@ -263,7 +268,7 @@ def occupancy(u: UrnModel, k: int, *, exact: bool | None = None) -> Occupancy:
         return Occupancy(Fraction(u.m * hit - sum(missed), hit), cov,
                          math.fsum(exponential), u)
     with mp.workdps(FLOAT_DPS):
-        cov = mp.mpf(math.fsum(coverage)) * moment2 / scale ** 2
+        cov = mp.mpf(math.fsum(coverage)) * u.moment2 / scale ** 2
         return Occupancy(mp.mpf(math.fsum(distinct)), cov, math.fsum(exponential), u)
 
 
@@ -305,7 +310,7 @@ class FirstOrderCoverage:
 def coverage_first_order(u: UrnModel, k: int) -> FirstOrderCoverage:
     """First-order coverage estimate k * alpha_2, valid only while k*p_max is small."""
     kp = k * u.p_max
-    return FirstOrderCoverage(k * alpha(u, 2), kp <= FIRST_ORDER_THRESHOLD, kp)
+    return FirstOrderCoverage(k * u.alpha_2, kp <= FIRST_ORDER_THRESHOLD, kp)
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +421,9 @@ def birthday_exact(u: UrnModel) -> float:
     counting and simulation routes do not load it.
     """
     import numpy as np
-    scale, nums = u.denominator, u.numerators
-    squares = [num * num for num in nums]
-    moment2 = sum(c * sq for c, sq in zip(u.counts, squares))  # alpha_2 * D^2
-    b = np.array([c * sq / moment2 for c, sq in zip(u.counts, squares)])
-    q = np.sqrt([sq / moment2 for sq in squares])
-    unscale = _sqrt_ratio(scale * scale, moment2)  # 1 / sqrt(alpha_2)
+    b = np.array([sq / u.moment2 for sq in u.squares])
+    q = np.sqrt([sq / (c * u.moment2) for c, sq in zip(u.counts, u.squares)])
+    unscale = _sqrt_ratio(u.denominator ** 2, u.moment2)  # 1 / sqrt(alpha_2)
 
     # Candidate truncation points up to 1024, where exp(psi) < exp(-1000) for
     # every model, as psi(s) <= log1p(s) - s (the single urn).
@@ -454,7 +456,7 @@ def birthday_exact(u: UrnModel) -> float:
 def birthday_asymptotic(u: UrnModel) -> float:
     """Plug-in estimate sqrt(pi / (2 * alpha_2)); accurate in the many-urn,
     no-dominant-urn regime."""
-    return float(collision_plug_in(alpha(u, 2)))
+    return float(collision_plug_in(u.alpha_2))
 
 
 # ---------------------------------------------------------------------------
@@ -533,18 +535,38 @@ FULL_COLLECTION_CAP = 10 ** 7
 SIMULATE_DRAW_CAP = 10 ** 9
 
 
-def _refuse_long_waits(statistic: str, trials: int, alpha_2, p_min) -> None:
+def _word_law(table, n: int | None, statistic: str) -> SimpleNamespace:
+    """The urns of the length-n words (derivations, as the sampler draws
+    them) of `table`, each of probability weight / total(n) with the table's
+    own total, and what the refusals of `statistic` read: alpha_2, or the
+    word count m and p_min."""
+    if n is None:
+        raise ValueError("word-level simulation needs n")
+    law = SimpleNamespace(table=table, n=n, total=table.total(n))
+    if not law.total:
+        raise EmptyLanguageError(f"no words of length {n}")
+    g, weights = table.grammar, table.weights
+    if statistic == "first_collision":
+        squared = build_counts(g, {t: w * w for t, w in weights.items()}, n, table.precision)
+        law.alpha_2 = squared.total(n) / law.total ** 2
+    elif statistic == "full_collection":
+        law.m = int(build_counts(g, dict.fromkeys(g.terminals, 1), n).total(n))
+        scale, row = _extreme_row(g, weights, n, largest=False)
+        law.p_min = row[n] / (scale ** n * law.total)
+    return law
+
+
+def _refuse_long_waits(statistic: str, trials: int, law) -> None:
     """Refuse, before any draw, a first collision or full collection whose
     trials times a lower bound on one trial's expected throws exceeds
     SIMULATE_DRAW_CAP.  The bound is ceil(sqrt(pi / (2 alpha_2))) for first
     collision (the plug-in, at most E[B]; see birthday_exact) and
     ceil(1 / p_min) for full collection (the lightest urn alone waits that
-    long).  `alpha_2` and `p_min` are callables, so only the statistic's own
-    is computed."""
+    long), read from `law`: an UrnModel, or the `_word_law` of a table."""
     if statistic == "first_collision":
-        wait = int(mp.ceil(collision_plug_in(alpha_2()), prec=0))
+        wait = int(mp.ceil(collision_plug_in(law.alpha_2), prec=0))
     elif statistic == "full_collection":
-        wait = math.ceil(1 / p_min())
+        wait = math.ceil(1 / law.p_min)
     else:
         return
     if trials * wait > SIMULATE_DRAW_CAP:
@@ -576,8 +598,7 @@ def _urn_trials(u: UrnModel, statistic: str, trials: int, k: int | None,
     """
     scale, nums = u.denominator, u.numerators
     bits, find = scale.bit_length(), bisect.bisect_right
-    starts = list(itertools.accumulate(
-        (c * num for c, num in zip(u.counts, nums)), initial=0))[:-1]
+    starts = list(itertools.accumulate(u.masses, initial=0))[:-1]
     empty = sorted(starts * 2)[1:]  # every T_i = S_i
     step = [num for num in nums for _ in (0, 1)]  # step[j] = P_(j >> 1)
     values = []
@@ -623,32 +644,14 @@ def _urn_trials(u: UrnModel, statistic: str, trials: int, k: int | None,
     return values
 
 
-def _word_trials(state: SamplerState, statistic: str, trials: int, k: int | None,
-                 seed: int, n: int | None) -> list:
-    """One value per trial of `statistic` over words of length n sampled from
-    the table of `state`, each word an urn of probability
-    word_weight / total(n), kept in a set of seen words.  The wait bound
-    reads alpha_2 and p_min exactly from the law the table draws from, its
-    grammar reweighted with the table's weights: `moment`, and
-    `extreme_weights` over the exact total."""
-    if n is None:
-        raise ValueError("word-level simulation needs n")
-    table = state.table
-    stream = SamplerState(table, seed)
-    total = table.total(n)
+def _word_trials(law: SimpleNamespace, statistic: str, trials: int, k: int | None,
+                 seed: int) -> list:
+    """One value per trial of `statistic` over the words of `law`, kept in a
+    set of seen words; full collection stops at the throw bound of simulate."""
+    stream = SamplerState(law.table, seed)
+    draws = iter(lambda: sample_word(stream, law.n), None)
     if statistic == "full_collection":
-        ones = {t: Fraction(1) for t in table.grammar.terminals}
-        words = int(build_counts(table.grammar, ones, n).total(n))
-        if words > FULL_COLLECTION_CAP:
-            raise ValueError(f"full collection needs at most {FULL_COLLECTION_CAP} "
-                             f"urns or words, got {words}")
-    grammar = table.grammar
-    if table.weights != grammar.weights:
-        grammar = normalize(grammar.original.with_weights(table.weights))
-    _refuse_long_waits(statistic, trials, lambda: moment(grammar, 2, n),
-                       lambda: extreme_weights(grammar, n)[0]
-                       / build_counts(grammar, None, n).total(n))
-    draws = iter(lambda: sample_word(stream, n), None)
+        most = math.ceil((math.log(law.m) + 64 * math.log(2)) / float(law.p_min))
     values = []
     for _ in range(trials):
         seen = set()
@@ -659,21 +662,18 @@ def _word_trials(state: SamplerState, statistic: str, trials: int, k: int | None
                 seen.add(word)
             values.append(len(seen) + 1)
         elif statistic == "full_collection":
-            for throws, word in enumerate(draws, 1):
+            for throws, word in enumerate(itertools.islice(draws, most), 1):
                 seen.add(word)
-                if len(seen) == words:
+                if len(seen) == law.m:
                     break
+            else:
+                raise ValueError(f"full_collection saw {len(seen)} of {law.m} words in "
+                                 f"{most} throws: the grammar is likely ambiguous")
             values.append(throws)
-        elif statistic == "distinct":
-            seen.update(itertools.islice(draws, k))
-            values.append(len(seen))
         else:
-            cov = 0
-            for word in itertools.islice(draws, k):
-                if word not in seen:
-                    seen.add(word)
-                    cov += word_weight(word, table.weights) / total
-            values.append(float(cov))
+            seen.update(itertools.islice(draws, k))
+            values.append(len(seen) if statistic == "distinct" else float(
+                sum(word_weight(word, law.table.weights) for word in seen) / law.total))
     return values
 
 
@@ -692,14 +692,20 @@ def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
     denominator D, placed by one bisect over the class occupancy thresholds
     (see _urn_trials), with no urn ids and memory linear in the number of
     classes; coverage is its integer numerator over D, correctly rounded.
-    Word level keeps a set of the sampled words.
+    Word level keeps a set of the sampled words, and its refusals read the
+    law its table draws from: total(n) from the table, alpha_2 from one
+    table over the squared weights, m from the unit-weight table and p_min
+    from one (min, x) pass (see _word_law).
 
-    Refused before any draw: more than SIMULATE_DRAW_CAP trials, or
-    trials * k draws; full collection over more than FULL_COLLECTION_CAP
-    urns or words; first collision or full collection whose trials times a
-    lower bound on the expected throws of one trial exceeds
-    SIMULATE_DRAW_CAP, the bound being ceil(sqrt(pi / (2 alpha_2))) (see
-    birthday_exact) or ceil(1 / p_min), at either level.
+    Refused before any draw, at either level: more than SIMULATE_DRAW_CAP
+    trials, or trials * k draws; full collection over more than
+    FULL_COLLECTION_CAP urns or words; first collision or full collection
+    whose trials times a lower bound on the expected throws of one trial
+    exceeds SIMULATE_DRAW_CAP, the bound being ceil(sqrt(pi / (2 alpha_2)))
+    (see birthday_exact) or ceil(1 / p_min).  A word-level full collection
+    short of m words (m counts derivations) after t = ceil((ln m + 64 ln 2) /
+    p_min) throws raises ValueError, as an unambiguous grammar gets there
+    with probability below m (1 - p_min)^t < 2^-64.
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -715,18 +721,18 @@ def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
             return SimResult(statistic, 0.0, 0.0, trials, 0)
     elif k is not None:
         raise ValueError(f"statistic {statistic!r} takes no k")
+    law = model if isinstance(model, UrnModel) else _word_law(model.table, n, statistic)
+    if statistic == "full_collection" and law.m > FULL_COLLECTION_CAP:
+        raise ValueError(f"full collection needs at most {FULL_COLLECTION_CAP} "
+                         f"urns or words, got {law.m}")
+    _refuse_long_waits(statistic, trials, law)
     sub = substream_seed(DEFAULT_SEED if seed is None else seed)
-    if isinstance(model, UrnModel):
-        if statistic == "full_collection" and model.m > FULL_COLLECTION_CAP:
-            raise ValueError(f"full collection needs at most {FULL_COLLECTION_CAP} "
-                             f"urns or words, got {model.m}")
-        _refuse_long_waits(statistic, trials, lambda: alpha(model, 2),
-                           lambda: model.p_min)
+    if law is model:
         values = _urn_trials(model, statistic, trials, k, random.Random(sub).getrandbits)
         if statistic == "coverage":
             values = [v / model.denominator for v in values]
     else:
-        values = _word_trials(model, statistic, trials, k, sub, n)
+        values = _word_trials(law, statistic, trials, k, sub)
     mean = math.fsum(values) / trials
     if trials > 1:
         var = math.fsum((v - mean) ** 2 for v in values) / (trials - 1)

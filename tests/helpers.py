@@ -36,7 +36,7 @@ from weightedgen import (Rule, WeightClass, WeightedGrammar, WeightSpectrum,
                          from_weights, normalize, parse_grammar, rna)
 from weightedgen.grammar import _min_lengths, inside
 from weightedgen.numerics import one_minus_pow, to_mpf
-from weightedgen.urns import QuadratureError, UrnClass, UrnModel, alpha
+from weightedgen.urns import QuadratureError, UrnClass, UrnModel
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +368,7 @@ def mp_birthday(u, rel_tol=1e-9):
         else:
             raise QuadratureError("could not locate the truncation point")
 
-        scale = 1 / mp.sqrt(to_mpf(alpha(u, 2)))
+        scale = 1 / mp.sqrt(to_mpf(u.alpha_2))
         points = [mp.mpf(0)]
         for pt in (scale, 4 * scale, upper):
             if points[-1] < pt <= upper:

@@ -181,7 +181,7 @@ def test_max_weight_growth_matches_largest_weight_rows(source, weights):
     except InsufficientData:
         assert finite_language(grammar)
         return
-    scale, row = counting._extreme_row(g, 400, largest=True)
+    scale, row = counting._extreme_row(g, g.weights, 400, largest=True)
     for n in (200, 400):
         k = max(i for i in range(n + 1) if row[i])  # the last length with words
         gap = log_m - (math.log(row[k]) - k * math.log(scale)) / k

@@ -16,10 +16,7 @@ from weightedgen.cli import main
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"
 
 
-def run_cli(*argv, env=None, monkeypatch=None):
-    if env and monkeypatch:
-        for k, v in env.items():
-            monkeypatch.setenv(k, v)
+def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
@@ -72,15 +69,6 @@ def test_sample_refuses_negative_k():
     code, out, err = run_cli("sample", "--builtin", "motzkin", "--n", "5", "--k", "-3")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "--k" in err
-
-
-def test_sample_env_seed(monkeypatch):
-    monkeypatch.setenv("WCFG_SEED", "555")
-    _, with_env, _ = run_cli("sample", "--builtin", "motzkin", "--n", "5", "--k", "3")
-    monkeypatch.delenv("WCFG_SEED")
-    _, explicit, _ = run_cli("sample", "--builtin", "motzkin", "--n", "5", "--k", "3",
-                             "--seed", "555")
-    assert with_env == explicit
 
 
 def test_analyze_contains_expected_distinct():
@@ -209,6 +197,27 @@ def test_asymptotics_empty_collision_length_prints_nothing(tmp_path):
                              "--precision", "float128", "--collision-n", "2")
     assert code == 2 and out == ""
     assert err == "error: no words of length 2\n"
+
+
+def test_asymptotics_refuses_an_underflowing_squared_kappa():
+    # kappa of the W^2 fit is exp(intercept) = 0.0 in a double: no fitted estimate
+    code, out, err = run_cli("asymptotics", "--builtin", "rna", "--theta", "5",
+                             "--energy=-200", "--n-terms", "64", "--collision-n", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: kappa of the W^2 fit underflows to 0.0")
+
+
+@pytest.mark.parametrize("rules, n", [("S -> _ | S a | a", 7), ("S -> a | S S", 3)])
+def test_word_full_collection_ends_on_an_ambiguous_grammar(tmp_path, rules, n):
+    # one word of two derivations: the word count 2 is never seen, and each
+    # trial stops after ceil((ln 2 + 64 ln 2) / (1/2)) = 91 throws
+    path = tmp_path / "g.wcfg"
+    path.write_text(f"axiom S\nterminal a\n{rules}\n")
+    code, out, err = run_cli("simulate", "--grammar", str(path), "--n", str(n),
+                             "--mode", "words", "--statistic", "full_collection")
+    assert code == 2 and out == ""
+    assert err == ("error: full_collection saw 1 of 2 words in 91 throws: the grammar "
+                   "is likely ambiguous\n")
 
 
 def test_asymptotics_builds_each_table_once(monkeypatch):

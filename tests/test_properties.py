@@ -19,10 +19,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from weightedgen import (SamplerState, UrnModel, birthday_exact, branch_distribution,
                          build_counts, counting, expected_coverage, expected_distinct,
                          expected_occupied_weight, extreme_weights, from_spectrum, normalize,
-                         parse_grammar, sample_word, weight_spectra, word_weight)
+                         parse_grammar, sample_word, weight_spectra, weight_spectrum,
+                         word_weight)
 from weightedgen.grammar import inside
 from weightedgen.numerics import EXACT_POW_BIT_LIMIT, _ratio_pow_affordable
-from weightedgen.urns import OCCUPANCY_REL_ERROR, _urn_trials
+from weightedgen.urns import OCCUPANCY_REL_ERROR, _urn_trials, _word_law
 from helpers import (UNIT_CHAIN, EnumerationCap, assert_chains_shared, below,
                      enumerate_words, fraction_count_table, fraction_route_classes,
                      fraction_route_spectrum, inside_unpruned, mp_birthday, normalize_checked,
@@ -108,8 +109,8 @@ def _every_inside_instance(ng, horizon, route):
         build_counts(ng, None, horizon)
         build_counts(ng, None, horizon, 24)
         weight_spectra(ng, None, horizon)
-        counting._extreme_row(ng, horizon, largest=False)
-        counting._extreme_row(ng, horizon, largest=True)
+        counting._extreme_row(ng, ng.weights, horizon, largest=False)
+        counting._extreme_row(ng, ng.weights, horizon, largest=True)
     return cells
 
 
@@ -135,6 +136,21 @@ def test_extreme_weights_are_the_spectrum_ends(g, n):
     spectrum = weight_spectra(ng, None, n)[n]
     assume(spectrum is not None)
     assert extreme_weights(ng, n) == (spectrum.classes[0].weight, spectrum.classes[-1].weight)
+
+
+@PROPERTY
+@given(weighted_grammars(), st.integers(0, 6), st.booleans(), st.data())
+def test_word_law_is_the_spectrum_urn_model(g, n, own_weights, data):
+    # tables of the grammar's own weights and of other weights: the
+    # word-level refusals read the urn model of the law the table draws from
+    ng = normalize(g)
+    weights = None if own_weights else {t: data.draw(WEIGHTS) for t in sorted(ng.terminals)}
+    table = build_counts(ng, weights, n)
+    assume(table.total(n))
+    u = from_spectrum(weight_spectrum(table.grammar, table.weights, n))
+    assert _word_law(table, n, "first_collision").alpha_2 == u.alpha_2
+    law = _word_law(table, n, "full_collection")
+    assert (law.p_min, law.m) == (u.p_min, u.m)
 
 
 @PROPERTY

@@ -16,12 +16,12 @@ from weightedgen import (EmptyLanguageError, ReportEntry, SamplerState, UrnModel
                          normalize, occupancy, parse_grammar, simulate,
                          rna, standard_report, uniform_urns, weight_spectrum,
                          xi_estimate)
-from weightedgen import urns as urns_module
+from weightedgen import counting, grammar as grammar_module, urns as urns_module
 from weightedgen.numerics import (HARMONIC_EXACT_LIMIT, _ratio_pow_affordable, harmonic,
                                   to_mpf)
 from weightedgen.urns import (FULL_COLLECTION_CAP, OCCUPANCY_K_LIMIT,
                               OCCUPANCY_REL_ERROR, SIMULATE_DRAW_CAP, QuadratureError,
-                              SimResult, alpha)
+                              SimResult)
 from helpers import (exponential_per_class, mp_birthday, occupancy_sum_per_class,
                      oracle_birthday, oracle_birthday_uniform, oracle_coupon,
                      oracle_occupancy, expand_urns, random_urn_model, urn_ball_trial,
@@ -126,7 +126,7 @@ def test_expected_coverage_basics():
     assert expected_coverage(u3, 2) == expected_distinct(u3, 2).value / 3
     two = from_weights([Fraction(1), Fraction(2)])
     assert expected_coverage(two, 1) == Fraction(5, 9)
-    assert expected_coverage(two, 1) == alpha(two, 2)
+    assert expected_coverage(two, 1) == two.alpha_2
 
 
 def test_coverage_first_order():
@@ -594,6 +594,33 @@ def test_word_waits_read_the_law_of_the_table(motzkin, monkeypatch):
         with pytest.raises(ValueError, match="first_collision expects at least 322879118"):
             simulate(SamplerState(build_counts(grammar, unit, 40)), "first_collision", 10,
                      n=40)
+
+
+def test_word_level_simulate_builds_only_its_statistic_s_tables(motzkin, monkeypatch):
+    # Motzkin W=2 at n=8, from a table of its own grammar and from one whose
+    # weights differ from its grammar's: alpha_2 takes one table, m and p_min
+    # one table and one (min, x) pass, and the W total is the table's own
+    own = build_counts(normalize(motzkin.with_weights({".": 2})), None, 8)
+    other = build_counts(normalize(motzkin), {".": 2, "(": 1, ")": 1}, 8)
+    calls = Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(counting, "inside", counted("inside", counting.inside))
+    for module in (grammar_module, urns_module):
+        monkeypatch.setattr(module, "normalize",
+                            counted("normalize", grammar_module.normalize), raising=False)
+    for table in (own, other):
+        for statistic, trials, k, inside in (("first_collision", 20, None, 1),
+                                             ("full_collection", 1, None, 2),
+                                             ("distinct", 5, 10, 0), ("coverage", 5, 10, 0)):
+            calls.clear()
+            simulate(SamplerState(table), statistic, trials, k=k, n=8)
+            assert (calls["inside"], calls["normalize"]) == (inside, 0), statistic
 
 
 # Pinned SimResults, Motzkin W=2 at n=5 (21 words in 3 weight classes), 50
