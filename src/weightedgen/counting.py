@@ -60,10 +60,6 @@ GUARD_BITS = 64
 # weight classes the spectrum DP may hold in one cell before it gives up
 CLASS_CAP = 200_000
 
-# top bits of a draw that a sampler compares with a node's prefix sums before
-# it draws the rest (see `sampler`)
-LIMB_BITS = 64
-
 
 class EmptyLanguageError(ValueError):
     """The language has no word of the requested length."""
@@ -117,17 +113,6 @@ class CountTable:
     letter scale and the shift after each dot differ.  Construction costs
     at most O(|rules| * horizon^2) products, and O(horizon) per pair rule
     with a child of bounded length (see `grammar.inside`).
-
-    A sampler's first visit to (nt, m) memoises a `Node` there (`node`):
-    two list slots per option, one LIMB_BITS-bit int per option summed so
-    far and one exact sum below the node's draw bound plus its options'
-    slack.  A fully visited table thus holds at most about its cells' size
-    again plus some 60 bytes per option; tracemalloc measured 0.81 MB after
-    1000 RNA words (theta=3, E=-3) at n=100 and 1.9 MB after 100 at n=200.
-    The memo only memoises: cells, options and picks are what they would be
-    without it, nothing is memoised while the table is built, and a node's
-    known sums are replaced whole, never edited, so a table stays safe to
-    share between samplers.
     """
 
     def __init__(self, grammar: NormalizedGrammar, weights, horizon: int,
@@ -153,7 +138,7 @@ class CountTable:
 
         self._cells = inside(grammar, horizon, self._letters.__getitem__,
                              self._one, 0, operator.add, dot)
-        self._nodes = {}
+        self.nodes = {}  # the sampler's memo (see `sampler`); never read here
 
     def cell(self, nt: str, m: int) -> int:
         """The stored cell at (nt, m): value(nt, m) in the table's own scale."""
@@ -175,116 +160,48 @@ class CountTable:
     def coefficients(self) -> list:
         return [self.total(m) for m in range(self.horizon + 1)]
 
-    def draw_bound(self, nt: str, m: int) -> int:
-        """The bound a sampler draws r below at (nt, m), in the scale of `choices`.
+    def options(self, nt: str, m: int) -> tuple:
+        """(bound, rules, splits): the draw bound of the recursive method at
+        (nt, m) and the rule and split of each nonzero option, in draw order;
+        computes no product (`weight` gives each option's weight).
 
-        The options of `choices(nt, m)` sum to at least this bound, exactly on
-        an exact table and at lengths 0 and 1.  On a fixed-point table a pair
-        option is a product of two cells, so it sits 2^q above the cell's
-        scale, and the cell is the floor of its own pair options' sum shifted
-        down by q, plus the cells of its unit rules' targets.  So the options
-        exceed the bound by less than 2^q per unit path out of nt (the empty
-        path included) that ends at a nonterminal with pair rules.
+        A unit rule nt -> B stands, in its place, for B's options in B's
+        order, so no rule is a unit rule.  A split is the length of a pair
+        rule's first child, from both ends inwards, where these grammars put
+        most of the weight.  The options sum to at least the bound, exactly
+        on an exact table and at lengths 0 and 1.  On a fixed-point table a
+        pair option is a product of two cells, so the bound is the cell
+        shifted up by q, and the options exceed it by less than 2^q per unit
+        path out of nt (the empty path included) that ends at a nonterminal
+        with pair rules: each such cell is the floor of its pair options'
+        sum shifted down by q.
         """
         cell = self.cell(nt, m)
-        return cell << self._shift if m >= 2 and self._shift else cell
+        rules, splits = [], []
 
-    def choices(self, nt: str, m: int):
-        """The nonzero (weight, rule, split) options of the recursive method at (nt, m).
+        def add(nt):
+            for r in self.grammar.alternatives(nt):
+                if r.kind == "unit":
+                    add(r.rhs[0])
+                elif r.kind != "pair":
+                    if m == len(r.rhs):  # a letter at m = 1, the empty word at m = 0
+                        rules.append(r)
+                        splits.append(m)
+                elif m >= 2:
+                    vb, vc = self._cells[r.rhs[0]], self._cells[r.rhs[1]]
+                    js = [j for j in _splits(m) if vb[j] and vc[m - j]]
+                    rules.extend([r] * len(js))
+                    splits.extend(js)
 
-        Weights are ints in the scale of `draw_bound(nt, m)`; a walk that
-        subtracts them from a draw below that bound in this order always
-        stops at an option.  A unit rule nt -> B stands, in its place, for
-        B's options in B's order, so `rule` is never a unit rule.  `split` is
-        the length of a pair rule's first child.  Split points come from both
-        ends inwards, where these grammars put most of the weight, so a walk
-        that stops at a drawn option computes few products.  The (rule,
-        split) pairs are those of `node(nt, m)`.
-        """
-        node = self.node(nt, m)
-        for rule, j in zip(node.rules, node.splits):
-            yield self._weight(rule, j, m), rule, j
+        add(nt)
+        return (cell << self._shift if m >= 2 else cell), rules, splits
 
-    def node(self, nt: str, m: int) -> Node:
-        """The memoised `Node` at (nt, m), made on the first call."""
-        node = self._nodes.get((nt, m))
-        if node is None:
-            node = Node(m, self.draw_bound(nt, m))
-            self._options(nt, m, node.rules, node.splits)
-            self._nodes[nt, m] = node
-        return node
-
-    def extend(self, node: Node, h: int) -> list:
-        """The known top bits of `node` once it knows a prefix sum whose top
-        bits exceed h, or every option: adds the next options' weights to the
-        last known sum until then and swaps in the longer (hi, last) pair.
-        It draws nothing, so the picks and draws of a sampler do not depend
-        on how much of the node is known."""
-        s, rules = node.shift, node.rules
-        hi, last = node.known
-        hi = list(hi)
-        while last >> s <= h and len(hi) < len(rules):
-            i = len(hi)
-            last += self._weight(rules[i], node.splits[i], node.m)
-            hi.append(last >> s)
-        node.known = hi, last
-        return hi
-
-    def walk(self, node: Node, r: int) -> int:
-        """The index of the first option of `node` whose prefix sum exceeds r,
-        by subtracting the options' exact weights from r in order."""
-        for i, (rule, j) in enumerate(zip(node.rules, node.splits)):
-            r -= self._weight(rule, j, node.m)
-            if r < 0:
-                return i
-
-    def _options(self, nt: str, m: int, rules: list, splits: list):
-        """Appends the rule and split of each nonzero option at (nt, m), in
-        the order of `choices`, to `rules` and `splits`; computes no product."""
-        for r in self.grammar.alternatives(nt):
-            if r.kind == "term":
-                if m == 1:
-                    rules.append(r)
-                    splits.append(1)
-            elif r.kind == "eps":
-                if m == 0:
-                    rules.append(r)
-                    splits.append(0)
-            elif r.kind == "unit":
-                self._options(r.rhs[0], m, rules, splits)
-            elif m >= 2:
-                vb, vc = self._cells[r.rhs[0]], self._cells[r.rhs[1]]
-                js = [j for j in _splits(m) if vb[j] and vc[m - j]]
-                rules += [r] * len(js)
-                splits += js
-
-    def _weight(self, rule, j: int, m: int) -> int:
-        """The weight of option (rule, j) at length m, in the scale of `choices`."""
+    def weight(self, rule, j: int, m: int) -> int:
+        """The weight of option (rule, j) at length m, in the scale of the
+        bound of `options`."""
         if rule.kind == "pair":
             return self._cells[rule.rhs[0]][j] * self._cells[rule.rhs[1]][m - j]
         return self._letters[rule.rhs[0]] if rule.kind == "term" else self._one
-
-
-class Node:
-    """One (nonterminal, length) node of the recursive method, as a sampler
-    visits it: its length m, the draw bound, the shift s = max(0,
-    bound.bit_length() - LIMB_BITS), the bound's top bits top = bound >> s
-    and their number bits = bound.bit_length() - s, the rule and split of
-    each option in the order of `CountTable.choices`, and `known` =
-    (hi, last), where last is the exact sum of the first len(hi) options'
-    weights and hi[i] is the sum of the first i + 1 of them shifted right by
-    s.  Only `CountTable.extend` changes a node once it is filled, by
-    replacing `known`."""
-
-    __slots__ = ("m", "bound", "shift", "bits", "top", "rules", "splits", "known")
-
-    def __init__(self, m: int, bound: int):
-        self.m, self.bound = m, bound
-        self.shift = max(0, bound.bit_length() - LIMB_BITS)
-        self.bits = bound.bit_length() - self.shift
-        self.top = bound >> self.shift
-        self.rules, self.splits = [], []
-        self.known = [], 0
 
 
 def build_counts(grammar: NormalizedGrammar, weights=None, n: int = 0,

@@ -44,7 +44,7 @@ from .numerics import (DEFAULT_SEED, FLOAT_DPS, HARMONIC_EXACT_LIMIT, _ratio_pow
 # Unused here; the benchmark's self-test still expects the binding (bench/spans.py
 # traces one_minus_pow in every module that imports it).
 from .numerics import one_minus_pow  # noqa: F401
-from .sampler import SamplerState, sample_word, word_weight
+from .sampler import SamplerState, _share, sample_word, word_weight
 
 
 class QuadratureError(RuntimeError):
@@ -672,8 +672,8 @@ def _word_trials(law: SimpleNamespace, statistic: str, trials: int, k: int | Non
             values.append(throws)
         else:
             seen.update(itertools.islice(draws, k))
-            values.append(len(seen) if statistic == "distinct" else float(
-                sum(word_weight(word, law.table.weights) for word in seen) / law.total))
+            values.append(len(seen) if statistic == "distinct" else float(_share(
+                sum(word_weight(word, law.table.weights) for word in seen), law.table, law.n)))
     return values
 
 
@@ -682,8 +682,10 @@ def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
     """Monte Carlo estimate of a redundancy statistic, with standard error.
 
     `model` is either an UrnModel (urn-level simulation) or a SamplerState
-    (word-level simulation over its grammar, at length n).  The trials draw
-    from substream 0 of `seed`, so identical calls give identical results; a
+    (word-level simulation over its grammar, at length n).  Identical calls
+    give identical results: urn-level throws draw from substream 0 of
+    `seed`, and word-level trials sample from a fresh SamplerState seeded
+    with that substream, so their words come from its own substream 0.  A
     SamplerState contributes only its table, never its own stream.  k is
     the number of throws of distinct and coverage, and the other statistics
     refuse it.

@@ -33,7 +33,7 @@ from mpmath import mp
 
 from weightedgen import (Rule, WeightClass, WeightedGrammar, WeightSpectrum,
                          GrammarError, build_counts, counting, extreme_weights,
-                         from_weights, normalize, parse_grammar, rna)
+                         from_weights, normalize, parse_grammar, rna, sampler)
 from weightedgen.grammar import _min_lengths, inside
 from weightedgen.numerics import one_minus_pow, to_mpf
 from weightedgen.urns import QuadratureError, UrnClass, UrnModel
@@ -231,13 +231,22 @@ def below(getrandbits, n: int) -> int:
     It is the rejection loop of CPython's randrange(n), so a Random seeded
     alike gives the same ints on any platform.  Every urn throw of
     `urns.simulate`, and `sampler`'s top-bits loop at a bound of at most
-    `counting.LIMB_BITS` bits, write this loop out inline; it is their
+    `sampler.LIMB_BITS` bits, write this loop out inline; it is their
     oracle."""
     k = n.bit_length()
     r = getrandbits(k)
     while r >= n:
         r = getrandbits(k)
     return r
+
+
+def choices(table, nt, m):
+    """The (weight, rule, split) options at (nt, m) in draw order: those of
+    `CountTable.options`, each weighed by `CountTable.weight` when it is
+    reached."""
+    _, rules, splits = table.options(nt, m)
+    for rule, j in zip(rules, splits):
+        yield table.weight(rule, j, m), rule, j
 
 
 def walk_sample_word(state, n):
@@ -247,23 +256,23 @@ def walk_sample_word(state, n):
     the limb, a draw starts as the range [h << s, (h + 1) << s) of its top
     bits h, redrawn while the range reaches B; at h = B >> s the s low bits
     are drawn at once and only a draw of B or more is redrawn.  The walk
-    subtracts the options of `CountTable.choices` in order from the range
-    until all of it is negative, and draws the low bits the first time a
-    prefix sum falls inside it.  With s = 0 the draw is `below` the bound.
-    It consumes the stream alike, so it is the oracle of every seeded
-    sampler stream."""
+    subtracts the options of `choices` in order from the range until all of
+    it is negative, and draws the low bits the first time a prefix sum falls
+    inside it.  With s = 0 the draw is `below` the bound.  It consumes the
+    stream alike, so it is the oracle of every seeded sampler stream."""
     table = state.table
     getrandbits = state.rng.getrandbits
+    limb = sampler.LIMB_BITS
     out = []
     stack = [(table.grammar.axiom, n)]
     while stack:
         nt, m = stack.pop()
-        bound = table.draw_bound(nt, m)
-        s = max(0, bound.bit_length() - counting.LIMB_BITS)
+        bound = table.options(nt, m)[0]
+        s = max(0, bound.bit_length() - limb)
         if s:
             top = bound >> s
             while True:
-                h = getrandbits(counting.LIMB_BITS)
+                h = getrandbits(limb)
                 lo, up = h << s, (h + 1 << s) - 1
                 if h == top:
                     lo = up = lo | getrandbits(s)
@@ -271,7 +280,7 @@ def walk_sample_word(state, n):
                     break
         else:
             lo = up = below(getrandbits, bound)
-        for weight, rule, j in table.choices(nt, m):
+        for weight, rule, j in choices(table, nt, m):
             lo -= weight
             up -= weight
             if lo < up and lo <= 0 <= up:

@@ -542,7 +542,7 @@ def test_figure_outputs_deterministic():
                                                       "--n", "8", "--statistic",
                                                       "full_collection", "--mode", "urns",
                                                       "--format", "csv")),
-    # two weighted terminals: two digit blocks in the packed table
+    # two weighted terminals: the spectrum from the dict DP over compositions
     ("spectrum_motzkin_w2_open3_n24", ("spectrum", "--builtin", "motzkin", "--weight",
                                        ".=2", "--weight", "(=3", "--n", "24")),
 ])

@@ -9,7 +9,7 @@ from weightedgen import (ClassCapExceeded, EmptyLanguageError, build_counts,
                          counting, extreme_weights, moment, normalize,
                          parse_grammar, rna, weight_spectra, weight_spectrum)
 from weightedgen.grammar import inside
-from helpers import (UNIT_CHAIN, inside_unpruned, pair_paths, random_grammar,
+from helpers import (UNIT_CHAIN, choices, inside_unpruned, pair_paths, random_grammar,
                      spectrum_from_enumeration)
 
 
@@ -76,8 +76,8 @@ def test_fixed_point_table_within_truncation_bound_of_exact(motzkin, build, n):
                 # the sampler's walk stops below the bound within the options,
                 # which exceed it by a floor remainder (< 2^q) per path in
                 # `pair_paths`
-                options = sum(w for w, _, _ in fixed.choices(nt, m))
-                bound = fixed.draw_bound(nt, m)
+                options = sum(w for w, _, _ in choices(fixed, nt, m))
+                bound = fixed.options(nt, m)[0]
                 assert bound <= options <= bound + paths[nt] * (2 ** q - 1)
 
 
@@ -270,7 +270,8 @@ def test_choices_sum_to_cell(motzkin_h2_norm):
     table = build_counts(motzkin_h2_norm, None, 6)
     for nt in motzkin_h2_norm.nonterminals:
         for m in range(7):
-            assert sum(w for w, _, _ in table.choices(nt, m)) == table.cell(nt, m)
+            bound = table.options(nt, m)[0]
+            assert sum(w for w, _, _ in choices(table, nt, m)) == bound == table.cell(nt, m)
 
 
 @pytest.mark.parametrize("entry", [build_counts, weight_spectrum],

@@ -9,9 +9,9 @@ import pytest
 
 from weightedgen import (EmptyLanguageError, RnaModel, SamplerState,
                          branch_distribution, build_counts, counting, normalize,
-                         parse_grammar, rna_grammar, sample_word,
+                         parse_grammar, rna_grammar, sample_word, sampler,
                          word_probability, word_weight)
-from helpers import enumerate_words, random_grammar, walk_sample_word
+from helpers import choices, enumerate_words, random_grammar, walk_sample_word
 
 # chi-square upper quantiles at significance 0.001
 CHI2_CRIT = {1: 10.828, 2: 13.816, 3: 16.266, 5: 20.515, 8: 26.124,
@@ -136,8 +136,8 @@ def test_fixed_point_node_probabilities_are_exact_ratios():
     g = normalize(parse_grammar(FIVE_LETTERS))
     p = 24
     table = build_counts(g, None, 1, precision=p)
-    options = list(table.choices(g.axiom, 1))
-    bound = table.draw_bound(g.axiom, 1)
+    options = list(choices(table, g.axiom, 1))
+    bound = table.options(g.axiom, 1)[0]
     assert sum(w for w, _, _ in options) == bound
     dist = branch_distribution(table, 1)
     assert dist == {rule.rhs: Fraction(w, bound) for w, rule, _ in options}
@@ -162,6 +162,15 @@ class Scripted:
     def getrandbits(self, k):
         self.used += 1
         return next(self.draws, 0)
+
+
+def memo_node(table, nt, m):
+    """The sampler's memoised Node at (nt, m), made as sample_word makes it
+    on the first visit."""
+    nodes = table.nodes
+    if (nt, m) not in nodes:
+        nodes[nt, m] = sampler.Node(m, *table.options(nt, m))
+    return nodes[nt, m]
 
 
 def top_low(node, r):
@@ -190,13 +199,14 @@ def five_letters(monkeypatch):
     2^s, so a draw just below one shares its top bits."""
     g = normalize(parse_grammar(FIVE_LETTERS))
     table = build_counts(g, None, 1, precision=24)
-    sums = list(accumulate(w for w, _, _ in table.choices(g.axiom, 1)))
-    node = table.node(g.axiom, 1)
+    sums = list(accumulate(w for w, _, _ in choices(table, g.axiom, 1)))
+    node = memo_node(table, g.axiom, 1)
     assert node.shift > 0 and all((x - 1) >> node.shift == x >> node.shift for x in sums)
     assert sums[-1] == node.bound
     walks = []
-    walk = table.walk
-    monkeypatch.setattr(table, "walk", lambda node, r: walks.append(r) or walk(node, r))
+    walk = sampler._walk
+    monkeypatch.setattr(sampler, "_walk",
+                        lambda node, r, weight: walks.append(r) or walk(node, r, weight))
     return table, node, sums, walks
 
 
@@ -244,9 +254,9 @@ def test_extend_past_a_draw_gives_the_walks_pick(five_letters):
     # bisected, and a tie there still walks
     table, node, sums, walks = five_letters
     s = node.shift
-    hi = table.extend(node, sums[2] >> s)
+    hi = sampler._extend(node, sums[2] >> s, table.weight)
     assert hi == [x >> s for x in sums[:4]] and node.known == (hi, sums[3])
-    assert table.extend(node, sums[1] >> s) == hi and node.known[1] == sums[3]
+    assert sampler._extend(node, sums[1] >> s, table.weight) == hi and node.known[1] == sums[3]
     middle = (sums[0] + sums[1]) // 2
     words = scripted_words(table, [*top_low(node, sums[1]), middle >> s], 2)
     assert words == [("c",), ("b",)]
@@ -260,8 +270,8 @@ def test_clipped_last_option_on_a_fixed_point_table(motzkin):
     g = normalize(motzkin.with_weights({".": Fraction(5, 3)}))
     table = build_counts(g, None, 6, precision=24)
     axiom = g.axiom
-    sums = list(accumulate(w for w, _, _ in table.choices(axiom, 6)))
-    node = table.node(axiom, 6)
+    sums = list(accumulate(w for w, _, _ in choices(table, axiom, 6)))
+    node = memo_node(table, axiom, 6)
     top, low = top_low(node, node.bound - 1)
     assert sums[-2] < node.bound < sums[-1] and top == node.top
     scripted_words(table, [top, low], 1)
@@ -317,19 +327,22 @@ def attempt_law(table, n, monkeypatch) -> dict:
     Each sequence runs from a cold node, from every partly known one and
     from a fully known one, which must all draw alike."""
     axiom = table.grammar.axiom
-    node = table.node(axiom, n)
-    sums = [0, *accumulate(w for w, _, _ in table.choices(axiom, n))]
+    node = memo_node(table, axiom, n)
+    sums = [0, *accumulate(w for w, _, _ in choices(table, axiom, n))]
     # every prefix of the sums that a draw may reach, as earlier draws,
     # tied or not, may have left the node
-    hi = table.extend(node, node.top)
+    hi = sampler._extend(node, node.top, table.weight)
     prefixes = [(hi[:j], sums[j]) for j in range(len(hi) + 1)]
 
-    def axiom_only(nt, m):
-        if (nt, m) != (axiom, n):
-            raise Picked(nt, m)
-        return node
+    class AxiomOnly(dict):
+        """A memo that holds the axiom node and stops the walk at any other."""
 
-    monkeypatch.setattr(table, "node", axiom_only)
+        def get(self, key, default=None):
+            if key != (axiom, n):
+                raise Picked(*key)
+            return node
+
+    monkeypatch.setattr(table, "nodes", AxiomOnly())
     state = SamplerState(table)
     law = Counter()
     pending = [()]
@@ -384,13 +397,13 @@ def test_one_attempt_draws_each_option_with_its_exact_share(monkeypatch, limb, s
     # at a bound B of L bits, an attempt picks each option with its weight
     # over B, the last one cut short at the bound (SPLITS at n = 3 on either
     # fixed-point table), as `branch_distribution` weighs it.
-    monkeypatch.setattr(counting, "LIMB_BITS", limb)
+    monkeypatch.setattr(sampler, "LIMB_BITS", limb)
     monkeypatch.setattr(counting, "GUARD_BITS", 0)
     g = normalize(parse_grammar(source))
     table = build_counts(g, None, n, precision)
-    bound = left = table.draw_bound(g.axiom, n)
+    bound = left = table.options(g.axiom, n)[0]
     expected = {}
-    for weight, rule, j in table.choices(g.axiom, n):
+    for weight, rule, j in choices(table, g.axiom, n):
         if left > 0:
             expected[rule.rhs[0], j] = Fraction(min(weight, left), bound)
         left -= weight
@@ -438,12 +451,12 @@ def test_each_option_weight_is_computed_once_and_never_more_than_the_walk(monkey
     counts = Counter()
 
     def count_weights(t, name):
-        weight = t._weight
+        weight = t.weight
 
         def counted(*args):
             counts[name] += 1
             return weight(*args)
-        monkeypatch.setattr(t, "_weight", counted)
+        monkeypatch.setattr(t, "weight", counted)
 
     count_weights(table, "memo")
     count_weights(oracle, "walk")
@@ -451,7 +464,7 @@ def test_each_option_weight_is_computed_once_and_never_more_than_the_walk(monkey
     for _ in range(40):
         assert sample_word(state, 60) == walk_sample_word(walked, 60)
         assert counts["memo"] <= counts["walk"]
-    nodes = table._nodes.values()
+    nodes = table.nodes.values()
     assert counts["memo"] == sum(len(node.known[0]) for node in nodes) \
         <= sum(len(node.rules) for node in nodes)
     assert counts["memo"] * 10 < counts["walk"]

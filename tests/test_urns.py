@@ -15,14 +15,15 @@ from weightedgen import (EmptyLanguageError, ReportEntry, SamplerState, UrnModel
                          expected_occupied_weight, from_spectrum, from_weights,
                          normalize, occupancy, parse_grammar, simulate,
                          rna, standard_report, uniform_urns, weight_spectrum,
-                         xi_estimate)
+                         word_probability, xi_estimate)
 from weightedgen import counting, grammar as grammar_module, urns as urns_module
 from weightedgen.numerics import (HARMONIC_EXACT_LIMIT, _ratio_pow_affordable, harmonic,
                                   to_mpf)
 from weightedgen.urns import (FULL_COLLECTION_CAP, OCCUPANCY_K_LIMIT,
                               OCCUPANCY_REL_ERROR, SIMULATE_DRAW_CAP, QuadratureError,
                               SimResult)
-from helpers import (exponential_per_class, mp_birthday, occupancy_sum_per_class,
+from helpers import (enumerate_words, exponential_per_class, mp_birthday,
+                     occupancy_sum_per_class,
                      oracle_birthday, oracle_birthday_uniform, oracle_coupon,
                      oracle_occupancy, expand_urns, random_urn_model, urn_ball_trial,
                      urn_model)
@@ -455,6 +456,31 @@ def test_simulate_words_matches_urn_level(motzkin_h2_norm):
     assert abs(r.mean - float(expected_distinct(u, 3).value)) < 4 * r.stderr
     r = simulate(state, "coverage", 4000, seed=14, k=3, n=3)
     assert abs(r.mean - float(expected_coverage(u, 3))) < 4 * r.stderr
+
+
+@pytest.mark.parametrize("statistic", [None, "first_collision", "full_collection",
+                                       "distinct", "coverage"])
+def test_word_level_reads_of_a_fixed_point_table(motzkin_h2_norm, statistic):
+    # a fixed-point table's total is a p-bit mpf: a word's probability is
+    # one division in that type, within a few roundings of the exact share,
+    # and every word-level statistic agrees with the urn model within 4 SE
+    n, p, k = 4, 64, 6
+    fixed = build_counts(motzkin_h2_norm, None, n, p)
+    if statistic is None:
+        exact = build_counts(motzkin_h2_norm, None, n)
+        for word in set(enumerate_words(motzkin_h2_norm.original, n)):
+            share, x = word_probability(word, exact), word_probability(word, fixed)
+            assert x.man.bit_length() <= p
+            assert abs(x.man * Fraction(2) ** x.exp - share) <= share / 2 ** (p - 4)
+        return
+    u = from_spectrum(weight_spectrum(motzkin_h2_norm, None, n))
+    expected = {"first_collision": lambda: birthday_exact(u),
+                "full_collection": lambda: oracle_coupon([p for p, _ in expand_urns(u)]),
+                "distinct": lambda: expected_distinct(u, k).value,
+                "coverage": lambda: expected_coverage(u, k)}[statistic]()
+    r = simulate(SamplerState(fixed), statistic, 400, seed=3,
+                 k=k if statistic in ("distinct", "coverage") else None, n=n)
+    assert abs(r.mean - float(expected)) < 4 * r.stderr
 
 
 class _Exhausted(Exception):
