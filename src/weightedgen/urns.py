@@ -36,15 +36,16 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from mpmath import mp
+from mpmath.libmp import from_int, from_man_exp, mpf_floor, mpf_le, mpi_div, mpi_log, to_int
 
-from .counting import EmptyLanguageError, _extreme_row, build_counts
+from .counting import EmptyLanguageError, _extreme_row, _scaled, build_counts
 from .numerics import (DEFAULT_SEED, FLOAT_DPS, HARMONIC_EXACT_LIMIT, _ratio_pow_affordable,
                        _unlimited_digits, collision_plug_in, harmonic, substream_seed,
                        to_mpf)
 # Unused here; the benchmark's self-test still expects the binding (bench/spans.py
 # traces one_minus_pow in every module that imports it).
 from .numerics import one_minus_pow  # noqa: F401
-from .sampler import SamplerState, _share, sample_word, word_weight
+from .sampler import SamplerState, _share, sample_word
 
 
 class QuadratureError(RuntimeError):
@@ -576,6 +577,98 @@ def _refuse_long_waits(statistic: str, trials: int, law) -> None:
         raise ValueError(message)
 
 
+# Full collection skips repeat throws once the free mass F is at most
+# D / _SKIP_SHARE (see _urn_trials).  On one core of an Intel Xeon under
+# CPython 3.11, a throw costs 0.13-0.24 us and a skip step 1.0-1.4 us
+# (uniform 323 urns; Motzkin W=2 at n = 9 and 12), so skipping pays once a
+# new urn takes more than about 6-10 throws, D / F > 6-10.  On the
+# benchmark's full-collection ops (n = 8, 9) D/4, D/8 and D/16 timed within
+# 10% of each other, and D/32 about 20% slower.
+_SKIP_SHARE = 16
+
+# Uniform bits behind the float guess of a gap, and drawn at each refinement
+# after it (see _repeat_throws).
+_GUESS_BITS = 64
+
+# The float guess's slack relative to x + spread + 1 / |ln q|: 2^8 times its
+# proven error (see _repeat_throws).
+_GUESS_SLACK = 2.0 ** -40
+
+
+def _point(man: int, exp: int = 0) -> tuple:
+    """The mpmath interval [man * 2^exp, man * 2^exp], exact."""
+    x = from_man_exp(man, exp)
+    return x, x
+
+
+def _repeat_throws(free: int, scale: int, getrandbits) -> int:
+    """The throws into occupied urns before the next new one, when the free
+    urns hold mass F / D (F = free, D = scale, 0 < F <= D/2 or F = D): G >= 0
+    with P(G >= g) = q^g exactly, q = O / D, O = D - F.  No power of D is
+    raised.
+
+    G = floor(ln U / ln q) for U uniform in (0, 1], as G >= g iff U <= q^g.
+    The first _GUESS_BITS = b bits a leave U in (lo, hi] = (a, a + 1] / 2^b,
+    over which x(U) = ln U / ln q falls from x(lo) to x(hi), with
+    x(lo) - x(hi) = ln(1 + 1/a) / |ln q| <= 1 / (a |ln q|).  G is g on the
+    whole interval iff g <= x(hi) and x(lo) <= g + 1.
+
+    Float guess.  x = log(hi) / ln q and spread = 1 / (a |ln q|) in double
+    precision, with ln q = log1p(-F/D).  F/D is correctly rounded, and ln q
+    has condition number at most 1.45 in it for F <= D/2, so with log and
+    log1p within 4 ulp ln q is within a relative 2^-49.  log(hi) is within
+    2^-53 absolute (from the rounding of hi) plus 4 ulp, and the quotient
+    rounds once, so |x - x(hi)| <= 2^-48 x(hi) + 2^-52 / |ln q|; spread is
+    within a relative 2^-48.  The slack 2^-40 (x + spread + 1 / |ln q|)
+    covers both and the roundings of the test itself, so g = floor(x - slack)
+    is accepted when x + spread + slack <= g + 1.  The refusals of simulate
+    keep F/D >= 1e-9 here, so x + spread stays below 5e10 and a guess fails
+    only within about 2^-40 x of an integer.
+
+    Exact fallback.  Otherwise each round draws b more bits of U and
+    decides the same two inequalities by mpmath interval arithmetic at
+    (bits drawn) + (bits of D) + 64 bits, where the enclosure of ln q lies
+    below 0.  An interval that straddles, or just touches, an integer stays
+    undecided, so the law is exact, and it is refined again; one touching
+    at a tie (a dyadic q^g) shrinks by 2^-b a round.
+    """
+    occupied = scale - free
+    if not occupied:
+        return 0
+    log_q = math.log1p(-free / scale)
+    bits = _GUESS_BITS
+    a = getrandbits(bits)
+    if a:
+        x = math.log(math.ldexp(a + 1, -bits)) / log_q
+        spread = -1 / (a * log_q)
+        slack = _GUESS_SLACK * (x + spread - 1 / log_q)
+        g = math.floor(x - slack)
+        if x + spread + slack <= g + 1:
+            return g
+    while True:
+        a = a << _GUESS_BITS | getrandbits(_GUESS_BITS)
+        bits += _GUESS_BITS
+        if not a:
+            continue
+        prec = bits + scale.bit_length() + 64
+        log_q = mpi_log(mpi_div(_point(occupied), _point(scale), prec), prec)
+        x_hi = mpi_div(mpi_log(_point(a + 1, -bits), prec), log_q, prec)
+        x_lo = mpi_div(mpi_log(_point(a, -bits), prec), log_q, prec)
+        g = to_int(mpf_floor(x_hi[0]))
+        if mpf_le(x_lo[1], from_int(g + 1)):
+            return g
+
+
+def _free_class(t: list, ends: list, r: int) -> int:
+    """The class of r in [0, F) laid over the free ranges [T_i, E_i) of the
+    walk's thresholds t (T_i = t[2i], E_i = ends[i]) in class order: class i
+    for exactly E_i - T_i of the F values of r."""
+    for i, end in enumerate(ends):
+        r -= end - t[2 * i]
+        if r < 0:
+            return i
+
+
 def _urn_trials(u: UrnModel, statistic: str, trials: int, k: int | None,
                 getrandbits) -> list:
     """One int per trial of `statistic` on u: the throw that first hits an
@@ -595,6 +688,16 @@ def _urn_trials(u: UrnModel, statistic: str, trials: int, k: int | None,
     urn were tracked by its own id.  A throw lands in class i with
     probability exactly c_i P_i / D, and a trial holds 2c - 1 ints whatever
     m is.
+
+    Full collection throws so only while the free mass F = D - O (O the
+    occupied mass) exceeds D / _SKIP_SHARE.  From then on each step finds
+    the next new urn in two draws: the repeat throws before it, geometric
+    with P(G >= g) = (O/D)^g (`_repeat_throws`), and its class, one r below F
+    by the same rejection loop laid over the free ranges [T_i, S_(i+1))
+    (`_free_class`), class i with probability F_i / F.  Throw by throw,
+    each throw is new with probability F / D and then in class i with
+    probability F_i / F, independently of the repeats before it, so the
+    time of full collection keeps its law exactly.
     """
     scale, nums = u.denominator, u.numerators
     bits, find = scale.bit_length(), bisect.bisect_right
@@ -616,9 +719,10 @@ def _urn_trials(u: UrnModel, statistic: str, trials: int, k: int | None,
                 throws += 1
             values.append(throws)
     elif statistic == "full_collection":
+        ends, cut = [*starts[1:], scale], scale // _SKIP_SHARE
         for _ in range(trials):
-            t, throws, left = empty.copy(), 0, u.m
-            while left:
+            t, throws, free = empty.copy(), 0, scale
+            while free > cut:
                 throws += 1
                 r = getrandbits(bits)
                 while r >= scale:
@@ -626,7 +730,16 @@ def _urn_trials(u: UrnModel, statistic: str, trials: int, k: int | None,
                 j = find(t, r)
                 if j & 1:
                     t[j - 1] += step[j]
-                    left -= 1
+                    free -= step[j]
+            while free:
+                throws += _repeat_throws(free, scale, getrandbits) + 1
+                width = free.bit_length()
+                r = getrandbits(width)
+                while r >= free:
+                    r = getrandbits(width)
+                i = _free_class(t, ends, r)
+                t[2 * i] += nums[i]
+                free -= nums[i]
             values.append(throws)
     else:
         for _ in range(trials):
@@ -647,11 +760,17 @@ def _urn_trials(u: UrnModel, statistic: str, trials: int, k: int | None,
 def _word_trials(law: SimpleNamespace, statistic: str, trials: int, k: int | None,
                  seed: int) -> list:
     """One value per trial of `statistic` over the words of `law`, kept in a
-    set of seen words; full collection stops at the throw bound of simulate."""
+    set of seen words; full collection stops at the throw bound of simulate.
+    Coverage sums the seen words' integer letter products over one scale^n
+    (`counting._scaled` of the table's weights) and makes one Fraction per
+    trial, the same rational as the sum of their weights."""
     stream = SamplerState(law.table, seed)
     draws = iter(lambda: sample_word(stream, law.n), None)
     if statistic == "full_collection":
         most = math.ceil((math.log(law.m) + 64 * math.log(2)) / float(law.p_min))
+    elif statistic == "coverage":
+        scale, letters = _scaled(law.table.grammar.terminals, law.table.weights)
+        unit = scale ** law.n
     values = []
     for _ in range(trials):
         seen = set()
@@ -672,8 +791,9 @@ def _word_trials(law: SimpleNamespace, statistic: str, trials: int, k: int | Non
             values.append(throws)
         else:
             seen.update(itertools.islice(draws, k))
-            values.append(len(seen) if statistic == "distinct" else float(_share(
-                sum(word_weight(word, law.table.weights) for word in seen), law.table, law.n)))
+            values.append(len(seen) if statistic == "distinct" else float(_share(Fraction(
+                sum(math.prod(map(letters.__getitem__, word)) for word in seen), unit),
+                law.table, law.n)))
     return values
 
 
@@ -694,6 +814,11 @@ def simulate(model, statistic: str, trials: int, *, seed: int | None = None,
     denominator D, placed by one bisect over the class occupancy thresholds
     (see _urn_trials), with no urn ids and memory linear in the number of
     classes; coverage is its integer numerator over D, correctly rounded.
+    Full collection throws so only while the free mass exceeds D/16; then
+    each new urn costs two draws, the geometric number of repeat throws
+    before it (a float guess from 64 bits, accepted within a proven error
+    bound and else decided by interval arithmetic on more bits) and its
+    class below the free mass, with the law of the throw-by-throw walk.
     Word level keeps a set of the sampled words, and its refusals read the
     law its table draws from: total(n) from the table, alpha_2 from one
     table over the squared weights, m from the unit-weight table and p_min

@@ -7,9 +7,10 @@ and filtering of words.  The routes that faster code replaced stay here as
 oracles: the Fraction count table, the recursive method over every split,
 the sampler's subtraction walk, the Fraction-power weight classes of a
 spectrum and its integer form by Fraction gcd and lcm, the 45-digit birthday quadrature, the 40-digit per-class
-occupancy sums and exponential form, the urn throws by explicit urn ids,
-the Fraction route to an urn model's probabilities, randrange's rejection
-loop (`below`) that the urn throws and the sampler write out inline, and
+occupancy sums and exponential form, the urn throws by explicit urn ids
+with full collection's repeat throws by exact integer powers, its mean by
+inclusion-exclusion over the classes, the Fraction route to an urn model's
+probabilities, randrange's rejection loop (`below`) that the urn throws and the sampler write out inline, and
 the numpy least-squares line of the singularity fit.  So do the growth
 routes the grammar's equations replaced: the cycle test for a finite
 language, the diversity ladder of exact largest-word probabilities, and the
@@ -33,7 +34,7 @@ from mpmath import mp
 
 from weightedgen import (Rule, WeightClass, WeightedGrammar, WeightSpectrum,
                          GrammarError, build_counts, counting, extreme_weights,
-                         from_weights, normalize, parse_grammar, rna, sampler)
+                         from_weights, normalize, parse_grammar, rna, sampler, urns)
 from weightedgen.grammar import _min_lengths, inside
 from weightedgen.numerics import one_minus_pow, to_mpf
 from weightedgen.urns import QuadratureError, UrnClass, UrnModel
@@ -433,27 +434,80 @@ def exponential_per_class(u, k):
                        for c in u.classes)
 
 
-def urn_ball_trial(u, statistic, draws, k=None):
+def urn_ball_trial(u, statistic, draws, k=None, getrandbits=None):
     """One trial of `statistic` by explicit urn ids, the route the occupancy
     walk `urns._urn_trials` replaced, in its return convention.  Class i owns
     the values [S_i, S_i + c_i P_i) of an integer draw r in [0, D), and r
     there throws into urn O_i + (r - S_i) // P_i, where O_i counts the urns
     of the classes before i; a seen-set of urn ids tracks the occupied ones.
-    `draws` is an iterator of such r."""
+    `draws` is an iterator of such r.
+
+    Given the `getrandbits` that `draws` reads, full collection follows the
+    walk draw for draw.  A new urn takes the lowest unseen id of its class,
+    the walk's relabelling in id form (the slot an r hits is occupied iff
+    it is below the class's seen count), which keeps the law, as
+    `test_urn_walk_has_the_law_of_urn_ids` checks without it.  The throws
+    stop once the free mass F is at most D / urns._SKIP_SHARE; from then on
+    each new urn takes the repeat throws before it (`exact_gap`) and one r
+    below F (`below`) laid over the unseen urn ids in id order, each P_i
+    values wide."""
     nums = u.numerators
     starts = list(accumulate((c.count * p for c, p in zip(u.classes, nums)), initial=0))
     offsets = list(accumulate((c.count for c in u.classes), initial=0))
-    seen = {}  # urn id -> P_i
+    seen, free = {}, u.denominator  # urn id -> P_i, and the mass of the others
+    held = [0] * len(nums)  # seen urns per class
     for throws in range(1, k + 1) if k is not None else count(1):
         r = next(draws)
         i = bisect.bisect_right(starts, r) - 1
         urn = offsets[i] + (r - starts[i]) // nums[i]
-        if statistic == "first_collision" and urn in seen:
-            return throws
+        if urn in seen:
+            if statistic == "first_collision":
+                return throws
+            continue
+        if getrandbits:
+            urn = offsets[i] + held[i]
+        held[i] += 1
         seen[urn] = nums[i]
+        free -= nums[i]
         if statistic == "full_collection" and len(seen) == u.m:
             return throws
-    return len(seen) if statistic == "distinct" else sum(seen.values())
+        if getrandbits and statistic == "full_collection" \
+                and free * urns._SKIP_SHARE <= u.denominator:
+            break
+    else:
+        return len(seen) if statistic == "distinct" else sum(seen.values())
+    ids = [(urn, nums[i]) for i in range(len(nums)) for urn in range(offsets[i], offsets[i + 1])]
+    while free:
+        throws += exact_gap(free, u.denominator, getrandbits, urns._GUESS_BITS) + 1
+        r = below(getrandbits, free)
+        for urn, weight in ids:
+            if urn not in seen:
+                if r < weight:
+                    break
+                r -= weight
+        seen[urn] = weight
+        free -= weight
+    return throws
+
+
+def exact_gap(free, scale, getrandbits, bits):
+    """G >= 0 with P(G >= g) = q^g, q = (scale - free) / scale, by exact
+    integer comparisons: U in (a, a + 1] / 2^k, from `bits` bits at a time,
+    is refined until one g has q^(g+1) <= a / 2^k and (a + 1) / 2^k <= q^g,
+    and G = g.  It consumes the stream as `urns._repeat_throws` does
+    wherever that decides at the same depth, which its float guess does
+    except within about 2^-40 x of an integer."""
+    occupied = scale - free
+    if not occupied:
+        return 0
+    a, k = getrandbits(bits), bits
+    while True:
+        g, top, bottom = 0, occupied, scale  # q^(g+1) = top / bottom
+        while (a + 1) * bottom <= top << k:
+            g, top, bottom = g + 1, top * occupied, bottom * scale
+        if top << k <= a * bottom:
+            return g
+        a, k = a << bits | getrandbits(bits), k + bits
 
 
 def oracle_birthday(u):
@@ -503,6 +557,20 @@ def oracle_coupon(probs):
         return memo[state]
 
     return expect(0)
+
+
+def oracle_coupon_classes(u):
+    """Expected full-collection time by inclusion-exclusion over the classes:
+    E[C] = sum over nonempty urn sets S of (-1)^(|S|+1) / p(S), taking s_i
+    urns of class i in C(c_i, s_i) ways.  Exact, for models whose
+    prod (c_i + 1) is small."""
+    total = Fraction(0)
+    for taken in product(*(range(c + 1) for c in u.counts)):
+        if any(taken):
+            ways = math.prod(map(math.comb, u.counts, taken))
+            mass = sum(map(operator.mul, taken, u.numerators))
+            total += (-1) ** (sum(taken) + 1) * ways * Fraction(u.denominator, mass)
+    return total
 
 
 # ---------------------------------------------------------------------------

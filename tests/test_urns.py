@@ -18,15 +18,16 @@ from weightedgen import (EmptyLanguageError, ReportEntry, SamplerState, UrnModel
                          word_probability, xi_estimate)
 from weightedgen import counting, grammar as grammar_module, urns as urns_module
 from weightedgen.numerics import (HARMONIC_EXACT_LIMIT, _ratio_pow_affordable, harmonic,
-                                  to_mpf)
+                                  substream_seed, to_mpf)
+from weightedgen.sampler import _share, sample_word, word_weight
 from weightedgen.urns import (FULL_COLLECTION_CAP, OCCUPANCY_K_LIMIT,
                               OCCUPANCY_REL_ERROR, SIMULATE_DRAW_CAP, QuadratureError,
                               SimResult)
-from helpers import (enumerate_words, exponential_per_class, mp_birthday,
+from helpers import (below, enumerate_words, exponential_per_class, mp_birthday,
                      occupancy_sum_per_class,
                      oracle_birthday, oracle_birthday_uniform, oracle_coupon,
-                     oracle_occupancy, expand_urns, random_urn_model, urn_ball_trial,
-                     urn_model)
+                     oracle_coupon_classes, oracle_occupancy, expand_urns,
+                     random_urn_model, urn_ball_trial, urn_model)
 
 
 @pytest.fixture(scope="module")
@@ -509,6 +510,8 @@ def _censored(run):
 
 
 # (weights, counts) with D <= 8 in two or three classes; weight w_i is P_i.
+# D <= 8 keeps full collection throw by throw here: a free urn leaves
+# F >= 1 > D / 16, so the skip phase of _urn_trials never starts.
 WALK_MODELS = [((1, 2), (2, 1)), ((1, 2), (1, 3)), ((1, 3), (2, 1)), ((1, 5), (1, 1)),
                ((1, 2, 3), (1, 1, 1)), ((1, 2, 4), (1, 1, 1))]
 
@@ -554,6 +557,137 @@ def test_urn_walk_throws_into_every_class_up_to_its_last_value(rna80_urns):
             assert urns_module._urn_trials(u, "coverage", 1, 1, _scripted(u, [r])) == [num]
         start += c.count * num
     assert start == u.denominator
+
+
+class _More(Exception):
+    """A draw past the scripted ones."""
+
+
+def _gap_laws(free, scale, rounds):
+    """[(decided {g: probability}, undecided probability)] of
+    _repeat_throws(free, scale) after 0, 1, ..., rounds draws, by running it
+    on every sequence of draws that has not decided yet."""
+    bits = urns_module._GUESS_BITS
+    law, laws, pending = Counter(), [], [()]
+    for depth in range(rounds + 1):
+        undecided = []
+        for script in pending:
+            draws = iter(script)
+
+            def getrandbits(k):
+                assert k == bits
+                for v in draws:
+                    return v
+                raise _More
+
+            try:
+                law[urns_module._repeat_throws(free, scale, getrandbits)] += \
+                    Fraction(1, 2 ** (bits * depth))
+            except _More:
+                undecided.append(script)
+        laws.append((law.copy(), Fraction(len(undecided), 2 ** (bits * depth))))
+        pending = [script + (v,) for script in undecided for v in range(2 ** bits)]
+    return laws
+
+
+@pytest.mark.parametrize("bits,rounds", [(2, 7), (3, 5)])
+@pytest.mark.parametrize("free,scale", [(1, 16), (2, 40), (3, 8), (1, 2), (3, 3)])
+def test_repeat_throws_has_the_exact_geometric_law(monkeypatch, bits, rounds, free, scale):
+    # At a 2- or 3-bit first guess most draws leave an interval of U that
+    # the float guess cannot place, so the interval fallback runs at every
+    # depth; q = 15/16 and q = 1/2 have dyadic powers q^g, where an interval
+    # can touch a boundary exactly.  After each depth every g has received
+    # at most q^g (1 - q) and lacks at most the undecided probability.
+    monkeypatch.setattr(urns_module, "_GUESS_BITS", bits)
+    q = Fraction(scale - free, scale)
+    laws = _gap_laws(free, scale, rounds)
+    for law, undecided in laws:
+        assert sum(law.values()) + undecided == 1
+        for g in range(max(law, default=0) + 2):
+            assert 0 <= q ** g * (1 - q) - law[g] <= undecided, (g, law[g])
+    if not q:  # no occupied urn: no repeat throw, and no draw
+        assert laws[0] == ({0: 1}, 0)
+        return
+    guessed = sum(laws[1][0].values())
+    assert laws[-1][1] < Fraction(1, 64)
+    assert 1 - laws[-1][1] - guessed > Fraction(1, 2)  # decided by the fallback
+    if bits == 3 and free * 16 > scale:
+        assert guessed > 0  # and some by the float guess
+
+
+def test_free_class_picks_each_class_with_its_free_mass():
+    # every occupancy of urns of weights 1, 2, 5 (3, 2 and 2 of them): of
+    # the F values below the free mass, class i takes exactly its F_i
+    u = urn_model([(1, 3), (2, 2), (5, 2)])
+    starts = [0, 3, 7]
+    ends = [3, 7, u.denominator]
+    for held in product(*(range(c + 1) for c in u.counts)):
+        lows = [s + h * p for s, h, p in zip(starts, held, u.numerators)]
+        t = [lows[0], *(x for i in (1, 2) for x in (starts[i], lows[i]))]
+        gaps = [end - low for end, low in zip(ends, lows)]
+        hits = Counter(urns_module._free_class(t, ends, r) for r in range(sum(gaps)))
+        assert hits == {i: gap for i, gap in enumerate(gaps) if gap}
+
+
+@pytest.mark.parametrize("name", ["one urn", "uniform 40", "weights 1 and 30",
+                                  "motzkin W=2 n=5"])
+def test_full_collection_mean_through_the_skip_phase(motzkin_h2_norm, monkeypatch, name):
+    u = {"one urn": lambda: uniform_urns(1),
+         "uniform 40": lambda: uniform_urns(40),
+         "weights 1 and 30": lambda: from_weights([1, 30]),
+         "motzkin W=2 n=5": lambda: from_spectrum(weight_spectrum(motzkin_h2_norm, None, 5)),
+         }[name]()
+    steps = Counter()
+    real = urns_module._repeat_throws
+
+    def counted(free, scale, getrandbits):
+        steps[free * 16 <= scale] += 1
+        return real(free, scale, getrandbits)
+
+    monkeypatch.setattr(urns_module, "_repeat_throws", counted)
+    expected = oracle_coupon_classes(u)
+    if len(u.counts) == 1:
+        assert expected == u.m * harmonic(u.m)
+    r = simulate(u, "full_collection", 3000, seed=28)
+    if u.m == 1:  # one throw occupies the only urn, before any skip
+        assert (r.mean, r.stderr, steps) == (1.0, 0.0, {})
+        return
+    assert set(steps) == {True} and steps[True] >= 2000  # gaps only at F <= D/16
+    assert abs(r.mean - float(expected)) <= 5 * r.stderr
+
+
+def test_coupon_classes_oracle_matches_the_subset_chain():
+    u = urn_model([(1, 2), (2, 1), (3, 2)])
+    assert oracle_coupon_classes(u) == oracle_coupon([p for p, _ in expand_urns(u)])
+
+
+def test_full_collection_draws_a_few_times_per_urn(motzkin_h2_norm):
+    # Motzkin W=2 at n=12: m = 15511 urns, about 4e6 throws per trial, of
+    # which the skip phase draws a gap and a class per new urn instead
+    u = from_spectrum(weight_spectrum(motzkin_h2_norm, None, 12))
+    assert u.m == 15511
+    rng, calls = random.Random(28), Counter()
+
+    def getrandbits(k):
+        calls[k] += 1
+        return rng.getrandbits(k)
+
+    (throws,) = urns_module._urn_trials(u, "full_collection", 1, None, getrandbits)
+    assert throws > 10 ** 6 and sum(calls.values()) <= 20 * u.m
+
+
+def test_id_oracle_reproduces_the_full_collection_golden(motzkin_h2_norm):
+    # explicit urn ids, integer-power gaps and id-order placement follow the
+    # walk draw for draw from the golden's stream
+    u = from_spectrum(weight_spectrum(motzkin_h2_norm, None, 5))
+    sub = substream_seed(2026)
+    getrandbits = random.Random(sub).getrandbits
+    draws = iter(lambda: below(getrandbits, u.denominator), None)
+    values = [urn_ball_trial(u, "full_collection", draws, getrandbits=getrandbits)
+              for _ in range(50)]
+    assert values == urns_module._urn_trials(u, "full_collection", 50, None,
+                                             random.Random(sub).getrandbits)
+    assert math.fsum(values) / 50 == GOLDEN_SIMULATIONS["urns", "full_collection"][0]
 
 
 def test_simulate_refuses_urn_waits_beyond_the_draw_cap(rna80_urns, monkeypatch):
@@ -649,11 +783,28 @@ def test_word_level_simulate_builds_only_its_statistic_s_tables(motzkin, monkeyp
             assert (calls["inside"], calls["normalize"]) == (inside, 0), statistic
 
 
+@pytest.mark.parametrize("precision", [None, 64])
+def test_word_coverage_sums_letter_products_as_the_word_weights(motzkin, precision):
+    # fractional letter weights, so the letter scale is 6; on the p = 64
+    # table too the coverage of each trial is the seen words' weight sum
+    weights = {".": Fraction(3, 2), "(": Fraction(2, 3), ")": Fraction(1)}
+    table = build_counts(normalize(motzkin), weights, 10, precision)
+    sub = substream_seed(5)
+    values = urns_module._word_trials(urns_module._word_law(table, 10, "coverage"),
+                                      "coverage", 20, 30, sub)
+    stream, expected = SamplerState(table, sub), []
+    for _ in range(20):
+        seen = {sample_word(stream, 10) for _ in range(30)}
+        expected.append(float(_share(sum(word_weight(word, weights) for word in seen),
+                                     table, 10)))
+    assert values == expected and len(set(values)) > 10
+
+
 # Pinned SimResults, Motzkin W=2 at n=5 (21 words in 3 weight classes), 50
 # trials, seed 2026: any change to a draw source or the trial loop shows here.
 GOLDEN_SIMULATIONS = {
     ("urns", "first_collision"): (4.84, 0.28336174327354147),
-    ("urns", "full_collection"): (194.58, 11.69807554380512),
+    ("urns", "full_collection"): (197.68, 13.93970807529662),
     ("urns", "distinct"): (7.9, 0.19846348556356863),
     ("urns", "coverage"): (0.5715151515151515, 0.01109644653610012),
     ("words", "first_collision"): (5.12, 0.2468412693309163),
