@@ -5,18 +5,15 @@ full collection, expected distinct words, and coverage."""
 from .grammar import (GrammarError, GrammarSyntaxError, NormalizedGrammar, Rule,
                       WeightedGrammar, normalize, parse_grammar)
 from .counting import (ClassCapExceeded, CountTable, EmptyLanguageError,
-                       WeightClass, WeightSpectrum, build_counts,
-                       extreme_weights, moment,
-                       weight_spectra, weight_spectrum)
+                       WeightClass, WeightSpectrum, build_counts, extreme_weights,
+                       second_moment, weight_spectra, weight_spectrum)
 from .sampler import (SamplerState, branch_distribution, sample_word,
                       word_probability, word_weight)
 from .urns import (AnalyticsReport, CouponBounds, Expectation, Occupancy,
                    ReportEntry, SimResult, UrnClass, UrnModel,
-                   birthday_asymptotic, birthday_exact, coupon_bounds,
-                   coverage_first_order, expected_coverage, expected_distinct,
-                   expected_occupied_weight, from_spectrum, from_weights,
-                   occupancy, simulate, standard_report, uniform_urns,
-                   xi_estimate)
+                   birthday_asymptotic, birthday_exact, coupon_bounds, expected_coverage,
+                   expected_distinct, expected_occupied_weight, from_spectrum, from_weights,
+                   occupancy, simulate, standard_report, uniform_urns, xi_estimate)
 from .asymptotics import (CollisionEstimates, ConditionReport,
                           SingularityEstimate, check_conditions,
                           collision_envelope, collision_estimates,

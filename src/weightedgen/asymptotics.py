@@ -35,7 +35,7 @@ from statistics import linear_regression
 
 from mpmath import mp
 
-from .counting import build_counts, moment
+from .counting import build_counts, second_moment
 from .grammar import has_positive_pump
 from .numerics import collision_plug_in, to_mpf
 
@@ -407,10 +407,13 @@ def _infinite(g):
         raise InsufficientData("a finite language has no singularity")
 
 
+@functools.lru_cache(maxsize=256)
 def _system_rho_scaled(g, power: int):
     """(rho_s, W): rho = rho_s / W for the source grammar g and the weights
     w^power, whose largest is W.  In doubles; on 53-bit mpfs, whose exponents
-    do not overflow, when a scaled term coefficient leaves the double range."""
+    do not overflow, when a scaled term coefficient leaves the double range.
+    Memoised per (source grammar, power), so `system_rho`, `check_conditions`
+    and `collision_growth_base` search each rho once."""
     _infinite(g)
     n, terms, top = _system(g, power)
     num = float if all(c >= sys.float_info.min for _, c, _, _ in terms) else to_mpf
@@ -463,16 +466,10 @@ def max_weight_growth(grammar) -> float:
 def collision_growth_base(grammar) -> float:
     """gamma = sqrt(rho_{W^2}) / rho_W >= 1, the per-length factor of the
     expected first-collision time total * sqrt(pi/2) / sqrt(total_sq), since
-    the totals grow like rho^(-n).  Memoised per source grammar, and read as
-    sqrt(rho_s2) / rho_s1 (`_system_rho_scaled`), which stays in range where
-    the rho do not."""
-    return _growth_base(grammar.original)
-
-
-@functools.lru_cache(maxsize=256)
-def _growth_base(g) -> float:
-    rho_s1, _ = _system_rho_scaled(g, 1)
-    rho_s2, _ = _system_rho_scaled(g, 2)
+    the totals grow like rho^(-n).  Read as sqrt(rho_s2) / rho_s1
+    (`_system_rho_scaled`), which stays in range where the rho do not."""
+    rho_s1, _ = _system_rho_scaled(grammar.original, 1)
+    rho_s2, _ = _system_rho_scaled(grammar.original, 2)
     with mp.workprec(53):
         return float(mp.sqrt(to_mpf(rho_s2)) / to_mpf(rho_s1))
 
@@ -609,7 +606,8 @@ def collision_envelope(grammar, n: int) -> float:
     """Expected first-collision time at length n: sqrt(pi / (2 * alpha_2)).
 
     alpha_2 = total(w^2) / total(w)^2 is the exact second moment of the
-    length-n distribution, so the weight spectrum is never materialized.
+    length-n distribution (`counting.second_moment` of the grammar's exact
+    table), so the weight spectrum is never materialized.
     """
-    return float(collision_plug_in(moment(grammar, 2, n)))
+    return float(collision_plug_in(second_moment(build_counts(grammar, None, n), n)))
 

@@ -193,7 +193,7 @@ def cmd_spectrum(args) -> int:
         print(sp.to_csv(), end="")
     else:
         with _unlimited_digits():
-            print(f"n={sp.n}  words={sp.total_count()}  "
+            print(f"n={sp.n}  words={sum(sp.counts)}  "
                   f"total_weight={_num(sp.total_weight())}")
             for c in sp.classes:
                 print(f"  weight {c.weight}  multiplicity {c.count}")
@@ -299,11 +299,13 @@ def cmd_rna(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    if args.n_min is not None and args.n_min < 0:
-        raise ValueError(f"--n-min must be nonnegative, got {args.n_min}")
+    n_min = (4 if args.fig == 1 else 2) if args.n_min is None else args.n_min
+    if n_min < 0:
+        raise ValueError(f"--n-min must be nonnegative, got {n_min}")
+    if n_min > args.n_max:
+        raise ValueError(f"figure needs --n-min <= --n-max, got {n_min} > {args.n_max}")
     if args.fig == 1:
         w = _parse_weight(args.W)
-        n_min = 4 if args.n_min is None else args.n_min
         g = normalize(motzkin_grammar().with_weights({".": w}))
         spectra = counting.weight_spectra(g, None, args.n_max)
         rows = []
@@ -316,7 +318,6 @@ def cmd_figure(args) -> int:
             rows.append((n, _num(float(value))))
         _emit_csv(("n", "p1_times_Xi"), rows)
         return 0
-    n_min = 2 if args.n_min is None else args.n_min
     rows = []
     for theta, energy in ((1, -1.0), (1, -3.0), (3, -1.0), (3, -3.0)):
         model = rna.RnaModel(theta=theta, pair_energy=energy)

@@ -1,4 +1,4 @@
-"""Exact weighted counting: totals, distribution moments, weight-class spectra.
+"""Weighted counting: count tables, the second moment alpha_2, weight-class spectra.
 
 The central object is the count table of the recursive method: for every
 nonterminal A of a binary-form grammar and every length m, the total weight of
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import floor, gcd, lcm, prod
@@ -212,19 +212,18 @@ def build_counts(grammar: NormalizedGrammar, weights=None, n: int = 0,
     return CountTable(grammar, weights, n, precision)
 
 
-def moment(grammar: NormalizedGrammar, k: int, n: int) -> Fraction:
-    """k-th moment of the length-n weighted distribution.
-
-    Equals the total weight under the pointwise k-th power of the grammar's
-    weights, divided by the k-th power of the plain total.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    total = build_counts(grammar, None, n).total(n)
-    if total == 0:
+def second_moment(table: CountTable, n: int):
+    """alpha_2 = total_{w^2}(n) / total(n)^2, the second moment of the
+    table's length-n law, from one table over the squared weights at the
+    table's precision: a Fraction on an exact table, a p-bit mpf on a p-bit
+    one."""
+    squared = build_counts(table.grammar, {t: w * w for t, w in table.weights.items()},
+                           n, table.precision)
+    total = table.total(n)
+    if not total:
         raise EmptyLanguageError(f"no words of length {n}")
-    powered = {t: w ** k for t, w in grammar.weights.items()}
-    return build_counts(grammar, powered, n).total(n) / total ** k
+    with mp.workprec(table.precision or mp.prec):  # Fractions ignore it
+        return squared.total(n) / total ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +246,13 @@ class WeightSpectrum:
     with (num, den) = unit.  The keys strictly increase and have gcd 1, and
     the unit is in lowest terms, so the class weights alone fix both (the
     unit is the largest rational of which every weight is an integer
-    multiple) and equal spectra have equal fields.  `terminal_weights` are
-    the weighted terminals' weights.  `classes` makes one WeightClass per
-    class on its first read, its weight the Fraction product of their powers
-    over the class's first composition; the first/last class has the
-    minimal/maximal word weight.
+    multiple) and equal spectra have equal fields.  `classes` makes one
+    WeightClass per class on its first read, of weight keys[i] * num / den;
+    the first/last class has the minimal/maximal word weight.
     """
 
     n: int
     weighted_terminals: tuple
-    terminal_weights: tuple = field(compare=False)
     keys: tuple
     unit: tuple
     counts: tuple
@@ -264,14 +260,9 @@ class WeightSpectrum:
 
     @functools.cached_property
     def classes(self) -> tuple:
-        return tuple(WeightClass(self._weight(comps[0]), count, comps)
-                     for count, comps in zip(self.counts, self.compositions))
-
-    def _weight(self, comp) -> Fraction:
-        return prod(map(pow, self.terminal_weights, comp), start=Fraction(1))
-
-    def total_count(self) -> int:
-        return sum(self.counts)
+        num, den = self.unit
+        return tuple(WeightClass(Fraction(key * num, den), count, comps)
+                     for key, count, comps in zip(self.keys, self.counts, self.compositions))
 
     def total_weight(self) -> Fraction:
         num, den = self.unit
@@ -392,15 +383,14 @@ def _spectrum(n: int, weighted: tuple, weights, profile: dict) -> WeightSpectrum
     class and classes sort by key; one gcd g of the keys and the Fraction
     g / L^n give the form (with no weighted terminal, the one key 1 and the
     unit 1)."""
-    bases = tuple(weights[t] for t in weighted)
     if len(weighted) == 1:
-        a, b = bases[0].numerator, bases[0].denominator
+        a, b = weights[weighted[0]].as_integer_ratio()
         exps = sorted(e for (e,) in profile)
         lo, hi = exps[0], exps[-1]
         if a < b:
             exps.reverse()
         rows_a, rows_b = _powers(a, hi - lo), _powers(b, hi - lo)
-        return WeightSpectrum(n, weighted, bases,
+        return WeightSpectrum(n, weighted,
                               tuple(rows_a[e - lo] * rows_b[hi - e] for e in exps),
                               (a ** lo, b ** hi), tuple(profile[e,] for e in exps),
                               tuple(((e,),) for e in exps))
@@ -416,7 +406,7 @@ def _spectrum(n: int, weighted: tuple, weights, profile: dict) -> WeightSpectrum
     keys = sorted(groups)
     g = gcd(*keys)
     unit = Fraction(g, lengths[n])
-    return WeightSpectrum(n, weighted, bases, tuple(key // g for key in keys),
+    return WeightSpectrum(n, weighted, tuple(key // g for key in keys),
                           (unit.numerator, unit.denominator),
                           tuple(groups[key][0] for key in keys),
                           tuple(tuple(sorted(groups[key][1])) for key in keys))

@@ -161,7 +161,7 @@ def rna_series(w, theta: int, n: int) -> list:
     return out
 
 
-@functools.cache
+@functools.lru_cache(maxsize=256)
 def rna_rho(w, theta: int) -> float:
     """Smallest root of the discriminant in (0, 1): the dominant singularity.
 

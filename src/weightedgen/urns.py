@@ -38,7 +38,7 @@ from types import SimpleNamespace
 from mpmath import mp
 from mpmath.libmp import from_int, from_man_exp, mpf_floor, mpf_le, mpi_div, mpi_log, to_int
 
-from .counting import EmptyLanguageError, _extreme_row, _scaled, build_counts
+from .counting import EmptyLanguageError, _extreme_row, _scaled, build_counts, second_moment
 from .numerics import (DEFAULT_SEED, FLOAT_DPS, HARMONIC_EXACT_LIMIT, _ratio_pow_affordable,
                        _unlimited_digits, collision_plug_in, harmonic, substream_seed,
                        to_mpf)
@@ -301,19 +301,6 @@ def expected_occupied_weight(u: UrnModel, k: int, *, exact: bool | None = None):
 FIRST_ORDER_THRESHOLD = 0.01
 
 
-@dataclass(frozen=True)
-class FirstOrderCoverage:
-    value: Fraction      # k * alpha_2
-    valid: bool          # False once k * p_max exceeds FIRST_ORDER_THRESHOLD
-    k_p_max: Fraction
-
-
-def coverage_first_order(u: UrnModel, k: int) -> FirstOrderCoverage:
-    """First-order coverage estimate k * alpha_2, valid only while k*p_max is small."""
-    kp = k * u.p_max
-    return FirstOrderCoverage(k * u.alpha_2, kp <= FIRST_ORDER_THRESHOLD, kp)
-
-
 # ---------------------------------------------------------------------------
 # birthday (first collision)
 
@@ -548,8 +535,7 @@ def _word_law(table, n: int | None, statistic: str) -> SimpleNamespace:
         raise EmptyLanguageError(f"no words of length {n}")
     g, weights = table.grammar, table.weights
     if statistic == "first_collision":
-        squared = build_counts(g, {t: w * w for t, w in weights.items()}, n, table.precision)
-        law.alpha_2 = squared.total(n) / law.total ** 2
+        law.alpha_2 = second_moment(table, n)
     elif statistic == "full_collection":
         law.m = int(build_counts(g, dict.fromkeys(g.terminals, 1), n).total(n))
         scale, row = _extreme_row(g, weights, n, largest=False)
@@ -963,11 +949,11 @@ def standard_report(u: UrnModel, *, n: int | None = None,
         entries.append(ReportEntry("distinct", "asymptotic", value=occ.exponential,
                                    n=n, k=k, note="exponential form, O(1) error"))
         entries.append(ReportEntry("coverage", "exact", value=occ.coverage, n=n, k=k))
-        fo = coverage_first_order(u, k)
-        entries.append(ReportEntry("coverage", "first_order", value=fo.value,
+        kp = k * u.p_max
+        entries.append(ReportEntry("coverage", "first_order", value=k * u.alpha_2,
                                    n=n, k=k,
-                                   note="valid" if fo.valid else
-                                   f"invalid: k*p_max={_fmt_number(fo.k_p_max)}"))
+                                   note="valid" if kp <= FIRST_ORDER_THRESHOLD else
+                                   f"invalid: k*p_max={_fmt_number(kp)}"))
         entries.append(ReportEntry("occupied_weight", "exact",
                                    value=occ.occupied_weight, n=n, k=k))
     return AnalyticsReport(tuple(entries))

@@ -322,8 +322,7 @@ def fraction_route_spectrum(n, weighted, weights, profile):
                     math.lcm(*(c.weight.denominator for c in classes)))
     keys = tuple(c.weight / unit for c in classes)
     assert all(key.denominator == 1 for key in keys)
-    return WeightSpectrum(n, tuple(weighted), tuple(weights[t] for t in weighted),
-                          tuple(key.numerator for key in keys),
+    return WeightSpectrum(n, tuple(weighted), tuple(key.numerator for key in keys),
                           (unit.numerator, unit.denominator),
                           tuple(c.count for c in classes),
                           tuple(c.compositions for c in classes))

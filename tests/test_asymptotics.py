@@ -300,16 +300,26 @@ def test_system_rho_of_pole_and_periodic_languages(text, expected):
     assert abs(system_rho(normalize(parse_grammar(text))) - expected) <= 1e-10 * expected
 
 
-def test_a_polished_z_off_rho_fails_certification(monkeypatch):
-    polish = asymptotics._polish
+@pytest.fixture
+def fresh_rho_memo():
+    # a rho memoised by an earlier call would skip a patched search
+    asymptotics._system_rho_scaled.cache_clear()
+    yield
+    asymptotics._system_rho_scaled.cache_clear()
+
+
+def test_a_polished_z_off_rho_fails_certification(monkeypatch, fresh_rho_memo):
+    polish, calls = asymptotics._polish, []
 
     def off(terms, n, lo, hi, y):
+        calls.append(hi)
         z = polish(terms, n, lo, hi, y)
         return None if z is None else min(hi, z * (1 + 1e-7))
 
     monkeypatch.setattr(asymptotics, "_polish", off)
     g = normalize(motzkin_grammar().with_weights({".": Fraction(2)}))
     assert abs(system_rho(g, 2) * 6 - 1) <= 1e-10
+    assert calls
 
 
 @pytest.mark.parametrize("text, j, expected", [
@@ -318,12 +328,33 @@ def test_a_polished_z_off_rho_fails_certification(monkeypatch):
     ("axiom S\nterminal a weight 3\nterminal b\nS -> a S | b\n", 1, 1 / 3),
     ("axiom S\nterminal (\nterminal )\nS -> ( S ) S | _\n", 1, 1 / 2),
 ], ids=["motzkin-w2-j1", "motzkin-w2-j2", "motzkin-w2-j3", "pole", "dyck"])
-def test_bisection_alone_reaches_rho(monkeypatch, text, j, expected):
+def test_bisection_alone_reaches_rho(monkeypatch, fresh_rho_memo, text, j, expected):
     # with no polish, the bracket is bisected until its midpoint is one of
     # its ends
-    monkeypatch.setattr(asymptotics, "_polish", lambda *args: None)
+    calls = []
+    monkeypatch.setattr(asymptotics, "_polish", lambda *args: calls.append(args))
     rho = system_rho(normalize(parse_grammar(text)), j)
     assert abs(rho - expected) <= 1e-10 * expected
+    assert calls
+
+
+@pytest.mark.parametrize("grammar", [
+    motzkin_grammar().with_weights({".": 2}),
+    rna.rna_grammar(1, rna.pair_weight(-1.0)),
+    rna.rna_grammar(3, rna.pair_weight(-3.0)),
+], ids=["motzkin-w2", "rna-t1-e1", "rna-t3-e3"])
+def test_the_rho_memo_serves_every_reader(monkeypatch, fresh_rho_memo, grammar):
+    # check_conditions, system_rho and collision_growth_base share one search
+    # per (grammar, power): a repeat call makes no oracle call
+    g = normalize(grammar)
+    first = check_conditions(g)
+    oracle, calls = asymptotics._oracle, []
+    monkeypatch.setattr(asymptotics, "_oracle", lambda *args: calls.append(args) or oracle(*args))
+    assert check_conditions(g) == first
+    gamma = collision_growth_base(g)
+    assert calls == []
+    expected = math.sqrt(system_rho(g, 2)) / system_rho(g, 1)
+    assert abs(gamma - expected) <= 1e-12 * expected
 
 
 def test_finite_language_leaves_the_separation_probe_inconclusive():

@@ -308,6 +308,18 @@ def test_figure_refuses_negative_n_min(fig):
     assert "--n-min must be nonnegative" in err
 
 
+@pytest.mark.parametrize("fig, argv, n_min, n_max", [
+    ("2", ("--n-min", "5", "--n-max", "3"), 5, 3),
+    ("1", ("--n-min", "9", "--n-max", "5"), 9, 5),
+    ("1", ("--n-max", "3"), 4, 3),  # figure 1's default --n-min is 4
+], ids=["fig2", "fig1", "fig1-default-n-min"])
+def test_figure_refuses_an_empty_length_range(fig, argv, n_min, n_max):
+    # these once printed the CSV header alone and exited 0
+    code, out, err = run_cli("figure", fig, "--k", "10", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"{n_min} > {n_max}" in err
+
+
 def test_grammar_file_roundtrip(tmp_path):
     path = tmp_path / "g.wcfg"
     path.write_text("axiom S\nterminal a weight 2\nS -> a S | _\n")

@@ -176,6 +176,8 @@ def grammar_path(tmp_path_factory):
 # kappa of the W^2 fit underflows in a double: exit 2, not a ZeroDivisionError
 @example((None, ["asymptotics", "--builtin", "rna", "--theta", "5", "--energy=-200",
                  "--n-terms", "128", "--collision-n", "5"]))
+# an empty length range: figure 1's default --n-min is 4
+@example((None, ["figure", "1", "--n-max", "3"]))
 @FUZZ
 @given(invocations())
 def test_cli_exits_0_or_2_and_its_routes_agree(grammar_path, invocation):

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from weightedgen import (ClassCapExceeded, EmptyLanguageError, build_counts,
-                         counting, extreme_weights, moment, normalize,
-                         parse_grammar, rna, weight_spectra, weight_spectrum)
+                         counting, extreme_weights, normalize, parse_grammar, rna,
+                         second_moment, weight_spectra, weight_spectrum)
 from weightedgen.grammar import inside
 from helpers import (UNIT_CHAIN, choices, inside_unpruned, pair_paths, random_grammar,
                      spectrum_from_enumeration)
@@ -109,29 +109,38 @@ def test_inside_dots_only_the_nonempty_splits(motzkin, build, pruned, unpruned):
     assert 7 * pruned <= unpruned
 
 
-def test_moment_normalization(motzkin_h2_norm):
-    assert moment(motzkin_h2_norm, 1, 4) == 1
-
-
 def test_moment_uniform_is_inverse_count(motzkin_norm):
-    # with unit weights the k-th moment is M_n^(1-k)
-    assert moment(motzkin_norm, 2, 4) == Fraction(1, 9)
+    # with unit weights alpha_2 is 1 / M_n
+    assert second_moment(build_counts(motzkin_norm, None, 4), 4) == Fraction(1, 9)
 
 
 def test_moment_weighted_example(motzkin_h2_norm):
-    assert moment(motzkin_h2_norm, 2, 2) == Fraction(17, 25)
+    assert second_moment(build_counts(motzkin_h2_norm, None, 2), 2) == Fraction(17, 25)
 
 
 def test_moment_empty_language():
     g = normalize(parse_grammar("axiom S\nterminal a\nterminal b\nS -> a S b | a b\n"))
     with pytest.raises(EmptyLanguageError):
-        moment(g, 2, 3)
+        second_moment(build_counts(g, None, 3), 3)
+
+
+@pytest.mark.parametrize("theta, energy", [(None, None), (3, -3.0)], ids=["motzkin-w2", "rna-t3"])
+@pytest.mark.parametrize("n", [20, 40])
+def test_second_moment_of_a_fixed_point_table(motzkin_h2_norm, theta, energy, n):
+    # a p = 64 table gives alpha_2 as a 64-bit mpf within a relative 2^-60
+    # of the exact value
+    g = motzkin_h2_norm if theta is None else normalize(
+        rna.rna_grammar(theta, rna.RnaModel(theta=theta, pair_energy=energy).w))
+    exact = second_moment(build_counts(g, None, n), n)
+    fixed = second_moment(build_counts(g, None, n, 64), n)
+    assert 0 < fixed.man.bit_length() <= 64
+    assert abs(fixed.man * Fraction(2) ** fixed.exp / exact - 1) <= Fraction(1, 2 ** 60)
 
 
 def test_spectrum_motzkin_h2_n3(motzkin_h2_norm):
     sp = weight_spectrum(motzkin_h2_norm, None, 3)
     assert [(c.weight, c.count) for c in sp.classes] == [(2, 3), (8, 1)]
-    assert sp.total_count() == 4
+    assert sum(sp.counts) == 4
     assert sp.total_weight() == 14
     assert (sp.classes[0].weight, sp.classes[-1].weight) == (2, 8)
 
@@ -181,8 +190,9 @@ def test_moment_spectrum_consistency(motzkin_h2_norm):
     # alpha_2 * total^2 == sum of count * weight^2, exactly
     n = 6
     sp = weight_spectrum(motzkin_h2_norm, None, n)
-    total = build_counts(motzkin_h2_norm, None, n).total(n)
-    a2 = moment(motzkin_h2_norm, 2, n)
+    table = build_counts(motzkin_h2_norm, None, n)
+    total = table.total(n)
+    a2 = second_moment(table, n)
     assert a2 * total ** 2 == sum(c.count * c.weight ** 2 for c in sp.classes)
 
 
@@ -284,10 +294,10 @@ def test_missing_terminal_weight_is_a_value_error(entry):
 
 @pytest.mark.parametrize("entry", [
     lambda g: build_counts(g, None, -1),
-    lambda g: moment(g, 2, -1),
+    lambda g: second_moment(build_counts(g, None, 4), -1),
     lambda g: weight_spectra(g, None, -1),
     lambda g: extreme_weights(g, -1),
-], ids=["build_counts", "moment", "weight_spectra", "extreme_weights"])
+], ids=["build_counts", "second_moment", "weight_spectra", "extreme_weights"])
 def test_negative_length_is_a_value_error(motzkin_h2_norm, entry):
     with pytest.raises(ValueError, match="nonnegative"):
         entry(motzkin_h2_norm)

@@ -10,8 +10,7 @@ from mpmath import mp
 from weightedgen import (EmptyLanguageError, ReportEntry, SamplerState, UrnModel,
                          WeightSpectrum,
                          birthday_asymptotic, birthday_exact, build_counts,
-                         coupon_bounds, coverage_first_order,
-                         expected_coverage, expected_distinct,
+                         coupon_bounds, expected_coverage, expected_distinct,
                          expected_occupied_weight, from_spectrum, from_weights,
                          normalize, occupancy, parse_grammar, simulate,
                          rna, standard_report, uniform_urns, weight_spectrum,
@@ -67,7 +66,7 @@ def test_integer_urn_model_refusals(keys, counts, message):
     # the integer route of from_spectrum refuses what the constructor refuses
     with pytest.raises(ValueError, match=message):
         UrnModel._from_keys(keys, counts, (1, 2))
-    spectrum = WeightSpectrum(3, ("a",), (Fraction(1, 2),), keys, (1, 2), counts,
+    spectrum = WeightSpectrum(3, ("a",), keys, (1, 2), counts,
                               tuple(((e,),) for e in range(len(counts))))
     with pytest.raises(ValueError, match=message):
         from_spectrum(spectrum)
@@ -131,15 +130,24 @@ def test_expected_coverage_basics():
     assert expected_coverage(two, 1) == two.alpha_2
 
 
+def _first_order_row(u, k):
+    (row,) = [e for e in standard_report(u, k=k).entries
+              if (e.statistic, e.method) == ("coverage", "first_order")]
+    return row
+
+
 def test_coverage_first_order():
     two = from_weights([Fraction(1), Fraction(2)])
-    fo = coverage_first_order(two, 1)
-    assert fo.value == Fraction(5, 9)
-    assert fo.value == expected_coverage(two, 1)
-    assert not fo.valid  # k * p_max = 2/3 over the threshold
-    fo = coverage_first_order(uniform_urns(200), 2)  # k * p_max = 0.01
-    assert fo.valid and fo.k_p_max == Fraction(1, 100)
-    assert fo.value == Fraction(1, 100)
+    row = _first_order_row(two, 1)
+    assert row.value == Fraction(5, 9)
+    assert row.value == expected_coverage(two, 1)
+    assert row.note == "invalid: k*p_max=0.666666666667"  # over the threshold
+    assert 2 * uniform_urns(200).p_max == Fraction(1, 100)
+    row = _first_order_row(uniform_urns(200), 2)  # k * p_max = 0.01
+    assert row.note == "valid"
+    assert row.value == Fraction(1, 100)
+    row = _first_order_row(uniform_urns(199), 2)  # k * p_max = 2/199
+    assert row.note == "invalid: k*p_max=0.0100502512563"
 
 
 def test_occupied_weight_reductions(motzkin_h2_urns):
@@ -280,7 +288,7 @@ def test_report_occupancy_rows_equal_expectations(u, k, route):
     assert rows == {("distinct", "exact"): d.value,
                     ("distinct", "asymptotic"): d.exponential,
                     ("coverage", "exact"): expected_coverage(u, k),
-                    ("coverage", "first_order"): coverage_first_order(u, k).value,
+                    ("coverage", "first_order"): k * u.alpha_2,
                     ("occupied_weight", "exact"): expected_occupied_weight(u, k)}
     for key in (("distinct", "exact"), ("coverage", "exact"), ("occupied_weight", "exact")):
         assert isinstance(rows[key], route)
