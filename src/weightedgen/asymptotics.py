@@ -19,9 +19,9 @@ certifies each result within a relative CERTIFY = 1e-10.
 
 Every analytic reads the grammar's own weights W (reweight with
 `with_weights` before `normalize`): `fit_power`, the fit of the table for W^j
-with the tail length and precision it is given; the condition probes and
-`collision_growth_base` through `system_rho` and `max_weight_growth`, which
-build no table.
+with the tail length it is given, at FIT_PRECISION bits; the condition
+probes and `collision_growth_base` through `system_rho` and
+`max_weight_growth`, which build no table.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ MIN_TERMS = 64
 RATIO_DEPTH = 10
 # relative slack of the singularity-separation probe rho^k < rho_k
 SEPARATION_MARGIN = 1e-3
-# fewest bits of coefficient precision the ratio extrapolation can carry
-MIN_FIT_PRECISION = 128
+# bits of the fixed-point table `fit_power` fits (see `estimate_singularity`)
+FIT_PRECISION = 256
 # relative width at which the bisection for log M stops
 GROWTH_TOLERANCE = 1e-15
 # Newton steps per oracle call; a step below CONVERGED times |y| has
@@ -98,11 +98,8 @@ def _neville(points, x0=0.0):
 
 def _ratio_limit(values, indices):
     """Extrapolated limit of c_n / c_{n+2} over the given index subsequence."""
-    pts = [(mp.mpf(1) / n, values[n] / values[n + 2])
-           for n in [n for n in indices if n][-RATIO_DEPTH:]]
-    if len(pts) < 3:
-        return None
-    return _neville(pts)
+    return _neville([(mp.mpf(1) / n, values[n] / values[n + 2])
+                     for n in [n for n in indices if n][-RATIO_DEPTH:]])
 
 
 def estimate_singularity(coeffs) -> SingularityEstimate:
@@ -113,11 +110,13 @@ def estimate_singularity(coeffs) -> SingularityEstimate:
     instead of raising: multiple dominant singularities on one circle are a
     diagnosis, not a crash.
 
-    The coefficients need at least MIN_FIT_PRECISION = 128 bits: the
+    `fit_power` passes FIT_PRECISION = 256-bit coefficients: the
     RATIO_DEPTH-point extrapolation amplifies their rounding, and `converged`
     does not see it.  On Motzkin W=2 (256 terms), 64-bit coefficients give
     rho 0.249990255851 as converged, 96-bit ones are off in the 11th digit of
-    kappa, and 128-bit ones agree with 256-bit ones on every printed digit.
+    kappa, and 128-bit ones agree with 256-bit ones on rho, kappa and k but
+    not on the parity gap (7.48e-23 against 6.51e-23); from 192 bits on,
+    every printed digit agrees.
     """
     n_total = len(coeffs)
     if n_total < MIN_TERMS:
@@ -142,7 +141,7 @@ def estimate_singularity(coeffs) -> SingularityEstimate:
         for parity in (0, 1):
             indices = [n for n in range(start, n_total - 2) if n % 2 == parity]
             limit = _ratio_limit(vals, indices)
-            if limit is not None and limit > 0:
+            if limit > 0:
                 per_parity[parity] = mp.sqrt(limit)
 
         if not per_parity:
@@ -159,7 +158,6 @@ def estimate_singularity(coeffs) -> SingularityEstimate:
 
         # log-log fit of c_n * rho^n = kappa * n^(-k) on the tail
         window = max(16, int(FIT_FRACTION * tail_len))
-        window = min(window, tail_len)
         log_rho = mp.log(rho_mp)
         xs, ys = [], []
         for n in range(n_total - window, n_total):
@@ -176,11 +174,11 @@ def estimate_singularity(coeffs) -> SingularityEstimate:
                                parity_gap=parity_gap, notes=tuple(notes))
 
 
-def fit_power(grammar, j: int, n_terms: int, precision: int) -> SingularityEstimate:
-    """Singularity fit of the n_terms-term table, at `precision` bits, for
+def fit_power(grammar, j: int, n_terms: int) -> SingularityEstimate:
+    """Singularity fit of the n_terms-term table, at FIT_PRECISION bits, for
     the grammar's weights raised to the power j."""
     weights = {t: w ** j for t, w in grammar.weights.items()}
-    table = build_counts(grammar, weights, n_terms, precision)
+    table = build_counts(grammar, weights, n_terms, FIT_PRECISION)
     return estimate_singularity(table.coefficients())
 
 

@@ -59,11 +59,9 @@ def _load_grammar(args) -> WeightedGrammar:
             g = parse_grammar(fh.read())
     elif args.builtin == "motzkin":
         g = motzkin_grammar()
-    elif args.builtin == "rna":
+    else:  # argparse's choices admit only the BUILTINS
         model = _rna_model(args)
         g = rna.rna_grammar(model.theta, model.w)
-    else:
-        raise ValueError(f"unknown builtin {args.builtin!r}")
     overrides = {}
     for spec in args.weight or ():
         if "=" not in spec:
@@ -148,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asymptotics", help="singularity estimate and condition probes")
     _add_grammar_args(p)
     p.add_argument("--n-terms", type=int, default=256)
-    p.add_argument("--precision", default="float256")
     p.add_argument("--collision-n", type=int,
                    help="also compare the plug-in and fitted collision estimates at this length")
     p.add_argument("--format", choices=("text", "csv"), default="text",
@@ -245,21 +242,17 @@ def cmd_asymptotics(args) -> int:
     if args.collision_n is not None and args.collision_n < 1:
         raise ValueError(f"--collision-n must be at least 1, got {args.collision_n}")
     g = normalize(_load_grammar(args))
-    precision = _parse_precision(args.precision)
-    if precision is None or precision < asymptotics.MIN_FIT_PRECISION:
-        raise ValueError("asymptotics needs a float count table of at least "
-                         f"{asymptotics.MIN_FIT_PRECISION} bits: --precision floatBITS")
     if args.format == "csv":
-        table = counting.build_counts(g, None, args.n_terms, precision)
+        table = counting.build_counts(g, None, args.n_terms, asymptotics.FIT_PRECISION)
         _emit_csv(("n", "coefficient"),
                   [(m, _num(v)) for m, v in enumerate(table.coefficients())])
         return 0
     # everything is computed before the first line is printed
-    est = asymptotics.fit_power(g, 1, args.n_terms, precision)
+    est = asymptotics.fit_power(g, 1, args.n_terms)
     ce = None
     if args.collision_n is not None:
         ce = asymptotics.collision_estimates(
-            g, args.collision_n, est, asymptotics.fit_power(g, 2, args.n_terms, precision))
+            g, args.collision_n, est, asymptotics.fit_power(g, 2, args.n_terms))
     report = asymptotics.check_conditions(g)
     print(f"rho      {est.rho:.12g}")
     print(f"kappa    {est.kappa:.12g}")
@@ -309,11 +302,8 @@ def cmd_figure(args) -> int:
         g = normalize(motzkin_grammar().with_weights({".": w}))
         spectra = counting.weight_spectra(g, None, args.n_max)
         rows = []
-        for n in range(n_min, args.n_max + 1):
-            sp = spectra[n]
-            if sp is None:
-                continue
-            u = urns.from_spectrum(sp)
+        for n in range(n_min, args.n_max + 1):  # all dots: a word at every length
+            u = urns.from_spectrum(spectra[n])
             value = to_mpf(u.p_min) * to_mpf(urns.xi_estimate(u))
             rows.append((n, _num(float(value))))
         _emit_csv(("n", "p1_times_Xi"), rows)

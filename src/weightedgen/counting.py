@@ -143,7 +143,7 @@ class CountTable:
     def cell(self, nt: str, m: int) -> int:
         """The stored cell at (nt, m): value(nt, m) in the table's own scale."""
         if not 0 <= m <= self.horizon:
-            raise ValueError(f"length {m} outside horizon {self.horizon}")
+            raise ValueError(f"length {m} outside the nonnegative lengths 0..{self.horizon}")
         return self._cells[nt][m]
 
     def value(self, nt: str, m: int):
@@ -216,12 +216,12 @@ def second_moment(table: CountTable, n: int):
     """alpha_2 = total_{w^2}(n) / total(n)^2, the second moment of the
     table's length-n law, from one table over the squared weights at the
     table's precision: a Fraction on an exact table, a p-bit mpf on a p-bit
-    one."""
-    squared = build_counts(table.grammar, {t: w * w for t, w in table.weights.items()},
-                           n, table.precision)
+    one.  An n the table does not hold is refused before anything is built."""
     total = table.total(n)
     if not total:
         raise EmptyLanguageError(f"no words of length {n}")
+    squared = build_counts(table.grammar, {t: w * w for t, w in table.weights.items()},
+                           n, table.precision)
     with mp.workprec(table.precision or mp.prec):  # Fractions ignore it
         return squared.total(n) / total ** 2
 

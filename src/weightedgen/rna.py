@@ -222,22 +222,15 @@ def rna_rho(w, theta: int) -> float:
 # structure census by pairs and plateaux
 
 
-def narayana(k: int, i: int) -> int:
-    """Number of balanced parenthesis words with k pairs and i innermost pairs."""
-    if k == 0:
-        return 1 if i == 0 else 0
-    if not 1 <= i <= k:
-        return 0
-    return comb(k, i) * comb(k, i - 1) // k
-
-
 def structure_counts(n: int, theta: int) -> dict:
     """{(pairs k, plateaux i): count} for structures of length n.
 
     A structure with i plateaux shortens, by deleting theta dots inside each
     plateau, to an unconstrained Motzkin word of length n - theta*i whose
     dot-free skeleton has k pairs and i innermost pairs; dots then land in any
-    of the 2k+1 gaps.  Hence count = narayana(k, i) * C(n - theta*i, 2k).
+    of the 2k+1 gaps.  Hence count = N(k, i) * C(n - theta*i, 2k), with the
+    Narayana number N(k, i) = C(k, i) * C(k, i-1) / k of balanced parenthesis
+    words with k pairs and i innermost pairs.
     Beware: transposing k and i in this formula looks plausible and is wrong;
     the enumeration tests pin this index convention.
     """
@@ -245,7 +238,7 @@ def structure_counts(n: int, theta: int) -> dict:
     out = {(0, 0): 1}  # the all-dots structure (empty word for n=0)
     for k in range(1, n // 2 + 1):
         for i in range(1, min(k, (n - 2 * k) // theta) + 1):  # n - theta*i >= 2k
-            out[k, i] = narayana(k, i) * comb(n - theta * i, 2 * k)
+            out[k, i] = comb(k, i) * comb(k, i - 1) // k * comb(n - theta * i, 2 * k)
     return out
 
 
@@ -258,7 +251,7 @@ def _check_census(n: int, theta: int) -> None:
 
 def class_counts_by_pairs(n: int, theta: int) -> list:
     """[(k, number of structures with k pairs)], ascending in k: the sum of
-    `structure_counts` over i, with narayana(k, i) * k = C(k, i) * C(k, i-1)
+    `structure_counts` over i, with N(k, i) * k = C(k, i) * C(k, i-1)
     and one division by k per k."""
     _check_census(n, theta)
     return [(0, 1)] + [

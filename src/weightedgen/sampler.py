@@ -225,9 +225,8 @@ def branch_distribution(table: CountTable, n: int) -> dict:
         left = bound
         acc = {}
         for rule, j in zip(rules, splits):
-            if left <= 0:
-                break
             weight = table.weight(rule, j, m)
+            # only the last option can cross the bound (`CountTable.options`)
             p = Fraction(min(weight, left), bound)
             left -= weight
             if rule.kind == "pair":

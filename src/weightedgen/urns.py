@@ -91,7 +91,6 @@ class UrnModel:
         keys = [w.numerator * (scale // w.denominator) for w in weights]
         g = math.gcd(*keys) or 1  # dividing by g > 0 keeps every refusal's verdict
         self._store(tuple(key // g for key in keys), tuple(counts), (g, scale))
-        self.__dict__["weights"] = weights
 
     @classmethod
     def _from_keys(cls, keys: tuple, counts: tuple, unit: tuple) -> UrnModel:
@@ -477,7 +476,6 @@ class CouponBounds:
     upper: object               # 2 * H_m / p_1
     estimate: object            # Xi
     berenbrink: tuple | None    # (Xi / (3e log2 log2 m), 2 Xi) as mpfs, m >= 3 only
-    m: int
 
 
 def coupon_bounds(u: UrnModel) -> CouponBounds:
@@ -498,7 +496,7 @@ def coupon_bounds(u: UrnModel) -> CouponBounds:
         with mp.workdps(FLOAT_DPS):
             xf = to_mpf(xi)
             berenbrink = (xf / (3 * mp.e * math.log2(math.log2(u.m))), 2 * xf)
-    return CouponBounds(lower, upper, xi, berenbrink, u.m)
+    return CouponBounds(lower, upper, xi, berenbrink)
 
 
 # ---------------------------------------------------------------------------

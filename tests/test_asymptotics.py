@@ -86,8 +86,8 @@ def test_collision_growth_base_uniform(motzkin_norm):
 
 
 def test_fitted_collision_asymptote_weighted(motzkin_h2_norm):
-    base = fit_power(motzkin_h2_norm, 1, 192, 192)
-    squared = fit_power(motzkin_h2_norm, 2, 192, 192)
+    base = fit_power(motzkin_h2_norm, 1, 192)
+    squared = fit_power(motzkin_h2_norm, 2, 192)
     assert base.converged and squared.converged
     # the fitted asymptote should land near the finite-n plug-in
     assert collision_estimates(motzkin_h2_norm, 40, base, squared).relative_gap < 0.2
@@ -231,7 +231,7 @@ def test_gamma_exceeds_one_when_conditions_pass(motzkin_h2_norm):
 def test_collision_estimates_pair():
     from weightedgen import rna
     g = normalize(rna.rna_grammar(1, Fraction(2)))
-    ce = collision_estimates(g, 36, fit_power(g, 1, 192, 192), fit_power(g, 2, 192, 192))
+    ce = collision_estimates(g, 36, fit_power(g, 1, 192), fit_power(g, 2, 192))
     assert ce.plug_in > 1
     assert ce.relative_gap == abs(ce.fitted - ce.plug_in) / ce.plug_in
     assert ce.agree == (ce.relative_gap <= 0.05)
@@ -239,8 +239,8 @@ def test_collision_estimates_pair():
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_collision_estimates_refuse_length_below_one(motzkin_h2_norm, n):
-    base = fit_power(motzkin_h2_norm, 1, 128, 128)
-    squared = fit_power(motzkin_h2_norm, 2, 128, 128)
+    base = fit_power(motzkin_h2_norm, 1, 128)
+    squared = fit_power(motzkin_h2_norm, 2, 128)
     with pytest.raises(ValueError, match="at least 1"):
         collision_estimates(motzkin_h2_norm, n, base, squared)
 
@@ -248,7 +248,7 @@ def test_collision_estimates_refuse_length_below_one(motzkin_h2_norm, n):
 def test_fitted_gamma_matches_root_route():
     from weightedgen import rna
     g = normalize(rna.rna_grammar(3, rna.pair_weight(-3.0)))
-    series_gamma = fit_power(g, 2, 192, 256).rho ** 0.5 / fit_power(g, 1, 192, 256).rho
+    series_gamma = fit_power(g, 2, 192).rho ** 0.5 / fit_power(g, 1, 192).rho
     root_gamma = collision_growth_base(g)
     assert abs(series_gamma - root_gamma) < 5e-3
 
@@ -402,7 +402,7 @@ def test_system_rho_agrees_with_converged_fits(seed, j, weights):
     grammar = random_valid_grammar(random.Random(seed))
     g = normalize(grammar.with_weights(dict(zip(sorted(grammar.terminals), weights))))
     try:
-        fit = fit_power(g, j, 256, 256)
+        fit = fit_power(g, j, 256)
     except InsufficientData:
         return
     if fit.converged:

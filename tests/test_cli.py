@@ -149,23 +149,13 @@ def test_asymptotics_text_and_csv():
     assert len(lines) == 10
 
 
-def test_asymptotics_refuses_exact_precision():
-    code, out, err = run_cli("asymptotics", "--builtin", "motzkin",
-                             "--n-terms", "96", "--precision", "exact")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "floatBITS" in err
-
-
-@pytest.mark.parametrize("precision, refused", [("float64", True), ("float127", True),
-                                               ("float128", False)])
-def test_asymptotics_precision_floor(precision, refused):
-    code, out, err = run_cli("asymptotics", "--builtin", "motzkin",
-                             "--n-terms", "96", "--precision", precision)
-    if refused:
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "128" in err
-    else:
-        assert code == 0 and out.startswith("rho")
+def test_asymptotics_prints_its_notes(tmp_path):
+    # no word shorter than 4 letters: the fit skips the four leading zeros
+    path = tmp_path / "g.wcfg"
+    path.write_text("axiom S\nterminal a weight 2\nterminal b\nS -> a S | b S | a a a a\n")
+    code, out, err = run_cli("asymptotics", "--grammar", str(path), "--n-terms", "96")
+    assert (code, err) == (0, "")
+    assert "note: ignored 4 leading coefficients\n" in out
 
 
 def test_asymptotics_collision_comparison():
@@ -194,7 +184,7 @@ def test_asymptotics_empty_collision_length_prints_nothing(tmp_path):
     path.write_text("axiom S\nterminal a weight 2\nterminal b\nS -> a a a T\n"
                     "T -> a T | b T | _\n")
     code, out, err = run_cli("asymptotics", "--grammar", str(path), "--n-terms", "128",
-                             "--precision", "float128", "--collision-n", "2")
+                             "--collision-n", "2")
     assert code == 2 and out == ""
     assert err == "error: no words of length 2\n"
 
@@ -332,6 +322,12 @@ def test_error_exit_codes(tmp_path):
     code, out, err = run_cli("count", "--builtin", "motzkin", "--n", "3",
                              "--weight", "x=2")
     assert code == 2 and "error:" in err and out == ""
+    for argv, message in ((("count", "--builtin", "motzkin", "--n", "3", "--weight", "x"),
+                           "--weight expects SYM=VALUE"),
+                          (("rna", "--k", "3"), "rna needs --n"),
+                          (("rna", "--sweep", "3-5", "--k", "3"), "--sweep expects N1..N2")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "") and err.startswith("error:") and message in err
     bad = tmp_path / "bad.wcfg"
     bad.write_text("axiom S\nterminal a\nS -> a T\n")
     code, out, err = run_cli("count", "--grammar", str(bad), "--n", "3")

@@ -86,8 +86,6 @@ def invocations(draw):
         collision = (["--collision-n", str(draw(st.integers(-1, 30)))]
                      if draw(st.booleans()) else [])
         argv = ["asymptotics", *source, "--n-terms", str(draw(st.integers(32, 96))),
-                "--precision", draw(st.sampled_from(["float128", "float128", "float256",
-                                                     "float64", "exact"])),
                 *collision, *form]
     elif command == "rna":
         model = [f"--theta={draw(THETAS)}", f"--energy={draw(ENERGIES)}"]

@@ -124,6 +124,22 @@ def test_moment_empty_language():
         second_moment(build_counts(g, None, 3), 3)
 
 
+def test_second_moment_refuses_a_length_beyond_the_table_before_building(
+        motzkin_h2_norm, monkeypatch):
+    table = build_counts(motzkin_h2_norm, None, 4)
+    built = []
+    init = counting.CountTable.__init__
+
+    def record(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(counting.CountTable, "__init__", record)
+    with pytest.raises(ValueError, match="length 400 outside"):
+        second_moment(table, 400)
+    assert built == []
+
+
 @pytest.mark.parametrize("theta, energy", [(None, None), (3, -3.0)], ids=["motzkin-w2", "rna-t3"])
 @pytest.mark.parametrize("n", [20, 40])
 def test_second_moment_of_a_fixed_point_table(motzkin_h2_norm, theta, energy, n):

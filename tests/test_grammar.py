@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from weightedgen import (GrammarError, GrammarSyntaxError, WeightedGrammar,
+from weightedgen import (GrammarError, GrammarSyntaxError, Rule, WeightedGrammar,
                          build_counts, normalize, parse_grammar)
 from weightedgen.cli import motzkin_grammar
 from weightedgen.grammar import _min_lengths, _parse_weight
@@ -54,11 +54,47 @@ def test_parse_unknown_symbol_position():
     ("axiom S\nterminal a\nS -> a _\n", "only symbol"),
     ("axiom S\nterminal a\nS -> a |\n", "empty alternative"),
     ("axiom S\nterminal a\nterminal a\nS -> a\n", "duplicate terminal"),
+    ("axiom S\nterminal a\nS -> a ->\n", "'->' cannot be used as a symbol"),
+    ("axiom S T\nterminal a\nS -> a\n", "expected: axiom"),
+    ("axiom S\nterminal a weight\nS -> a\n", "expected: terminal"),
+    ("axiom S\nterminal a\nS a\n", "expected a rule"),
+    ("axiom S\nterminal a\n", "no rules"),
+    ("axiom S\nterminal a\nS -> a\na -> S\n", "declared terminal but used as a rule lhs"),
+    ("axiom T\nterminal a\nS -> a\n", "axiom 'T' has no rules"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(GrammarSyntaxError) as err:
         parse_grammar(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("terminals, nonterminals, rules, axiom, weights, fragment", [
+    ({"a"}, set(), (), "S", {}, "no nonterminals"),
+    ({"a"}, {"S"}, (Rule("S", ("a",)),), "T", {}, "axiom 'T' is not a nonterminal"),
+    ({"a", "S"}, {"S"}, (Rule("S", ("a",)),), "S", {}, "both terminal and nonterminal"),
+    ({"a"}, {"S"}, (Rule("S", ("a",)),), "S", {"b": 2}, "unknown terminal 'b'"),
+    ({"a"}, {"S"}, (Rule("S", ("a",)),), "S", {"a": 0}, "nonpositive weight"),
+    ({"a"}, {"S"}, (Rule("S", ("a",)), Rule("T", ("a",))), "S", {},
+     "rule lhs 'T' is not a nonterminal"),
+    ({"a"}, {"S"}, (Rule("S", ("a", "b")),), "S", {}, "unknown symbol 'b'"),
+])
+def test_direct_construction_refusals(terminals, nonterminals, rules, axiom, weights,
+                                      fragment):
+    with pytest.raises(GrammarError, match=fragment):
+        WeightedGrammar(terminals, nonterminals, rules, axiom, weights)
+
+
+def test_a_nonterminal_named_like_the_fresh_start_is_renamed_around():
+    # `normalize` names its start symbol @S; a source nonterminal of that
+    # name makes it pick the next free name, and the totals stay as they were
+    rules = "S -> a S b | b S | a a\n"
+    plain = parse_grammar("axiom S\nterminal a weight 3\nterminal b\n" + rules)
+    clash = parse_grammar("axiom @S\nterminal a weight 3\nterminal b\n"
+                          + rules.replace("S", "@S"))
+    ng = normalize(clash)
+    assert "@S" in ng.nonterminals and ng.axiom not in clash.nonterminals
+    assert (build_counts(ng, None, 12).coefficients()
+            == build_counts(normalize(plain), None, 12).coefficients())
 
 
 def test_decimal_weights_are_exact():

@@ -312,5 +312,14 @@ def test_coverage_rows_match_exact_route():
 def test_invalid_model_parameters():
     with pytest.raises(ValueError):
         rna.RnaModel(theta=0)
+    for entry in (lambda: rna.rna_grammar(0), lambda: rna.structure_counts(5, 0)):
+        with pytest.raises(ValueError, match="theta must be >= 1"):
+            entry()
     with pytest.raises(ValueError):
         rna.pair_weight(-1.0, 0.0)
+
+
+def test_rna_rho_finds_no_root_at_a_positive_energy():
+    # at E=30 rho lies within 1e-9 of 1, where the root search does not look
+    with pytest.raises(rna.RootBracketError, match="no discriminant root in"):
+        rna.rna_rho(rna.pair_weight(30.0), 3)

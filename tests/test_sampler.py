@@ -79,6 +79,30 @@ def test_empty_length_raises(motzkin_norm):
         sample_word(state, 3)
 
 
+DYCK = "axiom S\nterminal (\nterminal )\nS -> ( S ) S | _\n"
+
+
+@pytest.mark.parametrize("entry", [
+    lambda g: word_probability(("(", ")", "("), build_counts(g, None, 3)),
+    lambda g: branch_distribution(build_counts(g, None, 3), 3),
+    lambda g: counting.extreme_weights(g, 3),
+], ids=["word_probability", "branch_distribution", "extreme_weights"])
+def test_empty_length_refusals(entry):
+    with pytest.raises(EmptyLanguageError, match="no words of length 3"):
+        entry(normalize(parse_grammar(DYCK)))
+
+
+def test_word_probability_refuses_a_word_beyond_the_table(motzkin_h2_norm):
+    with pytest.raises(ValueError, match="length 4 outside"):
+        word_probability((".",) * 4, build_counts(motzkin_h2_norm, None, 3))
+
+
+def test_branch_distribution_refuses_past_the_word_cap(motzkin_norm):
+    # unit Motzkin has 15511 words of length 12
+    with pytest.raises(RuntimeError, match=f"more than {sampler.BRANCH_WORD_CAP} words"):
+        branch_distribution(build_counts(motzkin_norm, None, 12), 12)
+
+
 def test_empirical_weighted_frequencies(motzkin_h2_norm):
     table = build_counts(motzkin_h2_norm, None, 2)
     state = SamplerState(table, seed=2024)

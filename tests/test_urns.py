@@ -879,6 +879,19 @@ def test_simulate_draw_cap_starts_no_draws(motzkin_norm, monkeypatch):
             SimResult("distinct", 0.0, 0.0, SIMULATE_DRAW_CAP, 0)
 
 
+@pytest.mark.parametrize("level, statistic, n, message", [
+    ("urns", "collisions", None, "unknown statistic 'collisions'"),
+    ("words", "collisions", 5, "unknown statistic 'collisions'"),
+    ("words", "first_collision", None, "word-level simulation needs n"),
+])
+def test_simulate_refuses_unknown_statistic_and_missing_n(motzkin_norm, level, statistic,
+                                                           n, message):
+    model = uniform_urns(5) if level == "urns" else SamplerState(
+        build_counts(motzkin_norm, None, 5))
+    with pytest.raises(ValueError, match=message):
+        simulate(model, statistic, 10, n=n)
+
+
 def test_report_structure(motzkin_h2_urns):
     rep = standard_report(motzkin_h2_urns, n=3, k=2)
     stats = {e.statistic for e in rep.entries}
