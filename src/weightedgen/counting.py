@@ -5,11 +5,13 @@ nonterminal A of a binary-form grammar and every length m, the total weight of
 the words A derives at that length.  Every table in this module is one
 instance of `grammar.inside` over its own semiring.
 
-Count-table cells are plain ints under one of two scales, and no other module
-knows about either.  Exact cells scale each letter weight by D, the lcm of
-the weight denominators, so the cell at length m holds D^m times its value,
-and `value()`, `total()` and `coefficients()` divide the scale back out into
-Fractions.  Fixed-point cells (`precision=p`, for long coefficient tails where
+Count-table cells are plain ints under one of two scales.  Exact cells scale
+each letter weight by D, the lcm of the weight denominators, so the cell at
+length m holds D^m times its value, and `value()`, `total()` and
+`coefficients()` divide the scale back out into Fractions.  `urns` reads it
+twice: `_word_law` divides `_extreme_row`'s row by D^n, and word-level
+coverage (`_word_trials`) sums integer letter products from `_scaled`.
+Fixed-point cells (`precision=p`, for long coefficient tails where
 exactness is pointless) hold floor(value * 2^(q - b*m)) with q = p + 64 and b
 = floor(log2) of the smallest letter weight: every length-m word weighs at
 least 2^(b*m), so every nonempty cell is at least 2^q - 2m, and one

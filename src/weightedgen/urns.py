@@ -307,10 +307,6 @@ FIRST_ORDER_THRESHOLD = 0.01
 # h(x) below 1/2: the series S(v) = sum_j v^j / (2j+3), v <= 1/25, to 2^-53
 _ATANH_SERIES = tuple(1 / (2 * j + 3) for j in reversed(range(12)))
 
-# Class x node entries per block of the birthday integrand: bounded temporaries
-# whatever the number of weight classes.
-_BLOCK = 1 << 15
-
 # Rounding budget of the birthday quadrature, relative to the integral.
 _ROUNDING = 64 * 2.0 ** -52
 
@@ -319,7 +315,7 @@ _ROUNDING = 64 * 2.0 ** -52
 BIRTHDAY_REL_TOL = 1e-9
 
 
-def _h(x):
+def _h(x: float) -> float:
     """h(x) = (log1p(x) - x) / x^2 for x >= 0, to a few ulp.
 
     Below 1/2, with d = 2 + x: log1p(x) = 2 atanh(x/d) gives
@@ -327,46 +323,31 @@ def _h(x):
     of the 1 it is taken from.  From 1/2 on, the direct form loses at most a
     factor 6 to cancellation.
     """
-    import numpy as np  # only the birthday quadrature loads numpy
-    out = np.empty_like(x)
-    small = x < 0.5
-    xs = x[small]
-    d = xs + 2
-    v = (xs / d) ** 2
-    series = np.full_like(xs, _ATANH_SERIES[0])
-    for coeff in _ATANH_SERIES[1:]:
-        series *= v
-        series += coeff
-    out[small] = (2 * xs * series / (d * d) - 1) / d
-    xl = x[~small]
-    out[~small] = (np.log1p(xl) - xl) / (xl * xl)
-    return out
-
-
-def _class_sum(b, q, s, f):
-    """sum_i b_i f(q_i s) at every node s, over blocks of classes."""
-    import numpy as np  # only the birthday quadrature loads numpy
-    out = np.zeros_like(s)
-    rows = max(1, _BLOCK // len(s))
-    for lo in range(0, len(b), rows):
-        out += b[lo:lo + rows] @ f(np.multiply.outer(q[lo:lo + rows], s))
-    return out
+    if x < 0.5:
+        d = x + 2
+        v = (x / d) ** 2
+        series = _ATANH_SERIES[0]
+        for coeff in _ATANH_SERIES[1:]:
+            series = series * v + coeff
+        return (2 * x * series / (d * d) - 1) / d
+    return (math.log1p(x) - x) / (x * x)
 
 
 @functools.cache
-def _gauss_legendre(n: int) -> tuple:
-    """Gauss-Legendre (nodes, weights) on [-1, 1], by Newton's method on the
-    Legendre recurrence.  At 64 points the weights are off by 2e-15 in sum,
-    where numpy's leggauss is off by 2e-14 and needs LAPACK workspace."""
-    import numpy as np  # only the birthday quadrature loads numpy
-    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(8):  # converges quadratically from these starting points
-        p0, p1 = np.ones_like(x), x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        slope = n * (x * p1 - p0) / (x * x - 1)
-        x = x - p1 / slope
-    return x, 2 / ((1 - x * x) * slope * slope)
+def _gauss_legendre(n: int) -> list:
+    """Gauss-Legendre (node, weight) pairs on [-1, 1], by Newton's method on
+    the Legendre recurrence.  At 64 points the weights sum to 2 within 5e-16."""
+    rule = []
+    for i in range(n):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(8):  # converges quadratically from these starting points
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            slope = n * (x * p1 - p0) / (x * x - 1)
+            x -= p1 / slope
+        rule.append((x, 2 / ((1 - x * x) * slope * slope)))
+    return rule
 
 
 def _sqrt_ratio(num: int, den: int) -> float:
@@ -396,48 +377,65 @@ def birthday_exact(u: UrnModel) -> float:
       s = -1/q_i <= -1 of the integrand lie at least three half-widths from
       every panel, so both rules converge geometrically and the 32-point
       error overestimates the 64-point one;
-    - E_tail = exp(psi(S)) / |psi'(S)| bounds the integral beyond S, because
-      psi is concave; S is the first power of two where it falls below
-      1e-3 * BIRTHDAY_REL_TOL (the integral is at least sqrt(pi/2) > 1, as
-      h >= -1/2);
+    - E_tail = exp(psi(S)) / |psi'(S)|, |psi'(S)| = S sum b_i / (1 + q_i S),
+      bounds the integral beyond S, because psi is concave; S is the first
+      panel end where it falls below 1e-3 * BIRTHDAY_REL_TOL (the integral is
+      at least sqrt(pi/2) > 1, as h >= -1/2);
     - E_round = 64 * 2^-52 * value covers rounding: h to a few ulp, b_i, q_i,
-      the Gauss weights, the class sums and exp.
-    So the tolerance cannot go much below 1e-14.  Memory stays flat in the number
-    of classes: the class x node matrix is built in blocks.  numpy is imported
-    here and in the three helpers above, not with the module, so the sampling,
-    counting and simulation routes do not load it.
+      the Gauss weights, the class sums, the power sums and exp.  An error
+      e |psi| in psi moves the integral by at most e * value, as -psi has mean
+      at most 1 under the log-concave density e^psi / integral, of mode 0.
+    So the tolerance cannot go much below 1e-14.
+
+    Power sums.  On a panel [lo, hi] the classes with q_i hi <= x <= 1/2 add
+    sum_{j<J} (-1)^(j+1) M_j s^j / (j+2), M_j = sum b_i q_i^j, to psi / s^2 by
+    Horner; the others (fewer than 4 hi^2 urns, as sum c_i q_i^2 = 1) add h one
+    by one.  The series alternates with shrinking terms and M_0 <= 1, so the
+    cut moves psi by at most hi^2 x^J / (J+2) <= 2^-56, J the least such.  With
+    u = 2^-53, M_j / (j+2) is within (j+2) u (j products, fsum, one division),
+    which moves the group's part by u sum_j M_j s^j <= 2u M_0; Horner's step j
+    rounds twice a value below M_0 x^j / (j+2), 1.6u M_0 in all; and the part
+    is at least |h(1/2)| M_0 > 0.37 M_0 in size, so it is within 10u relative.
     """
-    import numpy as np
-    b = np.array([sq / u.moment2 for sq in u.squares])
-    q = np.sqrt([sq / (c * u.moment2) for c, sq in zip(u.counts, u.squares)])
+    b = [sq / u.moment2 for sq in u.squares]
+    q = [math.sqrt(sq / (c * u.moment2)) for c, sq in zip(u.counts, u.squares)]
     unscale = _sqrt_ratio(u.denominator ** 2, u.moment2)  # 1 / sqrt(alpha_2)
+    rules = _gauss_legendre(32), _gauss_legendre(64)
 
-    # Candidate truncation points up to 1024, where exp(psi) < exp(-1000) for
-    # every model, as psi(s) <= log1p(s) - s (the single urn).
-    ends = 2.0 ** np.arange(11)
-    slopes = ends * _class_sum(b, q, ends, lambda x: 1 / (1 + x))  # |psi'|
-    tails = np.exp(ends * ends * _class_sum(b, q, ends, _h)) / slopes
-    hits = np.flatnonzero(tails < 1e-3 * BIRTHDAY_REL_TOL)
-    if not hits.size:
-        raise QuadratureError(f"no truncation point up to t={ends[-1] * unscale:.6g}")
-    last = hits[0]
+    value = panel_err = lo = 0.0
+    # Panel ends up to 1024, where exp(psi) < exp(-1000) for every model, as
+    # psi(s) <= log1p(s) - s (the single urn).
+    for panels, hi in enumerate((2.0 ** e for e in range(11)), 1):
+        k = bisect.bisect_right(q, 0.5 / hi)  # q_i hi <= 1/2: a prefix, as q is sorted
+        x, terms, coeffs = q[k - 1] * hi if k else 0.0, b[:k], []
+        while terms and hi * hi * x ** (j := len(coeffs)) / (j + 2) > 2.0 ** -56:
+            coeffs.append((-1) ** (j + 1) * math.fsum(terms) / (j + 2))
+            terms = list(map(operator.mul, terms, q))  # map stops at len(terms) = k
+        direct = list(zip(b[k:], q[k:]))
 
-    (x32, w32), (x64, w64) = _gauss_legendre(32), _gauss_legendre(64)
-    lo, hi = np.concatenate(([0.0], ends[:last])), ends[:last + 1]
-    half = (hi - lo) / 2
-    nodes = ((hi + lo) / 2)[:, None] + half[:, None] * np.concatenate((x32, x64))
-    s = nodes.ravel()
-    f = np.exp(s * s * _class_sum(b, q, s, _h)).reshape(nodes.shape)
-    g32 = half * (f[:, :len(x32)] @ w32)
-    g64 = half * (f[:, len(x32):] @ w64)
-    value = g64.sum()
-    err = np.abs(g64 - g32).sum() + tails[last] + _ROUNDING * value
+        def psi(s: float) -> float:
+            series = 0.0
+            for coeff in reversed(coeffs):
+                series = series * s + coeff
+            return s * s * (series + math.fsum(bi * _h(qi * s) for bi, qi in direct))
+
+        mid, half = (hi + lo) / 2, (hi - lo) / 2
+        g32, g64 = (half * sum(w * math.exp(psi(mid + half * node)) for node, w in rule)
+                    for rule in rules)
+        value += g64
+        panel_err += abs(g64 - g32)
+        tail = math.exp(psi(hi)) / (hi * sum(bi / (1 + qi * hi) for bi, qi in zip(b, q)))
+        if tail < 1e-3 * BIRTHDAY_REL_TOL:
+            break
+        lo = hi
+
+    err = panel_err + tail + _ROUNDING * value
     if not err <= BIRTHDAY_REL_TOL * value:
         raise QuadratureError(
             f"birthday quadrature did not converge: value~{value * unscale:.8g}, "
-            f"error~{err * unscale:.3g}, truncation t={ends[last] * unscale:.6g}, "
-            f"{s.size} nodes")
-    return float(value * unscale)
+            f"error~{err * unscale:.3g}, truncation t={hi * unscale:.6g}, "
+            f"{panels * sum(map(len, rules))} nodes")
+    return value * unscale
 
 
 def birthday_asymptotic(u: UrnModel) -> float:

@@ -10,8 +10,9 @@ spectrum and its integer form by Fraction gcd and lcm, the 45-digit birthday qua
 occupancy sums and exponential form, the urn throws by explicit urn ids
 with full collection's repeat throws by exact integer powers, its mean by
 inclusion-exclusion over the classes, the Fraction route to an urn model's
-probabilities, randrange's rejection loop (`below`) that the urn throws and the sampler write out inline, and
-the numpy least-squares line of the singularity fit.  So do the growth
+probabilities, randrange's rejection loop (`below`) that the urn throws and the sampler write out inline,
+the numpy least-squares line of the singularity fit, and the numpy birthday
+quadrature with every class at every node.  So do the growth
 routes the grammar's equations replaced: the cycle test for a finite
 language, the diversity ladder of exact largest-word probabilities, and the
 RNA growth base from the discriminant roots.  Exhaustive
@@ -395,6 +396,84 @@ def mp_birthday(u, rel_tol=1e-9):
                 f"birthday quadrature did not converge: value~{mp.nstr(value, 8)}, "
                 f"error~{mp.nstr(err, 3)}")
         return float(value)
+
+
+# Class x node entries per block of the numpy birthday integrand.
+_BLOCK = 1 << 15
+
+
+def _numpy_h(x):
+    """`urns._h` over an array: the atanh series below 1/2, the direct form above."""
+    out = np.empty_like(x)
+    small = x < 0.5
+    xs = x[small]
+    d = xs + 2
+    v = (xs / d) ** 2
+    series = np.full_like(xs, urns._ATANH_SERIES[0])
+    for coeff in urns._ATANH_SERIES[1:]:
+        series *= v
+        series += coeff
+    out[small] = (2 * xs * series / (d * d) - 1) / d
+    xl = x[~small]
+    out[~small] = (np.log1p(xl) - xl) / (xl * xl)
+    return out
+
+
+def _numpy_class_sum(b, q, s, f):
+    """sum_i b_i f(q_i s) at every node s, over blocks of classes."""
+    out = np.zeros_like(s)
+    rows = max(1, _BLOCK // len(s))
+    for lo in range(0, len(b), rows):
+        out += b[lo:lo + rows] @ f(np.multiply.outer(q[lo:lo + rows], s))
+    return out
+
+
+def _numpy_gauss_legendre(n):
+    """Gauss-Legendre (nodes, weights) on [-1, 1] as arrays, by Newton's
+    method on the Legendre recurrence."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):  # converges quadratically from these starting points
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        slope = n * (x * p1 - p0) / (x * x - 1)
+        x = x - p1 / slope
+    return x, 2 / ((1 - x * x) * slope * slope)
+
+
+def numpy_birthday(u):
+    """E[B] by the numpy route `urns.birthday_exact` replaced: the same
+    panels, Gauss-Legendre pair and error bound, with every class summed by
+    h at every node (class x node matrices in blocks) and the truncation
+    point chosen over all eleven candidate ends at once."""
+    b = np.array([sq / u.moment2 for sq in u.squares])
+    q = np.sqrt([sq / (c * u.moment2) for c, sq in zip(u.counts, u.squares)])
+    unscale = urns._sqrt_ratio(u.denominator ** 2, u.moment2)  # 1 / sqrt(alpha_2)
+
+    ends = 2.0 ** np.arange(11)
+    slopes = ends * _numpy_class_sum(b, q, ends, lambda x: 1 / (1 + x))  # |psi'|
+    tails = np.exp(ends * ends * _numpy_class_sum(b, q, ends, _numpy_h)) / slopes
+    hits = np.flatnonzero(tails < 1e-3 * urns.BIRTHDAY_REL_TOL)
+    if not hits.size:
+        raise QuadratureError(f"no truncation point up to t={ends[-1] * unscale:.6g}")
+    last = hits[0]
+
+    (x32, w32), (x64, w64) = _numpy_gauss_legendre(32), _numpy_gauss_legendre(64)
+    lo, hi = np.concatenate(([0.0], ends[:last])), ends[:last + 1]
+    half = (hi - lo) / 2
+    nodes = ((hi + lo) / 2)[:, None] + half[:, None] * np.concatenate((x32, x64))
+    s = nodes.ravel()
+    f = np.exp(s * s * _numpy_class_sum(b, q, s, _numpy_h)).reshape(nodes.shape)
+    g32 = half * (f[:, :len(x32)] @ w32)
+    g64 = half * (f[:, len(x32):] @ w64)
+    value = g64.sum()
+    err = np.abs(g64 - g32).sum() + tails[last] + urns._ROUNDING * value
+    if not err <= urns.BIRTHDAY_REL_TOL * value:
+        raise QuadratureError(
+            f"birthday quadrature did not converge: value~{value * unscale:.8g}, "
+            f"error~{err * unscale:.3g}, truncation t={ends[last] * unscale:.6g}, "
+            f"{s.size} nodes")
+    return float(value * unscale)
 
 
 def urn_model(classes):

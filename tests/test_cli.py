@@ -359,9 +359,9 @@ def test_validation_error_independent_of_hash_seed(tmp_path, rules, seeds, named
         assert proc.stderr.startswith(f"error: nonterminal {named!r} "), proc.stderr
 
 
-def test_sampling_counting_and_urn_simulation_leave_numpy_unloaded():
-    # only the birthday quadrature (here reached by `analyze`) imports numpy;
-    # the asymptotics fits and the condition probes do not
+def test_cli_routes_leave_numpy_unloaded():
+    # no library route imports numpy: not the asymptotics fits or the
+    # condition probes, and not the birthday quadrature (`analyze`, `rna`)
     script = (
         "import sys\n"
         "from weightedgen import check_conditions, normalize, rna\n"
@@ -376,13 +376,32 @@ def test_sampling_counting_and_urn_simulation_leave_numpy_unloaded():
         "    assert main(argv) == 0\n"
         "assert check_conditions(normalize(rna.rna_grammar(3, 5))).all_pass\n"
         "before = 'numpy' in sys.modules\n"
-        "assert main(['analyze', '--builtin', 'motzkin', '--n', '6']) == 0\n"
+        "for argv in (['analyze', '--builtin', 'motzkin', '--n', '6'],\n"
+        "             ['rna', '--n', '80', '--k', '1000'], ['figure', '2']):\n"
+        "    assert main(argv) == 0\n"
         "print(before, 'numpy' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(weightedgen.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False True"
+    assert proc.stdout.splitlines()[-1] == "False False"
+
+
+def test_reports_run_with_numpy_blocked():
+    # the runtime dependencies alone: an import of numpy raises here
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from weightedgen.cli import main\n"
+        "assert main(['analyze', '--builtin', 'motzkin', '--weight', '.=2', '--n', '22',\n"
+        "             '--k', '1000']) == 0\n"
+        "assert main(['rna', '--n', '80', '--k', '1000']) == 0\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(weightedgen.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ((GOLDEN / "analyze_motzkin_w2_n22_k1000.txt").read_text()
+                           + (GOLDEN / "rna_n80_k1000.txt").read_text())
 
 
 @pytest.mark.parametrize("argv", [

@@ -27,7 +27,7 @@ from weightedgen.urns import OCCUPANCY_REL_ERROR, _urn_trials, _word_law
 from helpers import (UNIT_CHAIN, EnumerationCap, assert_chains_shared, below,
                      enumerate_words, fraction_count_table, fraction_route_classes,
                      fraction_route_spectrum, inside_unpruned, mp_birthday, normalize_checked,
-                     fraction_route_urn_model, occupancy_sum_per_class, pair_paths,
+                     numpy_birthday, fraction_route_urn_model, occupancy_sum_per_class, pair_paths,
                      random_valid_grammar, urn_model, walk_sample_word)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -266,8 +266,11 @@ def test_spectrum_urn_models_equal_the_fraction_route(g, t, n):
 @settings(PROPERTY, max_examples=20)
 @given(urn_models())
 def test_birthday_exact_matches_mp_oracle_on_random_urns(u):
+    # and the numpy route it replaced, to rounding
+    value = birthday_exact(u)
+    assert abs(value - numpy_birthday(u)) <= 1e-14 * value
     oracle = mp_birthday(u, rel_tol=1e-14)
-    assert abs(birthday_exact(u) - oracle) <= 1e-12 * oracle
+    assert abs(value - oracle) <= 1e-12 * oracle
 
 
 @PROPERTY

@@ -23,7 +23,7 @@ from weightedgen.urns import (FULL_COLLECTION_CAP, OCCUPANCY_K_LIMIT,
                               OCCUPANCY_REL_ERROR, SIMULATE_DRAW_CAP, QuadratureError,
                               SimResult)
 from helpers import (below, enumerate_words, exponential_per_class, mp_birthday,
-                     occupancy_sum_per_class,
+                     numpy_birthday, occupancy_sum_per_class,
                      oracle_birthday, oracle_birthday_uniform, oracle_coupon,
                      oracle_coupon_classes, oracle_occupancy, expand_urns,
                      random_urn_model, urn_ball_trial, urn_model)
@@ -210,6 +210,25 @@ def test_birthday_exact_vs_oracle_weighted():
 def test_birthday_exact_matches_mp_oracle(u):
     oracle = mp_birthday(u, rel_tol=1e-14)
     assert abs(birthday_exact(u) - oracle) <= 1e-12 * oracle
+
+
+def random_weight_urns(seed, urns, draw):
+    rng = random.Random(seed)
+    return from_weights([draw(rng) for _ in range(urns)])
+
+
+@pytest.mark.parametrize("u", [
+    random_weight_urns(1, 1000, lambda rng: rng.randint(1, 10 ** 6)),
+    random_weight_urns(2, 10_000, lambda rng: rng.randint(1, 10 ** 6)),
+    random_weight_urns(3, 1000, lambda rng: round(10 ** rng.uniform(0, 12))),
+    urn_model([(1, 10 ** 4), (10 ** 6, 1)]),
+    uniform_urns(10 ** 400),
+], ids=["1000-urns", "10000-urns", "heavy-tailed-1000-urns", "dominant", "m=1e400"])
+def test_birthday_exact_matches_numpy_route(u):
+    # power sums alone (on several series lengths) and next to classes summed
+    # one by one (the heavy tail, the dominant urn)
+    value = birthday_exact(u)
+    assert abs(value - numpy_birthday(u)) <= 1e-14 * value
 
 
 def test_birthday_exact_within_its_tolerance(monkeypatch):
